@@ -30,7 +30,6 @@ from .hilbertop import (
     derivative_at_pathshifted,
 )
 from .norms import (
-    SpaceSpec,
     bloch_norm,
     bloch_seminorm,
     bloch_seminorm_details,
@@ -91,7 +90,6 @@ __all__ = [
     "apply_matrix",
     "derivative_at",
     "derivative_at_pathshifted",
-    "SpaceSpec",
     "bloch_norm",
     "bloch_seminorm",
     "bloch_seminorm_details",

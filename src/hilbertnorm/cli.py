@@ -54,6 +54,10 @@ _BAND_RS = (0.1, 0.5, 0.9, 0.99)
 
 _WITNESS_ALPHAS = (0.5, 2.0, 2.5)
 
+# Grid size of a curve when --points is not given (alpha-bounds uses the
+# configured alpha grid instead).
+_DEFAULT_POINTS = 512
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -175,12 +179,12 @@ def _inner_tolerance(tol):
 
 
 def _unit_curve_rows(objective, points):
-    _, rs = unit_grid(points)
+    _, rs = unit_grid(_DEFAULT_POINTS if points is None else points)
     return [(float(r), float(objective(float(r)))) for r in rs]
 
 
 def _halfline_curve_rows(objective, points):
-    xs = halfline_grid(points)
+    xs = halfline_grid(_DEFAULT_POINTS if points is None else points)
     return [(float(x), float(objective(float(x)))) for x in xs]
 
 

@@ -5,27 +5,29 @@ variants H^p_log, and the alpha-Bloch seminorms/norms B^alpha and B^alpha_log,
 together with the circular power means I_c and the two sides of the
 coefficient inequality sum |a_n|/(n+1) <= pi * ||f||_{H^1}.
 
-Every norm is a supremum over the radius, delegated to the sup-search module;
-the objective at fixed radius is a circle mean (or a closed-form radial
-expression when the input certifies nonnegative power-series coefficients,
-which makes |f(z)| <= f(|z|) along every circle). Unbounded functionals
-surface as the sup-search divergence signal rather than a value.
+Every norm is a supremum over the radius. In general it is delegated to the
+sup-search module; the objective at fixed radius is a circle mean (or a
+closed-form radial expression when the input certifies nonnegative
+power-series coefficients, which makes |f(z)| <= f(|z|) along every circle).
+Unbounded functionals surface as the sup-search divergence signal rather
+than a value. One case needs no search: by Hardy's convexity theorem M_p(r, f)
+is nondecreasing in r, so the unweighted H^p norm (p finite) of an exact
+polynomial (tail_bound == 0) is its boundary mean M_p(1, f), a trapezoid rule
+on the roots of unity that a zero-padded FFT evaluates.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
                       eval_series, derivative_series)
-from .quadrature import circle_mean, integrate
+from .quadrature import QuadratureError, circle_mean, integrate
 from .specfun import log_weight
-from .supsearch import SupResult, supremum_unit, AT_ZERO
+from .supsearch import (SupResult, supremum_unit, unit_grid, AT_ZERO,
+                        AT_BOUNDARY_LIMIT)
 
 __all__ = [
-    "SpaceSpec",
     "hardy_norm",
     "hardy_norm_details",
     "bloch_seminorm",
@@ -34,30 +36,6 @@ __all__ = [
     "i_c",
     "hardy_inequality_gap",
 ]
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """A function space symbol: Hardy(p) or Bloch(alpha), optionally with the
-    logarithmic weight."""
-    family: str
-    p: Optional[float] = None
-    alpha: Optional[float] = None
-    log_weighted: bool = False
-
-    def __post_init__(self):
-        if self.family == "Hardy":
-            if self.p is None or (self.p != math.inf and not self.p >= 1.0):
-                raise ValueError("Hardy space requires p >= 1 or p = inf")
-            if self.alpha is not None:
-                raise ValueError("Hardy space takes no alpha")
-        elif self.family == "Bloch":
-            if self.alpha is None or not self.alpha > 0.0:
-                raise ValueError("Bloch space requires alpha > 0")
-            if self.p is not None:
-                raise ValueError("Bloch space takes no p")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
 
 
 def _validate_p(p):
@@ -99,19 +77,63 @@ def _mean_objective(f, p, log_weighted, inner_tol):
     return lambda r: mean(r) / _weight_at(r, True)
 
 
+# Largest trapezoid rule of the boundary mean: a polynomial whose zeros keep
+# away from the unit circle converges long before it.
+_BOUNDARY_MAX_POINTS = 1 << 20
+# The radius the sweep reports for a supremum in the boundary limit.
+_LAST_RADIUS = float(unit_grid()[1][-1])
+
+
+def _boundary_norm(coeffs, p, inner_tol):
+    """M_p(1, f) for the polynomial with these coefficients, shaped like the
+    sweep's result. The mean of |f|^p over the n-th roots of unity is one
+    zero-padded FFT; n doubles until two consecutive doublings each move it
+    by at most inner_tol * max(1, mean) (a single agreement can be a chance
+    crossing of two error terms)."""
+    if not np.any(coeffs[1:]):
+        # constant: a flat objective, which the sweep ties to r = 0
+        return SupResult(abs(complex(coeffs[0])) if coeffs.size else 0.0,
+                         0.0, AT_ZERO, 0.0)
+    n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
+    mean = float(np.mean(np.abs(np.fft.fft(coeffs, n)) ** p))
+    change, agreed = math.inf, 0
+    while agreed < 2:
+        if 2 * n > _BOUNDARY_MAX_POINTS:
+            raise QuadratureError(
+                f"boundary mean not converged at {n} points (last change "
+                f"{change:.3e})", SupResult(mean ** (1.0 / p), _LAST_RADIUS,
+                                            AT_BOUNDARY_LIMIT, change))
+        n *= 2
+        new = float(np.mean(np.abs(np.fft.fft(coeffs, n)) ** p))
+        agreed = agreed + 1 if abs(new - mean) <= inner_tol * max(1.0, new) else 0
+        change = abs(new ** (1.0 / p) - mean ** (1.0 / p))
+        mean = new
+    return SupResult(mean ** (1.0 / p), _LAST_RADIUS, AT_BOUNDARY_LIMIT, change)
+
+
 def hardy_norm_details(f, p, log_weighted, tol):
     """Full search result for sup_r M_p(r, f)/weight(r)."""
     p = _validate_p(p)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     inner_tol = max(0.1 * tol, 1e-13)
+    if (isinstance(f, CoefficientSeries) and f.tail_bound == 0.0
+            and not log_weighted and p != math.inf):
+        return _boundary_norm(f.coeffs, p, inner_tol)
     objective = _mean_objective(f, p, log_weighted, inner_tol)
     return supremum_unit(objective, tol)
 
 
 def hardy_norm(f, p, log_weighted, tol):
     """sup over 0 <= r < 1 of the p-th integral mean of f on the circle of
-    radius r, divided by 1 - 2 log(1-r) in the log-weighted variant."""
+    radius r, divided by 1 - 2 log(1-r) in the log-weighted variant.
+
+    For an exact polynomial (a CoefficientSeries with tail_bound == 0),
+    unweighted and with p finite, the means never decrease in r (Hardy's
+    convexity theorem), so the norm is the boundary mean M_p(1, f), computed
+    by a doubling FFT trapezoid rule instead of the radial sweep; it raises
+    QuadratureError if that rule has not converged at 2^20 points. Every
+    other input is swept."""
     return hardy_norm_details(f, p, log_weighted, tol).value
 
 

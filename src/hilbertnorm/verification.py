@@ -214,11 +214,13 @@ def compute_A(tol):
     return CheckReport("bloch-A-constant", computed, 1.5, tol, passed, detail)
 
 
-def compute_B(tol):
+def compute_B(tol, a_report=None):
     """Half-log-witness norm constant B = log 2 + sup/2 of its objective.
 
     The supremum sits at an interior radius (near 1 - e^-7); B must land
-    strictly inside (log 2, 2 log 2) and below the constant-witness value.
+    strictly inside (log 2, 2 log 2) and below the constant-witness value,
+    taken from ``a_report`` (a finished :func:`compute_A` report at the same
+    tol) or computed here when it is not given.
     The inner integral at r = 1/2 is dominated by a half-line integral with
     the closed-form value (4/3) log 4, checked for equality."""
     it = _inner_tol(tol)
@@ -243,7 +245,8 @@ def compute_B(tol):
     half_ok = (abs(half_val - half_bound) <= 1e-6
                and h_mid <= half_val + tol)
 
-    a_report = compute_A(tol)
+    if a_report is None:
+        a_report = compute_A(tol)
     passed = (
         _LOG2 - tol <= computed <= 2.0 * _LOG2 + tol
         and tail_ok
@@ -262,15 +265,20 @@ def compute_B(tol):
         "bloch-B-constant", computed, (_LOG2, 2.0 * _LOG2), tol, passed, detail)
 
 
-def norm_bloch_to_blochlog(tol):
+def norm_bloch_to_blochlog(tol, a_report=None, b_report=None):
     """Operator norm from the growth space to its log-weighted image:
     max of the two witness constants, which equals 3/2.
 
-    Both witnesses are recomputed directly as |Hf(0)| plus the supremum of
-    the log-weighted derivative objective along the radius, using the
-    shifted-path derivative; they must reproduce the two constants."""
-    a_report = compute_A(tol)
-    b_report = compute_B(tol)
+    The constants come from ``a_report`` and ``b_report`` (finished
+    :func:`compute_A` and :func:`compute_B` reports at the same tol), each
+    computed here when it is not given.  Both witnesses are recomputed
+    directly as |Hf(0)| plus the supremum of the log-weighted derivative
+    objective along the radius, using the shifted-path derivative; they must
+    reproduce the two constants."""
+    if a_report is None:
+        a_report = compute_A(tol)
+    if b_report is None:
+        b_report = compute_B(tol, a_report=a_report)
     it = _inner_tol(tol)
 
     def witness(kind):
@@ -518,9 +526,10 @@ def h1_upper_bound_internals(tol, seed=1729):
     telescope_ok = worst_tel <= 1e-9
 
     # The coefficient inequality has O(1) slack on random polynomials, so the
-    # norm on the right-hand side only needs a few correct digits; a tighter
-    # tolerance would multiply the cost of the 100-polynomial sweep for no
-    # extra discriminating power.
+    # norm on the right-hand side only needs a few correct digits.  Each norm
+    # is the FFT boundary mean of an exact polynomial, which converges
+    # geometrically, so a tighter tolerance would cost little but would add
+    # no discriminating power.
     gap_tol = max(tol, 1e-4)
     rng = np.random.default_rng(seed)
     min_margin = math.inf
@@ -793,11 +802,17 @@ def run_all(tol=1e-8, truncation=DEFAULT_TRUNCATION, seed=1729,
 
     Numerical non-convergence inside a check is captured as a failed
     CheckReport rather than an exception, so the suite always returns one
-    report per registered check."""
+    report per registered check.  The two growth-space constants are
+    computed once and handed to the checks that compare against them."""
+    done = {}
     checks = (
         ("bloch-A-constant", lambda: compute_A(tol)),
-        ("bloch-B-constant", lambda: compute_B(tol)),
-        ("bloch-to-blochlog-norm", lambda: norm_bloch_to_blochlog(tol)),
+        ("bloch-B-constant",
+         lambda: compute_B(tol, a_report=done["bloch-A-constant"])),
+        ("bloch-to-blochlog-norm",
+         lambda: norm_bloch_to_blochlog(
+             tol, a_report=done["bloch-A-constant"],
+             b_report=done["bloch-B-constant"])),
         ("alpha-lower-bound-1.5", lambda: alpha_lower_bound(1.5, tol)),
         ("alpha-upper-bound-1.5", lambda: alpha_upper_bound(1.5)),
         ("alpha-bounds-order", lambda: alpha_bounds_order(alpha_grid)),
@@ -813,7 +828,6 @@ def run_all(tol=1e-8, truncation=DEFAULT_TRUNCATION, seed=1729,
         ("modulus-mean-bands", lambda: modulus_mean_bands(tol)),
         ("gamma-identities", lambda: gamma_identities(tol)),
     )
-    reports = []
     for name, thunk in checks:
         try:
             report = thunk()
@@ -821,5 +835,5 @@ def run_all(tol=1e-8, truncation=DEFAULT_TRUNCATION, seed=1729,
             report = CheckReport(
                 name, math.nan, math.nan, tol, False,
                 f"numerical non-convergence: {exc}")
-        reports.append(report)
-    return reports
+        done[name] = report
+    return list(done.values())

@@ -168,6 +168,16 @@ def test_curve_json_payload(capsys):
     assert mid[2] == pytest.approx(math.pi + 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", [
+    "bloch-A-objective", "bloch-B-objective", "h1-sup-objective",
+    "hinf-sup-objective", "hinf-objective"])
+def test_curve_default_points_is_512(capsys, name):
+    assert main(["curve", name]) == 0
+    default = capsys.readouterr().out
+    assert main(["curve", name, "--points", "512"]) == 0
+    assert default == capsys.readouterr().out
+
+
 def test_curve_output_is_deterministic(capsys):
     assert main(["curve", "bloch-B-objective", "--points", "8"]) == 0
     first = capsys.readouterr().out

@@ -13,7 +13,7 @@ from hilbertnorm.catalog import (
     taylor_coeffs,
 )
 from hilbertnorm.norms import (
-    SpaceSpec,
+    _mean_objective,
     bloch_norm,
     bloch_seminorm,
     bloch_seminorm_details,
@@ -22,37 +22,17 @@ from hilbertnorm.norms import (
     hardy_norm_details,
     i_c,
 )
-from hilbertnorm.supsearch import AT_ZERO
+from hilbertnorm.quadrature import QuadratureError
+from hilbertnorm.supsearch import (
+    AT_BOUNDARY_LIMIT,
+    AT_ZERO,
+    SupResult,
+    supremum_unit,
+    unit_grid,
+)
 
 # sup_r I_{-1/2}(r) for the c = p*alpha - 1 route at p = 1, alpha = 1/2
 K_HALF = 1.18034059901609623
-
-
-# ---------------------------------------------------------------------------
-# space symbols
-
-
-def test_space_spec_valid_forms():
-    SpaceSpec("Hardy", p=1.0)
-    SpaceSpec("Hardy", p=2.0, log_weighted=True)
-    SpaceSpec("Hardy", p=math.inf)
-    SpaceSpec("Bloch", alpha=1.5)
-    SpaceSpec("Bloch", alpha=0.1, log_weighted=True)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(family="Hardy"),
-    dict(family="Hardy", p=0.5),
-    dict(family="Hardy", p=2.0, alpha=1.0),
-    dict(family="Bloch"),
-    dict(family="Bloch", alpha=0.0),
-    dict(family="Bloch", alpha=-1.0),
-    dict(family="Bloch", alpha=1.0, p=2.0),
-    dict(family="Bergman", p=2.0),
-])
-def test_space_spec_rejects_bad_forms(kwargs):
-    with pytest.raises(ValueError):
-        SpaceSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +55,15 @@ def test_hardy_norm_power_singularity():
 
 
 def test_hardy_norm_h2_is_coefficient_norm():
+    # Parseval; the boundary trapezoid rule integrates |f|^2 exactly
     rng = np.random.default_rng(101)
-    for _ in range(4):
-        deg = int(rng.integers(1, 13))
+    for _ in range(20):
+        deg = int(rng.integers(1, 65))
         a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         s = CoefficientSeries(a, deg + 1, 0.0)
         expected = math.sqrt(float(np.sum(np.abs(a) ** 2)))
         assert hardy_norm(s, 2.0, False, 1e-5) == pytest.approx(
-            expected, rel=1e-4)
+            expected, rel=1e-12)
 
 
 def test_hardy_norm_sup_mean():
@@ -99,6 +80,91 @@ def test_hardy_norm_log_weight_shrinks():
         unweighted = hardy_norm(s, 2.0, False, 1e-4)
         weighted = hardy_norm(s, 2.0, True, 1e-4)
         assert weighted <= unweighted + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# boundary-mean route for exact polynomials
+
+
+def _random_polynomials(seed, count, max_degree=64):
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(count):
+        deg = int(rng.integers(1, max_degree + 1))
+        polys.append(rng.standard_normal(deg + 1)
+                     + 1j * rng.standard_normal(deg + 1))
+    return polys
+
+
+@pytest.fixture(scope="module")
+def fft_references():
+    """200 seeded polynomials with M_1(1, f) and M_3(1, f) from one
+    2^18-point trapezoid rule each."""
+    cases = []
+    for a in _random_polynomials(105, 200):
+        modulus = np.abs(np.fft.fft(a, 1 << 18))
+        refs = {p: float(np.mean(modulus ** p)) ** (1.0 / p) for p in (1.0, 3.0)}
+        cases.append((a, refs))
+    return cases
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_hardy_norm_exact_matches_fft_reference(fft_references, tol):
+    for a, refs in fft_references:
+        s = CoefficientSeries(a, a.size, 0.0)
+        for p, ref in refs.items():
+            value = hardy_norm(s, p, False, tol)
+            assert abs(value - ref) <= tol * max(1.0, ref), (a.size, p)
+
+
+def test_hardy_norm_exact_agrees_with_sweep():
+    # the sweep over r < 1 approaches the boundary mean from below (it may
+    # classify its plateau near r = 1 as interior)
+    for a in _random_polynomials(107, 4, max_degree=16):
+        s = CoefficientSeries(a, a.size, 0.0)
+        swept = supremum_unit(_mean_objective(s, 1.0, False, 1e-7), 1e-6)
+        fast = hardy_norm_details(s, 1.0, False, 1e-6)
+        assert fast.value == pytest.approx(swept.value, rel=1e-6)
+
+
+def test_hardy_norm_exact_classification():
+    s = CoefficientSeries(np.array([1.0, 0.5j, -0.25]), 3, 0.0)
+    res = hardy_norm_details(s, 1.0, False, 1e-8)
+    assert res.boundary == AT_BOUNDARY_LIMIT
+    assert res.arg == float(unit_grid()[1][-1])
+    assert 0.0 <= res.error_estimate <= 1e-8
+    const = hardy_norm_details(
+        CoefficientSeries(np.array([-3.0 + 4.0j]), 1, 0.0), 1.0, False, 1e-8)
+    assert const == SupResult(5.0, 0.0, AT_ZERO, 0.0)
+    empty = hardy_norm_details(CoefficientSeries(np.array([]), 0, 0.0),
+                               2.0, False, 1e-8)
+    assert empty == SupResult(0.0, 0.0, AT_ZERO, 0.0)
+
+
+@pytest.mark.parametrize("p,log_weighted,tail_bound", [
+    (1.0, True, 0.0),
+    (2.0, False, None),
+    (1.0, False, 0.5),
+    (math.inf, False, 0.0),
+])
+def test_hardy_norm_other_inputs_keep_the_sweep(p, log_weighted, tail_bound):
+    a = np.array([0.5, -1.0 + 0.25j])
+    s = CoefficientSeries(a, a.size, tail_bound)
+    tol = 1e-4
+    expected = supremum_unit(
+        _mean_objective(s, p, log_weighted, max(0.1 * tol, 1e-13)), tol)
+    assert hardy_norm_details(s, p, log_weighted, tol) == expected
+
+
+def test_hardy_norm_exact_unconverged_raises():
+    # 1 + z vanishes on the circle: the trapezoid error decays only like
+    # n^-2, so 1e-12 is out of reach of the largest rule
+    s = CoefficientSeries(np.array([1.0, 1.0]), 2, 0.0)
+    with pytest.raises(QuadratureError) as info:
+        hardy_norm(s, 1.0, False, 1e-12)
+    partial = info.value.result
+    assert partial.boundary == AT_BOUNDARY_LIMIT
+    assert partial.value == pytest.approx(4.0 / math.pi, rel=1e-10)
 
 
 def test_hardy_norm_validation():
