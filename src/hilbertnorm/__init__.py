@@ -44,6 +44,7 @@ from .quadrature import (
     SingularitySpec,
     circle_mean,
     integrate,
+    integrate_family,
     integrate_halfline,
     integrate_singular,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "SingularitySpec",
     "circle_mean",
     "integrate",
+    "integrate_family",
     "integrate_halfline",
     "integrate_singular",
     "beta",

@@ -27,9 +27,7 @@ import math
 import sys
 
 from . import __version__
-from .norms import i_c
 from .quadrature import QuadratureError
-from .specfun import gamma
 from .supsearch import DivergenceError, halfline_grid, unit_grid
 from .verification import (
     CHECK_NAMES,
@@ -40,17 +38,13 @@ from .verification import (
     h1_sup_objective,
     hinf_objective,
     hinf_sup_objective,
+    inner_tolerance,
+    modulus_band_grid,
     run_all,
     unboundedness_profile,
 )
 
 _FORMATS = ("csv", "json")
-
-# (c, r) grid of the modulus-mean band table; c spans both signs of the
-# weight exponent plus the logarithmic borderline, r reaches deep enough to
-# expose the r -> 1 asymptotics.
-_BAND_CS = (-0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7)
-_BAND_RS = (0.1, 0.5, 0.9, 0.99)
 
 _WITNESS_ALPHAS = (0.5, 2.0, 2.5)
 
@@ -174,10 +168,6 @@ def _emit(name, columns, rows, config, out):
 # ---------------------------------------------------------------------------
 
 
-def _inner_tolerance(tol):
-    return max(1e-12, 0.01 * tol)
-
-
 def _unit_curve_rows(objective, points):
     _, rs = unit_grid(_DEFAULT_POINTS if points is None else points)
     return [(float(r), float(objective(float(r)))) for r in rs]
@@ -190,12 +180,12 @@ def _halfline_curve_rows(objective, points):
 
 def _curve_bloch_a(config, points):
     return _unit_curve_rows(
-        bloch_a_objective(_inner_tolerance(config.tolerance)), points)
+        bloch_a_objective(inner_tolerance(config.tolerance)), points)
 
 
 def _curve_bloch_b(config, points):
     return _unit_curve_rows(
-        bloch_b_objective(_inner_tolerance(config.tolerance)), points)
+        bloch_b_objective(inner_tolerance(config.tolerance)), points)
 
 
 def _curve_h1_sup(config, points):
@@ -252,30 +242,14 @@ def _table_norm_summary(config):
     return rows
 
 
-def _band_bounds(c, r, value):
-    """Compared quantity and its two-sided band for one (c, r) cell."""
-    if c < 0.0:
-        compared = value
-        upper = gamma(-c) / gamma((1.0 - c) / 2.0) ** 2
-        return compared, 1.0, upper
-    if c > 0.0:
-        compared = (1.0 - r * r) ** c * value
-        upper = gamma(c) / gamma((1.0 + c) / 2.0) ** 2
-        return compared, 1.0, upper
-    compared = r * r * value / (-math.log1p(-(r * r)))
-    return compared, 1.0 / math.pi, 1.0
-
-
 def _table_ic_bound_grid(config):
     slack = max(config.tolerance, 1e-10)
-    rows = []
-    for c in _BAND_CS:
-        for r in _BAND_RS:
-            value = i_c(c, r, max(1e-10, 0.01 * config.tolerance))
-            compared, lower, upper = _band_bounds(c, r, value)
-            within = lower - slack <= compared <= upper + slack
-            rows.append((c, r, value, compared, lower, upper, within))
-    return rows
+    return [
+        (c, r, value, compared, lower, upper,
+         lower - slack <= compared <= upper + slack)
+        for c, r, value, compared, lower, upper
+        in modulus_band_grid(max(1e-10, 0.01 * config.tolerance))
+    ]
 
 
 def _table_witnesses(config):

@@ -6,6 +6,15 @@ endpoint singularities, a rational map for half-line integrals, and
 trapezoid-with-doubling circle means. Integrand callables are vectorized:
 they receive an ndarray of abscissae and must return an ndarray of values
 (real or complex) of the same shape.
+
+Two engines refine the panels. The heap engine (integrate and the functions
+built on it) splits the worst panel of a scalar integrand, one panel per
+call. The level-by-level engine (integrate_family) integrates a family, an
+integrand returning shape (..., m) for m abscissae, on one shared mesh: each
+level splits every panel over its share of the error budget and evaluates
+all of them in one call, so the per-call cost is spread over many panels and
+members. The heap engine stays for scalars: the curves and tables print its
+results to 17 digits, and another mesh would change their last digits.
 """
 
 import heapq
@@ -22,6 +31,7 @@ __all__ = [
     "integrate",
     "integrate_singular",
     "integrate_halfline",
+    "integrate_family",
     "circle_mean",
 ]
 
@@ -60,6 +70,7 @@ _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+_WKG = np.stack([_WGK, _WG], axis=1)
 
 _DEFAULT_PANEL_CAP = 1 << 16
 
@@ -67,7 +78,8 @@ _DEFAULT_PANEL_CAP = 1 << 16
 @dataclass(frozen=True)
 class QuadResult:
     """Integration result: value, error estimate, evaluation count, and
-    which endpoints were treated as singular."""
+    which endpoints were treated as singular. integrate_family gives value
+    and error_estimate as arrays of its family shape."""
     value: complex
     error_estimate: float
     evaluations: int
@@ -197,24 +209,53 @@ def _transformed(f, a, b, exponent, side):
     e = 0.0 if exponent is None else float(exponent)
     q = 1.0 / (1.0 + e)
     coef = q * span ** (1.0 + e)
-
-    if side == "right":
-        edge, inner = b, a
-    else:
-        edge, inner = a, b
+    edge, inner, sign = (b, a, -1.0) if side == "right" else (a, b, 1.0)
+    off = np.nextafter(edge, inner)
 
     def g(s):
-        u = span * s ** q
-        if side == "right":
-            x = edge - u
-        else:
-            x = edge + u
-        off = np.nextafter(edge, inner)
+        x = edge + sign * (span * s ** q)
         x = np.where(x == edge, off, x)
         dist = np.abs(edge - x)
         return coef * np.asarray(f(x)) * dist ** (-e)
 
     return g
+
+
+def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
+    """Integrate f over [a, b] with the declared singularities of spec, as
+    integrate_singular describes; engine(g, lo, hi, tol, panel_cap)
+    integrates one piece and returns its QuadResult and a failure message
+    (False when it converged)."""
+    a = float(a)
+    b = float(b)
+    if not a < b:
+        raise ValueError("singular integration requires a < b")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if not isinstance(spec, SingularitySpec):
+        spec = SingularitySpec(*spec)
+    left, right = spec.left_exponent, spec.right_exponent
+    flags = (left is not None, right is not None)
+    pieces = [(f, a, b, tol)]
+    if any(flags):
+        # split at the midpoint only when both endpoints are declared
+        m = 0.5 * (a + b) if all(flags) else (b if flags[0] else a)
+        ends = [(a, m, left, "left"), (m, b, right, "right")]
+        ends = [end for end, flag in zip(ends, flags) if flag]
+        pieces = [(_transformed(f, lo, hi, e, side), 0.0, 1.0, tol / len(ends))
+                  for lo, hi, e, side in ends]
+    value = 0.0
+    err = 0.0
+    evaluations = 0
+    for g, lo, hi, piece_tol in pieces:
+        r, failure = engine(g, lo, hi, piece_tol, panel_cap)
+        value = value + r.value
+        err = err + r.error_estimate
+        evaluations += r.evaluations
+        if failure:
+            raise QuadratureError(
+                failure, QuadResult(value, err, evaluations, flags))
+    return QuadResult(value, err, evaluations, flags)
 
 
 def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
@@ -224,37 +265,8 @@ def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
     both endpoints declared the interval is split at its midpoint and each
     half gets its own transform at half the tolerance. Declared exponents
     may be conservative majorants (e.g. -0.5 for a logarithmic blowup)."""
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError("integrate_singular requires a < b")
-    if not isinstance(spec, SingularitySpec):
-        spec = SingularitySpec(*spec)
-    flags = (spec.left_exponent is not None, spec.right_exponent is not None)
-
-    if flags == (False, False):
-        r = integrate(f, a, b, tol, panel_cap)
-        return QuadResult(r.value, r.error_estimate, r.evaluations, flags)
-
-    pieces = []
-    if flags == (True, True):
-        m = 0.5 * (a + b)
-        pieces.append((_transformed(f, a, m, spec.left_exponent, "left"), 0.5 * tol))
-        pieces.append((_transformed(f, m, b, spec.right_exponent, "right"), 0.5 * tol))
-    elif flags[0]:
-        pieces.append((_transformed(f, a, b, spec.left_exponent, "left"), tol))
-    else:
-        pieces.append((_transformed(f, a, b, spec.right_exponent, "right"), tol))
-
-    value = 0.0
-    err = 0.0
-    evaluations = 0
-    for g, piece_tol in pieces:
-        r = integrate(g, 0.0, 1.0, piece_tol, panel_cap)
-        value = value + r.value
-        err += r.error_estimate
-        evaluations += r.evaluations
-    return QuadResult(value, err, evaluations, flags)
+    return _by_pieces(lambda *piece: (integrate(*piece), False),
+                      f, a, b, spec, tol, panel_cap)
 
 
 def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
@@ -266,103 +278,96 @@ def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
         x = a + u / omu
         return np.asarray(f(x)) / (omu * omu)
 
-    r = integrate(g, 0.0, 1.0, tol, panel_cap)
-    return QuadResult(r.value, r.error_estimate, r.evaluations, (False, False))
+    return integrate(g, 0.0, 1.0, tol, panel_cap)
 
 
-def _batched_singular(fbatch, a, b, spec, tol, nbatch, panel_cap=1024):
-    """Batched variant of integrate_singular for integrand families.
+def _panels(g, lo, hi):
+    """GK15 on every panel [lo[i], hi[i]] of a family integrand in one call.
 
-    fbatch(x: ndarray[m]) must return ndarray[nbatch, m]; all members share
-    the declared singularity structure. Panels are refined where the worst
-    member's error demands it, every member's result is accumulated on the
-    shared mesh. Returns (values[nbatch], errors[nbatch], evaluations)."""
-    if not isinstance(spec, SingularitySpec):
-        spec = SingularitySpec(*spec)
-    flags = (spec.left_exponent is not None, spec.right_exponent is not None)
+    g maps abscissae of shape (m,) to values of shape (..., m). Returns the
+    K15 values and the error estimates (sharpened as in _panel), each of
+    shape (members, panels), and the family shape (...)."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+    y = np.asarray(g(x.ravel()))
+    if y.ndim == 0 or y.shape[-1] != x.size:
+        raise QuadratureError(
+            f"family integrand returned shape {y.shape} for input shape {(x.size,)}")
+    family = y.shape[:-1]
+    y = y.reshape((-1,) + x.shape)
+    resabs = half * (np.abs(y) @ _WGK)
+    # the Kronrod weights are positive, so resabs is finite iff y is
+    if not np.all(np.isfinite(resabs)):
+        raise QuadratureError(
+            f"family integrand not finite on [{lo.min():g}, {hi.max():g}]")
+    kg = y @ _WKG
+    resasc = half * (np.abs(y - 0.5 * kg[..., :1]) @ _WGK)
+    k15 = half * kg[..., 0]
+    err = np.abs(k15 - half * kg[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharp = resasc * np.minimum(1.0, 200.0 * err / resasc) ** 1.5
+    err = np.maximum(np.where(resasc > 0.0, sharp, err), 50.0 * _EPS * resabs)
+    return k15, err, family
 
-    segments = []
-    if flags == (True, True):
-        m = 0.5 * (a + b)
-        segments.append(_transformed(fbatch, a, m, spec.left_exponent, "left"))
-        segments.append(_transformed(fbatch, m, b, spec.right_exponent, "right"))
-    elif flags == (True, False):
-        segments.append(_transformed(fbatch, a, b, spec.left_exponent, "left"))
-    elif flags == (False, True):
-        segments.append(_transformed(fbatch, a, b, spec.right_exponent, "right"))
-    else:
-        def identity(s):
-            return np.asarray(fbatch(a + (b - a) * s)) * (b - a)
-        segments.append(identity)
 
-    values = np.zeros(nbatch, dtype=complex)
-    errors = np.zeros(nbatch)
-    evaluations = 0
-    seg_tol = tol / len(segments)
+def _levels(g, a, b, tol, panel_cap):
+    """Level-by-level adaptive GK15 of a family integrand over [a, b].
 
-    for g in segments:
-        panels = []  # (s0, s1, val[nb], err[nb])
+    Every level evaluates all new panels in one call. A panel is split when,
+    for some member whose total error exceeds tol * max(1, |value|), the
+    panel's error exceeds its length share of that budget; panels at float
+    resolution are frozen and leave the convergence test, as in integrate.
+    Returns a QuadResult with value and error of the family shape, and a
+    failure message past panel_cap panels (False when converged). Starting
+    from four panels rather than one saves levels that split every panel."""
+    edges = np.linspace(a, b, 5)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs, family = _panels(g, lo, hi)
+    evaluations = vals.size * 15
+    frozen_val = frozen_err = 0.0
+    while True:
+        value = frozen_val + vals.sum(axis=1)
+        live_err = errs.sum(axis=1)
+        budget = tol * np.maximum(1.0, np.abs(value))
+        need = live_err > budget
+        split = np.any(errs[need] > budget[need, None] * ((hi - lo) / (b - a)), axis=0)
+        if not split.any() or lo.size + split.sum() > panel_cap:
+            failure = need.any() and (
+                f"no convergence after {lo.size} panels "
+                f"(worst error {np.max(live_err / budget):.3e} x its budget)")
+            return QuadResult(value.reshape(family),
+                              (frozen_err + live_err).reshape(family),
+                              evaluations), failure
+        mid = 0.5 * (lo + hi)
+        stuck = split & ((mid <= lo) | (mid >= hi))
+        if stuck.any():
+            frozen_val = frozen_val + vals[:, stuck].sum(axis=1)
+            frozen_err = frozen_err + errs[:, stuck].sum(axis=1)
+            split &= ~stuck
+        keep = ~(split | stuck)
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals, errs = vals[:, keep], errs[:, keep]
+        if new_lo.size:
+            new_vals, new_errs, _ = _panels(g, new_lo, new_hi)
+            evaluations += new_vals.size * 15
+            vals = np.concatenate([vals, new_vals], axis=1)
+            errs = np.concatenate([errs, new_errs], axis=1)
 
-        def eval_panel(s0, s1):
-            nonlocal evaluations
-            half = 0.5 * (s1 - s0)
-            x = 0.5 * (s0 + s1) + half * _XGK
-            y = np.asarray(g(x))
-            if y.shape != (nbatch, 15):
-                raise QuadratureError(
-                    f"batched integrand returned shape {y.shape}, "
-                    f"expected {(nbatch, 15)}")
-            evaluations += y.size
-            k15 = half * (y @ _WGK)
-            g7 = half * (y @ _WG)
-            resabs = half * (np.abs(y) @ _WGK)
-            resasc = half * (np.abs(y - (k15 / (s1 - s0))[:, None]) @ _WGK)
-            err = np.abs(k15 - g7)
-            mask = (resasc != 0.0) & (err != 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sharp = resasc * np.minimum(1.0, (200.0 * err / np.where(mask, resasc, 1.0)) ** 1.5)
-            err = np.where(mask, sharp, err)
-            err = np.maximum(err, 50.0 * _EPS * resabs)
-            return k15, err
 
-        ngrid = np.linspace(0.0, 1.0, 9)
-        for s0, s1 in zip(ngrid[:-1], ngrid[1:]):
-            v, e = eval_panel(s0, s1)
-            panels.append([s0, s1, v, e])
+def integrate_family(f, a, b, spec, tol, panel_cap=1 << 10):
+    """Integrate a family of integrands on one shared mesh over [a, b].
 
-        frozen_val = np.zeros(nbatch, dtype=complex)
-        frozen_err = np.zeros(nbatch)
-        while True:
-            tot_val = frozen_val + np.sum([p[2] for p in panels], axis=0)
-            tot_err = np.sum([p[3] for p in panels], axis=0)
-            need = tot_err > seg_tol * np.maximum(1.0, np.abs(tot_val))
-            if not np.any(need):
-                break
-            if len(panels) >= panel_cap:
-                raise QuadratureError(
-                    f"batched quadrature: no convergence after {len(panels)} panels")
-            scores = [float(np.max(p[3][need])) for p in panels]
-            idx = int(np.argmax(scores))
-            s0, s1, pv, pe = panels.pop(idx)
-            sm = 0.5 * (s0 + s1)
-            if sm <= s0 or sm >= s1:
-                # panel at float resolution: accept it as-is and stop
-                # counting its error against the convergence test
-                frozen_val += pv
-                frozen_err += pe
-                continue
-            for t0, t1 in ((s0, sm), (sm, s1)):
-                v, e = eval_panel(t0, t1)
-                panels.append([t0, t1, v, e])
-
-        values = values + frozen_val
-        errors = errors + frozen_err
-
-        panels.sort(key=lambda p: p[0])
-        values = values + np.sum([p[2] for p in panels], axis=0)
-        errors = errors + np.sum([p[3] for p in panels], axis=0)
-
-    return values, errors, evaluations
+    f maps abscissae of shape (m,) to values of shape (..., m), one member
+    per index of the family shape (...); spec declares endpoint power
+    singularities shared by all members, handled as in integrate_singular.
+    Returns a QuadResult whose value and error_estimate have the family
+    shape, each member within tol * max(1, |value|). Past panel_cap panels
+    on a piece (lower than integrate's cap: every member fills every panel)
+    it raises QuadratureError carrying that partial QuadResult."""
+    return _by_pieces(_levels, f, a, b, spec, tol, panel_cap)
 
 
 def _circle_points(r, theta):

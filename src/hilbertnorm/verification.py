@@ -36,8 +36,8 @@ from .norms import bloch_norm, hardy_inequality_gap, hardy_norm, i_c
 from .quadrature import (
     QuadratureError,
     SingularitySpec,
-    _batched_singular,
     integrate,
+    integrate_family,
     integrate_halfline,
     integrate_singular,
 )
@@ -94,7 +94,8 @@ def _om2(r):
     return (1.0 - r) * (1.0 + r)
 
 
-def _inner_tol(tol):
+def inner_tolerance(tol):
+    """Tolerance of the integrals inside an objective sought to tol."""
     return max(1e-12, 0.01 * tol)
 
 
@@ -187,7 +188,7 @@ def compute_A(tol):
     The supremum is attained in the limit r -> 0 with value 1/2, so the
     constant equals 3/2 exactly; the averaged kernel integral is
     cross-checked against its closed form 1/r + ((1-r)/r^2) log(1-r)."""
-    it = _inner_tol(tol)
+    it = inner_tolerance(tol)
     objective = bloch_a_objective(it)
     sup = supremum_unit(objective, tol, limit_at_zero=0.5)
     computed = 1.0 + sup.value
@@ -223,7 +224,7 @@ def compute_B(tol, a_report=None):
     tol) or computed here when it is not given.
     The inner integral at r = 1/2 is dominated by a half-line integral with
     the closed-form value (4/3) log 4, checked for equality."""
-    it = _inner_tol(tol)
+    it = inner_tolerance(tol)
     objective = bloch_b_objective(it)
     sup = supremum_unit(objective, tol)
     computed = _LOG2 + 0.5 * sup.value
@@ -279,7 +280,7 @@ def norm_bloch_to_blochlog(tol, a_report=None, b_report=None):
         a_report = compute_A(tol)
     if b_report is None:
         b_report = compute_B(tol, a_report=a_report)
-    it = _inner_tol(tol)
+    it = inner_tolerance(tol)
 
     def witness(kind):
         fn = TestFunction(kind)
@@ -327,7 +328,7 @@ def alpha_lower_bound(alpha, tol):
     1/(4(2-alpha)), and at alpha = 1.5 an off-axis polar scan confirms the
     radial search dominates."""
     _require_alpha_window(alpha)
-    it = _inner_tol(min(tol, 1e-8))
+    it = inner_tolerance(min(tol, 1e-8))
 
     def j_integrand(t):
         return np.exp((1.0 - alpha) * (np.log1p(-t) + np.log1p(t)))
@@ -567,47 +568,48 @@ def h1_lower_bound(alpha, tol):
     the boundary-singular extremal, divided by the log weight.  The mean is
     computed through the factorization |Hf(z)| = |1-z|^(-alpha) |K(z)| with
     K a smooth profile integral, so the boundary spike is integrated by the
-    declared-exponent transform rather than resolved pointwise.  The
-    denominator is the Hardy norm of the extremal itself.  As alpha -> 1
-    the floor approaches pi, which is asserted at alpha = 0.99."""
+    declared-exponent transform rather than resolved pointwise.  Both
+    integrals run on integrate_family: each level of the angular integral
+    is one call, integrating K at all its new angles on one shared mesh.
+    The denominator is the Hardy norm of the extremal itself.  As alpha -> 1
+    the floor approaches pi, which is asserted at alpha = 0.99.  The detail
+    counts the numerator search's objective calls and integrand values."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("floor comparison requires alpha in (0, 1)")
     floor = gamma((2.0 - alpha) / 2.0) ** 2 / gamma(2.0 - alpha)
     fn = TestFunction(Kind.HARDY_ALPHA_EXTREMAL, alpha)
     t_tol = 1e-9
     theta_tol = 1e-7
+    spent = {"objective": 0, "values": 0}
 
-    def smooth_profile(thetas, r):
-        z = r * np.exp(1j * thetas)
-        omz = 1.0 - z
-
-        def fbatch(t):
-            d = omz[:, None] + np.outer(z, t)
-            return np.exp((alpha - 1.0) * np.log(d.astype(complex))
-                          - alpha * np.log1p(-t)[None, :])
-
-        vals, _, _ = _batched_singular(
-            fbatch, 0.0, 1.0,
-            SingularitySpec(alpha - 1.0, -alpha), t_tol, len(thetas))
-        return np.abs(vals)
-
-    def mean_objective(r):
+    def objective(r):
+        spent["objective"] += 1
         if r == 0.0:
-            return abs(apply_integral(fn, 0.0, t_tol))
+            return abs(apply_integral(fn, 0.0, t_tol)) / _w(r)
         omr = 1.0 - r
 
         def theta_integrand(thetas):
-            thetas = np.atleast_1d(thetas)
-            q2 = omr * omr + 4.0 * r * np.sin(0.5 * thetas) ** 2
-            return q2 ** (-0.5 * alpha) * smooth_profile(thetas, r)
+            z = r * np.exp(1j * thetas)
+            omz = 1.0 - z
 
-        res = integrate_singular(
+            def profile(t):
+                d = omz[:, None] + np.outer(z, t)
+                # log|d| + i arg(d) is the principal log (Re d > 0) at a
+                # third of the cost of the complex log ufunc
+                log_d = np.log(np.abs(d)) + 1j * np.angle(d)
+                return np.exp((alpha - 1.0) * log_d - alpha * np.log1p(-t))
+
+            k = integrate_family(
+                profile, 0.0, 1.0, SingularitySpec(alpha - 1.0, -alpha), t_tol)
+            spent["values"] += k.evaluations
+            q2 = omr * omr + 4.0 * r * np.sin(0.5 * thetas) ** 2
+            return q2 ** (-0.5 * alpha) * np.abs(k.value)
+
+        res = integrate_family(
             theta_integrand, 0.0, math.pi,
             SingularitySpec(-alpha, None), theta_tol)
-        return float(res.value) / math.pi
-
-    def objective(r):
-        return mean_objective(r) / _w(r)
+        spent["values"] += res.evaluations
+        return float(res.value) / math.pi / _w(r)
 
     sup = supremum_unit(objective, max(tol, 1e-6), n_grid=64, x_max=25.0)
     numerator = sup.value
@@ -625,7 +627,9 @@ def h1_lower_bound(alpha, tol):
     detail = (
         f"numerator supremum {numerator:.9g} ({sup.boundary} at "
         f"r = {sup.arg:.6g}), denominator {denominator:.9g}, ratio "
-        f"{ratio:.9g} >= floor - tol with floor {floor:.9g}{pi_note}"
+        f"{ratio:.9g} >= floor - tol with floor {floor:.9g}{pi_note}; "
+        f"numerator search: {spent['objective']} objective calls, "
+        f"{spent['values']} circle-mean integrand values"
     )
     return CheckReport(
         f"h1-lower-bound-{alpha:g}", ratio, (floor, math.inf),
@@ -722,6 +726,31 @@ def representation_agreement(tol, truncation=DEFAULT_TRUNCATION, seed=1729):
         "series-integral-agreement", computed, 0.0, agree_tol, passed, detail)
 
 
+# (c, r) grid of the modulus-mean bands: both signs of c and the log borderline
+# c = 0, with r deep enough to expose the r -> 1 asymptotics.
+_BAND_CS = (-0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7)
+_BAND_RS = (0.1, 0.5, 0.9, 0.99)
+
+
+def modulus_band_grid(ic_tol):
+    """Rows (c, r, value, compared, lower, upper) over the band grid: value
+    is I_c(r) computed to ic_tol, and lower <= compared <= upper is the
+    band of that cell (see modulus_mean_bands)."""
+    rows = []
+    for c in _BAND_CS:
+        for r in _BAND_RS:
+            value = i_c(c, r, ic_tol)
+            if c < 0.0:
+                band = (value, 1.0, gamma(-c) / gamma((1.0 - c) / 2.0) ** 2)
+            elif c > 0.0:
+                band = ((1.0 - r * r) ** c * value, 1.0,
+                        gamma(c) / gamma((1.0 + c) / 2.0) ** 2)
+            else:
+                band = (r * r * value / (-math.log1p(-(r * r))), 1.0 / math.pi, 1.0)
+            rows.append((c, r, value) + band)
+    return rows
+
+
 def modulus_mean_bands(tol):
     """Two-sided bands for the circle means of the boundary kernel powers.
 
@@ -732,22 +761,11 @@ def modulus_mean_bands(tol):
     over a grid of exponents and radii."""
     worst = 0.0
     worst_cell = None
-    for c in (-0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7):
-        for r in (0.1, 0.5, 0.9, 0.99):
-            value = i_c(c, r, 1e-10)
-            if c < 0.0:
-                banded = value
-                low, high = 1.0, gamma(-c) / gamma((1.0 - c) / 2.0) ** 2
-            elif c > 0.0:
-                banded = _om2(r) ** c * value
-                low, high = 1.0, gamma(c) / gamma((1.0 + c) / 2.0) ** 2
-            else:
-                banded = r * r * value / (-math.log1p(-(r * r)))
-                low, high = 1.0 / math.pi, 1.0
-            violation = max(low - banded, banded - high, 0.0)
-            if violation > worst:
-                worst = violation
-                worst_cell = (c, r, banded, low, high)
+    for c, r, _, banded, low, high in modulus_band_grid(1e-10):
+        violation = max(low - banded, banded - high, 0.0)
+        if violation > worst:
+            worst = violation
+            worst_cell = (c, r, banded, low, high)
     passed = worst <= tol
     if worst_cell is None:
         detail = "all 28 grid cells sit inside their bands"

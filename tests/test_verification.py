@@ -1,6 +1,7 @@
 """Tests for the verification checks and their shared objectives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,13 @@ def test_h1_lower_bound_report():
     rep = h1_lower_bound(0.5, 1e-8)
     assert rep.passed
     assert rep.computed == pytest.approx(1.6944261753566803, abs=1e-9)
+    assert "(AtZero at r = 0)" in rep.detail
+    # the detail accounts for the work of the numerator search: at least
+    # one objective call per grid radius and the values its integrals spent
+    counts = re.search(
+        r"(\d+) objective calls, (\d+) circle-mean integrand values", rep.detail)
+    assert int(counts.group(1)) >= 64
+    assert int(counts.group(2)) > 0
 
 
 def test_gamma_identities_report():
