@@ -30,8 +30,12 @@ from . import __version__
 from .quadrature import QuadratureError
 from .supsearch import DivergenceError, halfline_grid, unit_grid
 from .verification import (
+    BLOCH_LOG_NORM,
     CHECK_NAMES,
     DEFAULT_ALPHA_GRID,
+    H1_LOG_LOWER,
+    H1_LOG_UPPER,
+    HINF_LOG_NORM,
     alpha_bound_values,
     bloch_a_objective,
     bloch_b_objective,
@@ -231,9 +235,9 @@ CURVES = {
 
 def _table_norm_summary(config):
     rows = [
-        ("B", "B_log", 1.5, 1.5, 1.5),
-        ("Hinf", "Hinf_log", 1.0, 1.0, 1.0),
-        ("H1", "H1_log", math.pi, 2.0 * math.pi, None),
+        ("B", "B_log", BLOCH_LOG_NORM, BLOCH_LOG_NORM, BLOCH_LOG_NORM),
+        ("Hinf", "Hinf_log", HINF_LOG_NORM, HINF_LOG_NORM, HINF_LOG_NORM),
+        ("H1", "H1_log", H1_LOG_LOWER, H1_LOG_UPPER, None),
     ]
     for a in config.alpha_grid:
         lower, upper = alpha_bound_values(float(a))

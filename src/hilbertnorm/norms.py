@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
                       eval_series, derivative_series)
-from .quadrature import QuadratureError, circle_mean, integrate
+from .quadrature import QuadratureError, _circle_points, circle_mean, integrate
 from .specfun import log_weight
 from .supsearch import (SupResult, supremum_unit, unit_grid, AT_ZERO,
                         AT_BOUNDARY_LIMIT)
@@ -200,8 +200,7 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
     # refine radially along it. The returned value still dominates every
     # point evaluated anywhere on the grid.
     thetas = 2.0 * np.pi * np.arange(64) / 64.0
-    xs = np.linspace(0.0, 40.0, 128)
-    rs = np.minimum(-np.expm1(-xs), np.nextafter(1.0, 0.0))
+    _, rs = unit_grid(128)
     z = rs[:, None] * np.exp(1j * thetas[None, :])
     mod = np.abs(np.polynomial.polynomial.polyval(z, d.coeffs))
     om2 = ((1.0 - rs) * (1.0 + rs)) ** alpha
@@ -209,11 +208,12 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
     grid_vals = mod * (om2 / w)[:, None]
     i_r, i_th = np.unravel_index(int(np.argmax(grid_vals)), grid_vals.shape)
     coarse_best = float(grid_vals[i_r, i_th])
-    ray = np.exp(1j * thetas[i_th])
+    theta = thetas[i_th]
 
     def objective(r):
         om2 = (1.0 - r) * (1.0 + r)
-        return om2 ** alpha * abs(eval_series(d, r * ray)) / _weight_at(r, log_weighted)
+        z = _circle_points(r, theta)
+        return om2 ** alpha * abs(eval_series(d, z)) / _weight_at(r, log_weighted)
 
     refined = supremum_unit(objective, tol)
     if refined.value >= coarse_best:

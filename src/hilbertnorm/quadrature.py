@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .supsearch import _golden_max
+
 __all__ = [
     "QuadResult",
     "SingularitySpec",
@@ -391,9 +393,10 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
     Finite p: periodic trapezoid rule with doubling from 64 points until the
     mean of |f|^p is stable to tol, falling back to adaptive quadrature in
     the angle if doubling has not converged by n_max points. p = infinity:
-    maximum of |f| over a 4096-point grid, golden-section refined around the
-    top three local candidates. f receives ndarray of points z = r e^{i
-    theta}."""
+    maximum of |f| over a 4096-point grid, refined around the top three
+    local candidates by the golden-section search the supremum searches use
+    (supsearch._golden_max), stopped at tol * max(1, maximum). f receives
+    ndarray of points z = r e^{i theta}."""
     r = float(r)
     if not (0.0 <= r < 1.0):
         raise ValueError("circle_mean requires 0 <= r < 1")
@@ -403,7 +406,7 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
         raise ValueError("tol must be positive")
 
     if p == math.inf:
-        return _circle_max(f, r)
+        return _circle_max(f, r, tol)
 
     p = float(p)
     n = 64
@@ -430,7 +433,7 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
     return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
 
 
-def _circle_max(f, r, n_grid=4096):
+def _circle_max(f, r, tol, n_grid=4096):
     theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
     vals = np.abs(np.asarray(f(_circle_points(r, theta))))
     # local maxima on the periodic grid
@@ -438,8 +441,6 @@ def _circle_max(f, r, n_grid=4096):
     right = np.roll(vals, -1)
     is_peak = (vals >= left) & (vals >= right)
     peak_idx = np.nonzero(is_peak)[0]
-    if peak_idx.size == 0:
-        peak_idx = np.array([int(np.argmax(vals))])
     order = peak_idx[np.argsort(vals[peak_idx])[::-1]]
     best = float(np.max(vals))
     h = 2.0 * np.pi / n_grid
@@ -447,23 +448,8 @@ def _circle_max(f, r, n_grid=4096):
     def g(t):
         return float(np.abs(np.asarray(f(_circle_points(r, np.array([t])))))[0])
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for idx in order[:3]:
-        lo = theta[idx] - h
-        hi = theta[idx] + h
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = g(c), g(d)
-        for _ in range(60):
-            if fc >= fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = g(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = g(d)
-            if hi - lo < 1e-12:
-                break
-        best = max(best, fc, fd)
+        _, peak = _golden_max(g, theta[idx] - h, theta[idx] + h,
+                              tol * max(1.0, best))
+        best = max(best, peak)
     return best

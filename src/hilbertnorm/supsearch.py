@@ -1,12 +1,17 @@
 """One-dimensional supremum search over [0, 1) and [0, infinity).
 
-The unit-interval search reparameterizes by x = -log(1-r) so that a uniform
-x-grid packs points geometrically toward the boundary, then refines the best
-bracket by golden section. Removable singularities at the domain edges are
-the caller's job: pass the limit value and the searcher uses it verbatim; it
-never extrapolates to points it did not evaluate. Ties break toward the
-smallest argument. Objectives that blow up along the boundary raise a
-divergence signal carrying the witness values.
+Both searches run one core on a grid in a search coordinate x and differ
+only in the grid and in the map from x to the objective's argument: the unit
+interval uses r = 1 - e^{-x}, saturated at the largest double below 1, so a
+uniform x-grid packs radii geometrically toward the boundary; the half-line
+uses x itself, uniform on [0, 10] with a log-spaced tail. The core evaluates
+the grid, raises a divergence signal carrying the witness values when the
+objective blows up along the tail, classifies the first point within the tie
+band of the maximum (ties break toward the smallest argument) as AtZero,
+Interior or AtBoundaryLimit, and refines its bracket by golden section in x.
+Removable singularities at the domain edges are the caller's job: pass the
+limit value and the searcher uses it verbatim; it never extrapolates to
+points it did not evaluate.
 """
 
 import math
@@ -29,6 +34,7 @@ AT_ZERO = "AtZero"
 AT_BOUNDARY_LIMIT = "AtBoundaryLimit"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_R_MAX = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,8 @@ def _golden_max(fun, lo, hi, value_tol, max_iter=160):
 
 def _check_divergence(xs, vals, x_span_tail):
     """Raise DivergenceError if the tail grows by a factor > 10 over the
-    final decade (x-distance log(10) of boundary approach) and is monotone."""
+    last x_span_tail of the grid (log(10), the final decade of boundary
+    approach, on the unit interval) and is monotone."""
     x_last = xs[-1]
     # pick the comparison point at least a full decade back
     idx = int(np.searchsorted(xs, x_last - x_span_tail, side="right")) - 1
@@ -91,26 +98,13 @@ def _check_divergence(xs, vals, x_span_tail):
             witness=witness)
 
 
-def _evaluate_grid(g, args, limit_at_zero):
-    vals = np.empty(len(args))
-    for i, r in enumerate(args):
-        if i == 0 and limit_at_zero is not None:
-            vals[i] = float(limit_at_zero)
-        else:
-            v = float(g(float(r)))
-            if not math.isfinite(v):
-                raise ValueError(f"objective not finite at {r!r}")
-            vals[i] = v
-    return vals
-
-
 def unit_grid(n_grid=512, x_max=40.0):
     """Canonical evaluation radii for unit-interval suprema: r = 1 - e^{-x}
     for x uniform on [0, x_max], saturated at the largest double below 1 and
     deduplicated there.  Returns (xs, rs)."""
     xs = np.linspace(0.0, x_max, n_grid)
     rs = -np.expm1(-xs)
-    rs = np.minimum(rs, np.nextafter(1.0, 0.0))
+    rs = np.minimum(rs, _R_MAX)
     keep = np.concatenate([[True], rs[1:] > rs[:-1]])
     return xs[keep], rs[keep]
 
@@ -123,6 +117,57 @@ def halfline_grid(n_grid=512, x_max=60.0):
                            np.geomspace(10.0, x_max, 129)[1:]])
 
 
+def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
+            tail_span):
+    """Supremum of g over the grid args = to_arg(xs), the body of both
+    public searches. Classifies the first point within the tie band of the
+    grid maximum and golden-refines its bracket in x. limit_at_zero replaces
+    the evaluation at x = 0; limit_at_infinity, when it beats the grid
+    maximum by more than the tie band, is the supremum at arg = infinity;
+    tail_span is the x-distance the divergence test looks back over."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    def at(arg):
+        if arg == 0.0 and limit_at_zero is not None:
+            return float(limit_at_zero)
+        return float(g(arg))
+
+    vals = np.empty(len(args))
+    for i, arg in enumerate(args):
+        vals[i] = at(float(arg))
+        if not math.isfinite(vals[i]):
+            raise ValueError(f"objective not finite at {arg!r}")
+    _check_divergence(xs, vals, tail_span)
+
+    vmax = float(np.max(vals))
+    tie_tol = max(tol, 4.0 * np.finfo(float).eps) * max(1.0, abs(vmax))
+    if limit_at_infinity is not None and float(limit_at_infinity) > vmax + tie_tol:
+        return SupResult(float(limit_at_infinity), math.inf, AT_BOUNDARY_LIMIT,
+                         float(abs(float(limit_at_infinity) - vals[-1])))
+
+    attains = np.nonzero(vals >= vmax - tie_tol)[0]
+    ibest = int(attains[0])
+    last = len(xs) - 1
+    # A strictly increasing tail whose tie band reaches the last point is a
+    # boundary-limit supremum, also when the increments dropped below the
+    # tie tolerance; plateaus keep first-index ties.
+    if ((ibest == last or (ibest != 0 and int(attains[-1]) == last))
+            and np.all(np.diff(vals[-3:]) > 0)):
+        return SupResult(vmax, float(args[-1]), AT_BOUNDARY_LIMIT,
+                         float(abs(vals[-1] - vals[-2])))
+
+    x_star, v_star = _golden_max(lambda x: at(to_arg(x)), xs[max(ibest - 1, 0)],
+                                 xs[min(ibest + 1, last)], tol * max(1.0, vmax))
+    if ibest == 0 and v_star <= vals[0] + tie_tol:
+        return SupResult(vmax, 0.0, AT_ZERO,
+                         float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)
+    value = max(vmax, v_star)
+    arg = float(to_arg(x_star)) if v_star >= vmax else float(args[ibest])
+    return SupResult(value, arg, INTERIOR,
+                     float(abs(v_star - vmax) + tol * max(1.0, value)))
+
+
 def supremum_unit(g, tol, limit_at_zero=None, n_grid=512, x_max=40.0):
     """Supremum of g over r in [0, 1).
 
@@ -131,66 +176,9 @@ def supremum_unit(g, tol, limit_at_zero=None, n_grid=512, x_max=40.0):
     golden-refines the winning bracket in x, and classifies the maximizer.
     limit_at_zero, when given, replaces the r = 0 evaluation.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     xs, rs = unit_grid(n_grid, x_max)
-
-    vals = _evaluate_grid(g, rs, limit_at_zero)
-    _check_divergence(xs, vals, math.log(10.0))
-
-    vmax = float(np.max(vals))
-    tie_tol = max(tol, 4.0 * np.finfo(float).eps) * max(1.0, abs(vmax))
-    attains = np.nonzero(vals >= vmax - tie_tol)[0]
-    ibest = int(attains[0])
-    last = len(rs) - 1
-
-    def g_of_x(x):
-        r = min(-math.expm1(-x), np.nextafter(1.0, 0.0))
-        if r == 0.0 and limit_at_zero is not None:
-            return float(limit_at_zero)
-        return float(g(r))
-
-    # A tie band that reaches the last radius with a still strictly
-    # increasing tail is a boundary-limit supremum (the increments merely
-    # dropped below the tie tolerance); plateaus keep first-index ties.
-    if (ibest != last and int(attains[-1]) == last and ibest != 0
-            and np.all(np.diff(vals[-3:]) > 0)):
-        return SupResult(
-            value=vmax,
-            arg=float(rs[-1]),
-            boundary=AT_BOUNDARY_LIMIT,
-            error_estimate=float(abs(vals[-1] - vals[-2])),
-        )
-
-    if ibest == last:
-        if np.all(np.diff(vals[-3:]) > 0):
-            return SupResult(
-                value=vmax,
-                arg=float(rs[-1]),
-                boundary=AT_BOUNDARY_LIMIT,
-                error_estimate=float(abs(vals[-1] - vals[-2])),
-            )
-        lo, hi = xs[-2], xs[-1]
-        x_star, v_star = _golden_max(g_of_x, lo, hi, tol * max(1.0, vmax))
-        value = max(vmax, v_star)
-        return SupResult(value, float(-math.expm1(-x_star)), INTERIOR,
-                         float(abs(value - vmax) + tol * max(1.0, value)))
-
-    lo = xs[max(ibest - 1, 0)]
-    hi = xs[min(ibest + 1, last)]
-    x_star, v_star = _golden_max(g_of_x, lo, hi, tol * max(1.0, vmax))
-
-    if ibest == 0 and v_star <= vals[0] + tie_tol:
-        return SupResult(
-            value=vmax,
-            arg=0.0,
-            boundary=AT_ZERO,
-            error_estimate=float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0,
-        )
-    value = max(vmax, v_star)
-    arg = float(-math.expm1(-x_star)) if v_star >= vmax else float(rs[ibest])
-    return SupResult(value, arg, INTERIOR,
-                     float(abs(v_star - vmax) + tol * max(1.0, value)))
+    return _search(g, tol, xs, rs, lambda x: min(-math.expm1(-x), _R_MAX),
+                   limit_at_zero, None, math.log(10.0))
 
 
 def supremum_halfline(g, tol, limit_at_zero=None, limit_at_infinity=None,
@@ -200,50 +188,6 @@ def supremum_halfline(g, tol, limit_at_zero=None, limit_at_infinity=None,
     Uniform grid on [0, 10] plus a log-spaced tail to x_max; caller-supplied
     limits at 0 and infinity enter the comparison as ordinary candidates
     (ties break toward the smallest argument, with infinity largest)."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     xs = halfline_grid(n_grid, x_max)
-
-    vals = _evaluate_grid(g, xs, limit_at_zero)
-    _check_divergence(xs, vals, x_max - x_max / 10.0)
-
-    vmax = float(np.max(vals))
-    tie_tol = max(tol, 4.0 * np.finfo(float).eps) * max(1.0, abs(vmax))
-
-    if limit_at_infinity is not None and float(limit_at_infinity) > vmax + tie_tol:
-        return SupResult(
-            value=float(limit_at_infinity),
-            arg=math.inf,
-            boundary=AT_BOUNDARY_LIMIT,
-            error_estimate=float(abs(float(limit_at_infinity) - vals[-1])),
-        )
-
-    ibest = int(np.nonzero(vals >= vmax - tie_tol)[0][0])
-    last = len(xs) - 1
-
-    def g_of_x(x):
-        if x == 0.0 and limit_at_zero is not None:
-            return float(limit_at_zero)
-        return float(g(float(x)))
-
-    if ibest == last:
-        if np.all(np.diff(vals[-3:]) > 0):
-            return SupResult(vmax, float(xs[-1]), AT_BOUNDARY_LIMIT,
-                             float(abs(vals[-1] - vals[-2])))
-        lo, hi = xs[-2], xs[-1]
-        x_star, v_star = _golden_max(g_of_x, lo, hi, tol * max(1.0, vmax))
-        value = max(vmax, v_star)
-        return SupResult(value, float(x_star), INTERIOR,
-                         float(abs(value - vmax) + tol * max(1.0, value)))
-
-    lo = xs[max(ibest - 1, 0)]
-    hi = xs[min(ibest + 1, last)]
-    x_star, v_star = _golden_max(g_of_x, lo, hi, tol * max(1.0, vmax))
-
-    if ibest == 0 and v_star <= vals[0] + tie_tol:
-        return SupResult(vmax, 0.0, AT_ZERO,
-                         float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)
-    value = max(vmax, v_star)
-    arg = float(x_star) if v_star >= vmax else float(xs[ibest])
-    return SupResult(value, arg, INTERIOR,
-                     float(abs(v_star - vmax) + tol * max(1.0, value)))
+    return _search(g, tol, xs, xs, float, limit_at_zero, limit_at_infinity,
+                   x_max - x_max / 10.0)

@@ -232,6 +232,27 @@ def test_bloch_seminorm_polar_route_dominates_grid():
         assert pointwise <= val * (1.0 + 1e-6) + 1e-9
 
 
+@pytest.mark.parametrize("seed", [None] + list(range(0, 200, 5)))
+def test_bloch_seminorm_polar_route_near_boundary(seed):
+    # Real series without a radial certificate whose best coarse ray is
+    # refined out to the last radius, where r e^{i theta} can round onto
+    # |z| = 1: the refinement must stay inside the disk.  seed None is
+    # a degree-3 reproducer; the seeded series have degree 1-29.
+    if seed is None:
+        coeffs = np.random.default_rng(31).standard_normal(4)
+    else:
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(int(rng.integers(1, 30)) + 1)
+    s = CoefficientSeries(coeffs, coeffs.size, 0.0)
+    res = bloch_seminorm_details(s, 1.0, False, 1e-8)
+    d = np.arange(1, coeffs.size) * coeffs[1:]
+    _, rs = unit_grid(128)
+    z = rs[:, None] * np.exp(2j * np.pi * np.arange(64) / 64.0)[None, :]
+    grid = (1.0 - rs * rs)[:, None] * np.abs(np.polynomial.polynomial.polyval(z, d))
+    assert math.isfinite(res.value)
+    assert res.value >= float(np.max(grid))
+
+
 def test_bloch_seminorm_empty_derivative():
     s = CoefficientSeries(np.array([3.0]), 1, 0.0)
     res = bloch_seminorm_details(s, 1.0, False, 1e-8)

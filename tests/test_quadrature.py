@@ -132,6 +132,43 @@ def test_circle_mean_sup_norm():
     assert got == pytest.approx(1.0 + r, rel=1e-9)
 
 
+def _dense_circle_max(coeffs, r):
+    """max |f| on |z| = r for a polynomial f: a 2^16-point FFT grid, then a
+    8193-point local grid around each of its three largest values."""
+    n = 1 << 16
+    h = 2.0 * math.pi / n
+    grid = np.abs(np.fft.ifft(coeffs * r ** np.arange(coeffs.size), n)) * n
+    best = 0.0
+    for j in np.argsort(grid)[-3:]:
+        z = r * np.exp(1j * (2.0 * math.pi * j / n + np.linspace(-h, h, 8193)))
+        best = max(best, float(np.max(np.abs(
+            np.polynomial.polynomial.polyval(z, coeffs)))))
+    return best
+
+
+def test_circle_mean_sup_norm_of_polynomials_respects_tol():
+    # The refinement stops at tol: it meets tol against the dense reference
+    # at every tol and costs fewer evaluations at a looser one.
+    rng = np.random.default_rng(2718)
+    for _ in range(12):
+        degree = int(rng.integers(1, 33))
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        r = float(rng.uniform(0.3, 0.999))
+        want = _dense_circle_max(coeffs, r)
+        calls = {}
+        for tol in (1e-4, 1e-8, 1e-12):
+            count = [0]
+
+            def f(z):
+                count[0] += 1
+                return np.polynomial.polynomial.polyval(z, coeffs)
+
+            got = circle_mean(f, r, math.inf, tol)
+            assert abs(got - want) <= tol * max(1.0, want)
+            calls[tol] = count[0]
+        assert calls[1e-4] < calls[1e-8] < calls[1e-12]
+
+
 def test_circle_mean_nondecreasing_in_radius():
     rng = np.random.default_rng(2718)
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)

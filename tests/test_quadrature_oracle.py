@@ -1,11 +1,13 @@
-"""Differential oracle: the family integrator against mpmath.quad.
+"""Differential oracle: the adaptive integrators against mpmath.quad.
 
 Rows x^a (1-x)^b g(x) with declared endpoint exponents a, b in (-0.95, 1)
-and smooth factors g are integrated on one shared mesh and compared with
-mpmath's tanh-sinh quadrature at 30 significant digits.  Tanh-sinh alone
-loses most digits for exponents near -1, so the reference splits [0, 1] at
-1/2 and removes each endpoint power by the exact substitution
-x = u^(1/(1+a)) in 30-digit arithmetic, leaving mpmath smooth integrands.
+and smooth factors g are integrated on one shared mesh by the family
+engine, and one row at a time by the scalar engine (integrate_singular),
+and compared with mpmath's tanh-sinh quadrature at 30 significant digits.
+Tanh-sinh alone loses most digits for exponents near -1, so the reference
+splits [0, 1] at 1/2 and removes each endpoint power by the exact
+substitution x = u^(1/(1+a)) in 30-digit arithmetic, leaving mpmath smooth
+integrands.
 """
 
 import numpy as np
@@ -16,7 +18,11 @@ mpmath = pytest.importorskip("mpmath")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hilbertnorm.quadrature import SingularitySpec, integrate_family  # noqa: E402
+from hilbertnorm.quadrature import (  # noqa: E402
+    SingularitySpec,
+    integrate_family,
+    integrate_singular,
+)
 
 TOL = 1e-10
 
@@ -40,17 +46,38 @@ def _reference(a, b, c, k):
         return float(left + right)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(a=_exponent, b=_exponent, cs=st.lists(_factor, min_size=1, max_size=3),
-       k=_factor)
-def test_family_matches_mpmath(a, b, cs, k):
-    c = np.array(cs)
-
+def _family(a, b, c, k):
     def family(x):
         base = x ** a * (1.0 - x) ** b * np.cos(k * x)
         return base / (1.0 + c[:, None] * x)
+    return family
 
-    res = integrate_family(family, 0.0, 1.0, SingularitySpec(a, b), TOL)
-    for got, ci in zip(res.value, cs):
+
+def _check(values, a, b, cs, k):
+    for got, ci in zip(values, cs):
         want = _reference(a, b, ci, k)
         assert abs(got - want) <= 10.0 * TOL * max(1.0, abs(want))
+
+
+def _on_examples(test):
+    """Run test on the shared strategy: 40 derandomized examples."""
+    return settings(max_examples=40, deadline=None, derandomize=True)(
+        given(a=_exponent, b=_exponent,
+              cs=st.lists(_factor, min_size=1, max_size=3), k=_factor)(test))
+
+
+@_on_examples
+def test_family_matches_mpmath(a, b, cs, k):
+    c = np.array(cs)
+    res = integrate_family(_family(a, b, c, k), 0.0, 1.0, SingularitySpec(a, b), TOL)
+    _check(res.value, a, b, cs, k)
+
+
+@_on_examples
+def test_singular_matches_mpmath(a, b, cs, k):
+    # the scalar heap engine, one member at a time
+    c = np.array(cs)
+    values = [integrate_singular(lambda x: _family(a, b, c[i:i + 1], k)(x)[0],
+                                 0.0, 1.0, SingularitySpec(a, b), TOL).value
+              for i in range(c.size)]
+    _check(values, a, b, cs, k)

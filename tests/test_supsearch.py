@@ -17,15 +17,32 @@ from hilbertnorm.supsearch import (
 )
 
 
-def test_unit_interior_maximum():
-    res = supremum_unit(lambda r: r * (1.0 - r), 1e-10)
+# Both entry points search the same problems through r = 1 - e^{-x}.  Each
+# objective below is a function of the distance to the boundary, e = 1 - r =
+# e^{-x}, which both coordinates compute without cancellation.
+SEARCHES = {
+    "unit": (supremum_unit, lambda r: 1.0 - r, unit_grid()[1]),
+    "halfline": (supremum_halfline, lambda x: math.exp(-x), halfline_grid()),
+}
+both_searches = pytest.mark.parametrize("entry", sorted(SEARCHES))
+
+
+def _search(entry, h, tol, **kwargs):
+    search, dist, _ = SEARCHES[entry]
+    return search(lambda t: h(dist(t)), tol, **kwargs)
+
+
+@both_searches
+def test_interior_maximum(entry):
+    res = _search(entry, lambda e: e * (1.0 - e), 1e-10)
     assert res.boundary == INTERIOR
     assert res.value == pytest.approx(0.25, abs=1e-9)
-    assert res.arg == pytest.approx(0.5, abs=1e-4)
+    assert SEARCHES[entry][1](res.arg) == pytest.approx(0.5, abs=1e-4)
 
 
-def test_unit_maximum_at_zero():
-    res = supremum_unit(lambda r: 1.0 / (1.0 + r), 1e-10, limit_at_zero=1.0)
+@both_searches
+def test_maximum_at_zero(entry):
+    res = _search(entry, lambda e: 1.0 / (2.0 - e), 1e-10, limit_at_zero=1.0)
     assert res.boundary == AT_ZERO
     assert res.value == 1.0
     assert res.arg == 0.0
@@ -38,11 +55,21 @@ def test_unit_boundary_limit():
     assert res.arg < 1.0
 
 
-def test_unit_boundary_limit_steep_tail():
-    res = supremum_unit(lambda r: 1.0 - (1.0 - r) ** 0.1, 1e-10)
+@pytest.mark.parametrize("power", [0.1, 0.5])
+@both_searches
+def test_boundary_limit_steep_tail(entry, power):
+    # 1 - e^power keeps rising to the last grid point.  At power 0.5 on the
+    # half-line the increments past x = 46 fall below the tie tolerance; a
+    # rising tail is still a boundary limit, not an interior maximum at the
+    # first point of the tie band.
+    def h(e):
+        return 1.0 - e ** power
+
+    res = _search(entry, h, 1e-10)
+    _, dist, grid = SEARCHES[entry]
     assert res.boundary == AT_BOUNDARY_LIMIT
-    assert res.value > 0.97
-    assert res.arg < 1.0
+    assert res.arg == grid[-1]
+    assert res.value == h(dist(grid[-1]))
 
 
 def test_unit_limit_replaces_removable_point():
@@ -54,19 +81,22 @@ def test_unit_limit_replaces_removable_point():
     assert res.boundary == AT_ZERO
 
 
-def test_unit_divergence_detected():
+@both_searches
+def test_divergence_detected(entry):
     with pytest.raises(DivergenceError):
-        supremum_unit(lambda r: 1.0 / (1.0 - r), 1e-8)
+        _search(entry, lambda e: 1.0 / e, 1e-8)
 
 
-def test_unit_rejects_nonfinite_objective():
+@both_searches
+def test_rejects_nonfinite_objective(entry):
     with pytest.raises(ValueError):
-        supremum_unit(lambda r: math.inf if r > 0.5 else 1.0, 1e-8)
+        _search(entry, lambda e: math.inf if e < 0.5 else 1.0, 1e-8)
 
 
-def test_unit_rejects_bad_tolerance():
+@both_searches
+def test_rejects_bad_tolerance(entry):
     with pytest.raises(ValueError):
-        supremum_unit(lambda r: r, 0.0)
+        _search(entry, lambda e: 1.0 - e, 0.0)
 
 
 def test_unit_validation_grid_dominance():
@@ -121,6 +151,22 @@ def test_halfline_maximum_at_zero():
 def test_halfline_divergence_detected():
     with pytest.raises(DivergenceError):
         supremum_halfline(lambda x: x * x, 1e-8)
+
+
+def test_maximum_at_last_point_reports_that_point():
+    # The largest grid value is the last one, but the tail dips before it,
+    # so it is no boundary limit.  Golden refinement of the last bracket
+    # never reaches the endpoint; the reported argument is the point that
+    # attains the reported value.
+    xs = halfline_grid()
+
+    def g(x):
+        return x + 2.0 * min(abs(x - xs[-2]), 1.0)
+
+    res = supremum_halfline(g, 1e-10)
+    assert res.boundary == INTERIOR
+    assert res.arg == xs[-1]
+    assert res.value == g(xs[-1])
 
 
 def test_unit_grid_shape():
