@@ -26,6 +26,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .quadrature import QuadratureError
 from .supsearch import DivergenceError, halfline_grid, unit_grid
@@ -44,6 +46,7 @@ from .verification import (
     hinf_sup_objective,
     inner_tolerance,
     modulus_band_grid,
+    require_alpha_window,
     run_all,
     unboundedness_profile,
 )
@@ -81,10 +84,7 @@ class RunConfig:
         if not grid:
             raise ValueError("alpha_grid must not be empty")
         for a in grid:
-            if not 1.001 <= a <= 1.999:
-                raise ValueError(
-                    f"alpha_grid entry {a:g} outside the window "
-                    "[1.001, 1.999]")
+            require_alpha_window(a)
         object.__setattr__(self, "alpha_grid", grid)
         object.__setattr__(self, "truncation", int(self.truncation))
         object.__setattr__(self, "seed", int(self.seed))
@@ -145,13 +145,7 @@ def _emit(name, columns, rows, config, out):
     if config.output_format == "json":
         payload = {
             "version": __version__,
-            "config": {
-                "tolerance": config.tolerance,
-                "truncation": config.truncation,
-                "alpha_grid": list(config.alpha_grid),
-                "output_format": config.output_format,
-                "seed": config.seed,
-            },
+            "config": dataclasses.asdict(config),
             "name": name,
             "columns": list(columns),
             "rows": [list(row) for row in rows],
@@ -172,59 +166,37 @@ def _emit(name, columns, rows, config, out):
 # ---------------------------------------------------------------------------
 
 
-def _unit_curve_rows(objective, points):
-    _, rs = unit_grid(_DEFAULT_POINTS if points is None else points)
-    return [(float(r), float(objective(float(r)))) for r in rs]
+def _unit_radii(config, points):
+    return unit_grid(_DEFAULT_POINTS if points is None else points)[1]
 
 
-def _halfline_curve_rows(objective, points):
-    xs = halfline_grid(_DEFAULT_POINTS if points is None else points)
-    return [(float(x), float(objective(float(x)))) for x in xs]
+def _halfline_points(config, points):
+    return halfline_grid(_DEFAULT_POINTS if points is None else points)
 
 
-def _curve_bloch_a(config, points):
-    return _unit_curve_rows(
-        bloch_a_objective(inner_tolerance(config.tolerance)), points)
-
-
-def _curve_bloch_b(config, points):
-    return _unit_curve_rows(
-        bloch_b_objective(inner_tolerance(config.tolerance)), points)
-
-
-def _curve_h1_sup(config, points):
-    return _halfline_curve_rows(h1_sup_objective, points)
-
-
-def _curve_hinf_sup(config, points):
-    return _halfline_curve_rows(hinf_sup_objective, points)
-
-
-def _curve_hinf(config, points):
-    return _unit_curve_rows(hinf_objective, points)
-
-
-def _curve_alpha_bounds(config, points):
+def _alpha_points(config, points):
     if points is None:
-        grid = config.alpha_grid
-    else:
-        lo, hi = min(config.alpha_grid), max(config.alpha_grid)
-        step = (hi - lo) / (points - 1) if points > 1 else 0.0
-        grid = tuple(lo + i * step for i in range(points))
-    rows = []
-    for a in grid:
-        lower, upper = alpha_bound_values(float(a))
-        rows.append((float(a), lower, upper))
-    return rows
+        return config.alpha_grid
+    lo, hi = min(config.alpha_grid), max(config.alpha_grid)
+    step = (hi - lo) / (points - 1) if points > 1 else 0.0
+    return tuple(lo + i * step for i in range(points))
 
 
+# name -> (columns, grid(config, points), objective factory(config)); the
+# objective maps an abscissa to the remaining columns of its row.
 CURVES = {
-    "bloch-A-objective": (("r", "value"), _curve_bloch_a),
-    "bloch-B-objective": (("r", "value"), _curve_bloch_b),
-    "h1-sup-objective": (("x", "value"), _curve_h1_sup),
-    "hinf-sup-objective": (("x", "value"), _curve_hinf_sup),
-    "hinf-objective": (("r", "value"), _curve_hinf),
-    "alpha-bounds": (("alpha", "lower", "upper"), _curve_alpha_bounds),
+    "bloch-A-objective": (("r", "value"), _unit_radii, lambda config:
+                          bloch_a_objective(inner_tolerance(config.tolerance))),
+    "bloch-B-objective": (("r", "value"), _unit_radii, lambda config:
+                          bloch_b_objective(inner_tolerance(config.tolerance))),
+    "h1-sup-objective": (("x", "value"), _halfline_points,
+                         lambda config: h1_sup_objective),
+    "hinf-sup-objective": (("x", "value"), _halfline_points,
+                           lambda config: hinf_sup_objective),
+    "hinf-objective": (("r", "value"), _unit_radii,
+                       lambda config: hinf_objective),
+    "alpha-bounds": (("alpha", "lower", "upper"), _alpha_points,
+                     lambda config: alpha_bound_values),
 }
 
 
@@ -307,8 +279,10 @@ def cmd_verify(config, out=None, err=None):
 def cmd_curve(name, config, points=None, out=None):
     """Emit one registered curve.  Returns the exit code."""
     out = sys.stdout if out is None else out
-    columns, builder = CURVES[name]
-    rows = builder(config, points)
+    columns, grid, factory = CURVES[name]
+    objective = factory(config)
+    rows = [(float(x), *np.atleast_1d(objective(float(x))).tolist())
+            for x in grid(config, points)]
     _emit(name, columns, rows, config, out)
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import Kind, TestFunction, CoefficientSeries, eval as cat_eval, \
     _expm1_complex
-from .quadrature import SingularitySpec, integrate, integrate_singular
+from .quadrature import SingularitySpec, integrate_singular
 
 __all__ = [
     "CompositionSymbol",
@@ -75,11 +75,13 @@ def apply_matrix(s, out_order):
         # The matrix is constant along antidiagonals, so its action is a
         # correlation against h_m = 1/(m+1); the FFT form costs
         # O((N + out) log) instead of O(N * out) and differs from the direct
-        # sums only at the 1e-14 roundoff level.
+        # sums only at the 1e-14 roundoff level. Only lags 0..out_order-1 are
+        # read, and a circular transform of width >= h.size wraps every
+        # other lag past them, so the width need not fit the full product.
         a = np.zeros(int(ks[-1]) + 1, dtype=work.dtype)
         a[ks] = vals
         h = 1.0 / np.arange(1.0, ks[-1] + out_order + 1.0)
-        width = 1 << int(math.ceil(math.log2(a.size + h.size - 1)))
+        width = 1 << int(math.ceil(math.log2(h.size)))
         if np.iscomplexobj(work):
             conv = np.fft.ifft(np.fft.fft(a[::-1], width) * np.fft.fft(h, width))
         else:
@@ -104,10 +106,11 @@ def apply_matrix(s, out_order):
 
 
 def _endpoint_spec(fn):
-    """Right-endpoint power behavior of the catalog integrands at t = 1, or a
-    domain error where the operator integral diverges."""
+    """Right-endpoint power behavior of the catalog integrands at t = 1 (no
+    declared endpoint where they stay bounded), or a domain error where the
+    operator integral diverges."""
     if fn.kind is Kind.CONSTANT:
-        return None
+        return SingularitySpec()
     if fn.kind is Kind.HALF_LOG:
         # logarithmic blowup; -1/2 is a valid power majorant
         return SingularitySpec(right_exponent=-0.5)
@@ -119,7 +122,7 @@ def _endpoint_spec(fn):
             f"operator integral diverges for this function (alpha = {al} >= 2)")
     if al > 1.0:
         return SingularitySpec(right_exponent=1.0 - al)
-    return None
+    return SingularitySpec()
 
 
 def _require_point(z):
@@ -133,33 +136,25 @@ def apply_integral(fn, z, tol):
     """Hf(z) = int_0^1 f(t)/(1-tz) dt for a catalog function."""
     z = _require_point(z)
     omz = 1.0 - z
-    spec = _endpoint_spec(fn)
 
     def integrand(t):
         return cat_eval(fn, t) / (omz + z * (1.0 - t))
 
-    if spec is None:
-        res = integrate(integrand, 0.0, 1.0, tol)
-    else:
-        res = integrate_singular(integrand, 0.0, 1.0, spec, tol)
-    return complex(res.value)
+    return complex(
+        integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
 
 
 def derivative_at(fn, z, tol):
     """(Hf)'(z) = int_0^1 t f(t)/(1-tz)^2 dt for a catalog function."""
     z = _require_point(z)
     omz = 1.0 - z
-    spec = _endpoint_spec(fn)
 
     def integrand(t):
         d = omz + z * (1.0 - t)
         return t * cat_eval(fn, t) / (d * d)
 
-    if spec is None:
-        res = integrate(integrand, 0.0, 1.0, tol)
-    else:
-        res = integrate_singular(integrand, 0.0, 1.0, spec, tol)
-    return complex(res.value)
+    return complex(
+        integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
 
 
 def derivative_at_pathshifted(fn, z, tol):
@@ -178,7 +173,6 @@ def derivative_at_pathshifted(fn, z, tol):
     transform neutralizes exactly."""
     z = _require_point(z)
     omz = 1.0 - z
-    spec = _endpoint_spec(fn)
     kind = fn.kind
     al = fn.param
 
@@ -196,11 +190,8 @@ def derivative_at_pathshifted(fn, z, tol):
         w = (1.0 - al) * (np.log(w1.astype(complex)) + np.log(w2.astype(complex)))
         return base * _expm1_complex(w) / (2.0 * (al - 1.0))
 
-    if spec is None:
-        res = integrate(integrand, 0.0, 1.0, tol)
-    else:
-        res = integrate_singular(integrand, 0.0, 1.0, spec, tol)
-    return complex(res.value)
+    return complex(
+        integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
 
 
 def apply_T(fn, t, z):

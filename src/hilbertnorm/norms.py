@@ -137,38 +137,24 @@ def hardy_norm(f, p, log_weighted, tol):
     return hardy_norm_details(f, p, log_weighted, tol).value
 
 
-def _bloch_radial_objective(f, alpha, log_weighted):
-    """Radius -> (1-r^2)^alpha |f'(r)| / weight(r) in closed form for catalog
-    functions (all of which have nonnegative derivative coefficients)."""
-    if f.kind is Kind.HALF_LOG:
-        # f'(z) = 1/(1-z^2)
-        def deriv(r, om2):
-            return 1.0 / om2
-    elif f.kind is Kind.HARDY_ALPHA_EXTREMAL:
-        a = f.param
-
-        # f'(z) = a (1-z)^{-a-1}
-        def deriv(r, om2):
-            return a * (1.0 - r) ** (-a - 1.0)
-    else:
-        af = f.param
-
-        # f'(z) = z (1-z^2)^{-af}
-        def deriv(r, om2):
-            return r * om2 ** (-af)
-
+def _bloch_objective(deriv, alpha, log_weighted):
+    """Radius -> (1-r^2)^alpha |f'| / weight(r), with |f'| given as
+    deriv(r, 1-r^2)."""
     def objective(r):
         om2 = (1.0 - r) * (1.0 + r)
         return om2 ** alpha * deriv(r, om2) / _weight_at(r, log_weighted)
-
     return objective
 
 
-def _series_radial_objective(d, alpha, log_weighted):
-    def objective(r):
-        om2 = (1.0 - r) * (1.0 + r)
-        return om2 ** alpha * abs(eval_series(d, r)) / _weight_at(r, log_weighted)
-    return objective
+def _catalog_derivative(f):
+    """|f'(r)| as deriv(r, 1-r^2) in closed form for the non-constant catalog
+    functions (all of which have nonnegative derivative coefficients)."""
+    if f.kind is Kind.HALF_LOG:
+        return lambda r, om2: 1.0 / om2  # f'(z) = 1/(1-z^2)
+    a = f.param
+    if f.kind is Kind.HARDY_ALPHA_EXTREMAL:
+        return lambda r, om2: a * (1.0 - r) ** (-a - 1.0)  # a (1-z)^{-a-1}
+    return lambda r, om2: r * om2 ** (-a)  # f'(z) = z (1-z^2)^{-a}
 
 
 def bloch_seminorm_details(f, alpha, log_weighted, tol):
@@ -183,7 +169,8 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
     if isinstance(f, TestFunction):
         if f.kind is Kind.CONSTANT:
             return SupResult(0.0, 0.0, AT_ZERO, 0.0)
-        return supremum_unit(_bloch_radial_objective(f, alpha, log_weighted), tol)
+        return supremum_unit(
+            _bloch_objective(_catalog_derivative(f), alpha, log_weighted), tol)
 
     if not isinstance(f, CoefficientSeries):
         raise TypeError("expected a TestFunction or CoefficientSeries")
@@ -194,7 +181,8 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
 
     certified = bool(np.all(d.coeffs.imag == 0.0) and np.all(d.coeffs.real >= 0.0))
     if certified:
-        return supremum_unit(_series_radial_objective(d, alpha, log_weighted), tol)
+        return supremum_unit(_bloch_objective(
+            lambda r, om2: abs(eval_series(d, r)), alpha, log_weighted), tol)
 
     # No radial certificate: scan a coarse polar grid for the best ray, then
     # refine radially along it. The returned value still dominates every
@@ -210,12 +198,9 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
     coarse_best = float(grid_vals[i_r, i_th])
     theta = thetas[i_th]
 
-    def objective(r):
-        om2 = (1.0 - r) * (1.0 + r)
-        z = _circle_points(r, theta)
-        return om2 ** alpha * abs(eval_series(d, z)) / _weight_at(r, log_weighted)
-
-    refined = supremum_unit(objective, tol)
+    refined = supremum_unit(_bloch_objective(
+        lambda r, om2: abs(eval_series(d, _circle_points(r, theta))),
+        alpha, log_weighted), tol)
     if refined.value >= coarse_best:
         return refined
     return SupResult(coarse_best, float(rs[i_r]), refined.boundary,

@@ -75,6 +75,7 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _WKG = np.stack([_WGK, _WG], axis=1)
 
 _DEFAULT_PANEL_CAP = 1 << 16
+_CIRCLE_MAX_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,11 @@ def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
 
 
 def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
-    """Integrate f over [a, infinity) via x = a + u/(1-u), u in [0, 1)."""
+    """Integrate f over [a, infinity) via x = a + u/(1-u), u in [0, 1).
+
+    f must be O(x^-2) as x -> infinity, which keeps the mapped integrand
+    f(x)/(1-u)^2 bounded at u = 1; slower decay can drive the refinement
+    onto u = 1 and raise QuadratureError."""
     a = float(a)
 
     def g(u):
@@ -433,8 +438,8 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
     return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
 
 
-def _circle_max(f, r, tol, n_grid=4096):
-    theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
+def _circle_max(f, r, tol):
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_MAX_GRID) / _CIRCLE_MAX_GRID
     vals = np.abs(np.asarray(f(_circle_points(r, theta))))
     # local maxima on the periodic grid
     left = np.roll(vals, 1)
@@ -443,7 +448,7 @@ def _circle_max(f, r, tol, n_grid=4096):
     peak_idx = np.nonzero(is_peak)[0]
     order = peak_idx[np.argsort(vals[peak_idx])[::-1]]
     best = float(np.max(vals))
-    h = 2.0 * np.pi / n_grid
+    h = 2.0 * np.pi / _CIRCLE_MAX_GRID
 
     def g(t):
         return float(np.abs(np.asarray(f(_circle_points(r, np.array([t])))))[0])

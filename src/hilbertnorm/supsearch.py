@@ -34,6 +34,7 @@ AT_ZERO = "AtZero"
 AT_BOUNDARY_LIMIT = "AtBoundaryLimit"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 160
 _R_MAX = np.nextafter(1.0, 0.0)
 
 
@@ -59,13 +60,13 @@ class DivergenceError(Exception):
         self.witness = witness or []
 
 
-def _golden_max(fun, lo, hi, value_tol, max_iter=160):
+def _golden_max(fun, lo, hi, value_tol):
     """Golden-section maximization on [lo, hi]; returns (x_best, f_best)."""
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc = fun(c)
     fd = fun(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)

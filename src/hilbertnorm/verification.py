@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 
@@ -55,24 +56,9 @@ H1_LOG_UPPER = 2.0 * math.pi
 
 DEFAULT_ALPHA_GRID = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
 
-CHECK_NAMES = (
-    "bloch-A-constant",
-    "bloch-B-constant",
-    "bloch-to-blochlog-norm",
-    "alpha-lower-bound-1.5",
-    "alpha-upper-bound-1.5",
-    "alpha-bounds-order",
-    "alpha-unbounded-0.5",
-    "alpha-unbounded-2",
-    "alpha-unbounded-2.5",
-    "h1-upper-internals",
-    "h1-lower-bound-0.5",
-    "h1-lower-bound-0.99",
-    "hinf-norm",
-    "series-integral-agreement",
-    "modulus-mean-bands",
-    "gamma-identities",
-)
+# Power weights alpha whose closed-form bounds L and U the suite evaluates;
+# both degenerate at the ends of (1, 2).
+ALPHA_WINDOW = (1.001, 1.999)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,39 +95,38 @@ def inner_tolerance(tol):
 # objective functions shared with the CLI curve emitter
 # ---------------------------------------------------------------------------
 
+def _kernel_average(r, inner_tol):
+    """The average of the kernel t/((1-r)+tr) over t in [0, 1]."""
+    return float(integrate(
+        lambda t: t / ((1.0 - r) + t * r), 0.0, 1.0, inner_tol).value)
+
+
+def _half_log_average(r, inner_tol):
+    """The kernel-weighted average of the composed half-log over t in [0, 1];
+    its integrand blows up like a half power at t = 1."""
+    omr = 1.0 - r
+    opr = 1.0 + r
+    log_omr = math.log(omr)
+
+    def integrand(t):
+        kernel = t / (omr + t * r)
+        return kernel * (np.log(omr + t * opr) - log_omr - np.log1p(-t))
+
+    return float(integrate_singular(
+        integrand, 0.0, 1.0, SingularitySpec(None, -0.5), inner_tol).value)
+
+
 def bloch_a_objective(inner_tol):
     """Radial objective whose supremum (plus one) is the constant-witness
     norm: (1+r)/weight(r) times the average of t/((1-r)+tr) over t."""
-
-    def objective(r):
-        res = integrate(lambda t: t / ((1.0 - r) + t * r), 0.0, 1.0, inner_tol)
-        return (1.0 + r) * float(res.value) / _w(r)
-
-    return objective
+    return lambda r: (1.0 + r) * _kernel_average(r, inner_tol) / _w(r)
 
 
 def bloch_b_objective(inner_tol):
     """Radial objective whose supremum fixes the half-log witness constant:
     (1+r)/weight(r) times the kernel-weighted average of the composed
-    logarithm, whose integrand blows up like a half power at t = 1."""
-
-    def inner(r):
-        omr = 1.0 - r
-        opr = 1.0 + r
-        log_omr = math.log(omr)
-
-        def integrand(t):
-            kernel = t / (omr + t * r)
-            return kernel * (np.log(omr + t * opr) - log_omr - np.log1p(-t))
-
-        res = integrate_singular(
-            integrand, 0.0, 1.0, SingularitySpec(None, -0.5), inner_tol)
-        return float(res.value)
-
-    def objective(r):
-        return (1.0 + r) * inner(r) / _w(r)
-
-    return objective
+    logarithm."""
+    return lambda r: (1.0 + r) * _half_log_average(r, inner_tol) / _w(r)
 
 
 def h1_sup_objective(x):
@@ -165,23 +150,47 @@ def hinf_objective(r):
     return (-math.log1p(-r) / r) / _w(r)
 
 
+def require_alpha_window(alpha):
+    """Raise ValueError unless alpha lies in ALPHA_WINDOW."""
+    lo, hi = ALPHA_WINDOW
+    if not lo <= alpha <= hi:
+        raise ValueError(
+            f"alpha {alpha:g} outside the window [{lo:g}, {hi:g}]: both "
+            "closed-form bounds degenerate at the window endpoints")
+
+
+def _extremal_profile(alpha):
+    """t -> (1-t^2)^(1-alpha), the integrand of the profile integral J."""
+    return lambda t: np.exp((1.0 - alpha) * (np.log1p(-t) + np.log1p(t)))
+
+
+def _lower_from_profile(j, alpha):
+    """L(alpha) assembled from the profile integral J."""
+    return (j / (2.0 * (alpha - 1.0))
+            + (3.0 * alpha - 5.0) / (4.0 * (alpha - 1.0) * (2.0 - alpha)))
+
+
 def alpha_bound_values(alpha):
     """Closed-form lower and upper norm bounds (L, U) for the power weight
     alpha in (1, 2): L from a Beta-function evaluation of the extremal
     profile integral, U from the reflection form pi/sin plus 1/(2-alpha)."""
-    _require_alpha_window(alpha)
-    j_closed = 0.5 * beta(0.5, 2.0 - alpha)
-    correction = (3.0 * alpha - 5.0) / (4.0 * (alpha - 1.0) * (2.0 - alpha))
-    lower = j_closed / (2.0 * (alpha - 1.0)) + correction
+    require_alpha_window(alpha)
+    lower = _lower_from_profile(0.5 * beta(0.5, 2.0 - alpha), alpha)
     upper = math.pi / math.sin(math.pi * (alpha - 1.0)) + 1.0 / (2.0 - alpha)
     return lower, upper
 
 
-def _require_alpha_window(alpha):
-    if not 1.0 + 1e-3 <= alpha <= 2.0 - 1e-3:
-        raise ValueError(
-            "alpha must lie in [1.001, 1.999]: both closed-form bounds "
-            "degenerate at the window endpoints")
+def _image_log_bloch(fn, alpha, tol, inner_tol):
+    """The log-weighted alpha-Bloch norm of Hf along the radius, |Hf(0)| +
+    sup_r (1-r^2)^alpha |(Hf)'(r)| / weight(r) through the shifted-path
+    derivative, and the search result for the supremum."""
+    def objective(r):
+        return (_om2(r) ** alpha
+                * abs(derivative_at_pathshifted(fn, r, inner_tol)) / _w(r))
+
+    h0 = abs(apply_integral(fn, 0.0, inner_tol))
+    sup = supremum_unit(objective, tol, n_grid=256)
+    return h0 + sup.value, sup
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +211,9 @@ def compute_A(tol):
     def closed(r):
         return 1.0 / r + ((1.0 - r) / (r * r)) * math.log1p(-r)
 
-    def averaged(r):
-        return float(integrate(lambda t: t / ((1.0 - r) + t * r), 0.0, 1.0, it).value)
-
-    cross = max(abs(averaged(r) - closed(r)) for r in (0.25, 0.5, 0.75, 0.9))
-    mid = abs(averaged(0.5) - (2.0 - 2.0 * _LOG2))
+    cross = max(abs(_kernel_average(r, it) - closed(r))
+                for r in (0.25, 0.5, 0.75, 0.9))
+    mid = abs(_kernel_average(0.5, it) - (2.0 - 2.0 * _LOG2))
     passed = (
         abs(computed - BLOCH_LOG_NORM) <= tol
         and sup.boundary == AT_ZERO
@@ -248,7 +255,7 @@ def compute_B(tol, a_report=None):
 
     half_val = float(integrate_halfline(halfline_integrand, 1.0, it).value)
     half_bound = (2.0 / (1.0 + r_half)) * math.log(2.0 / (1.0 - r_half))
-    h_mid = objective(r_half) * _w(r_half) / (1.0 + r_half)
+    h_mid = _half_log_average(r_half, it)
     half_ok = (abs(half_val - half_bound) <= 1e-6
                and h_mid <= half_val + tol)
 
@@ -288,19 +295,8 @@ def norm_bloch_to_blochlog(tol, a_report=None, b_report=None):
         b_report = compute_B(tol, a_report=a_report)
     it = inner_tolerance(tol)
 
-    def witness(kind):
-        fn = TestFunction(kind)
-        base = abs(apply_integral(fn, 0.0, it))
-
-        def objective(r):
-            return (_om2(r) * abs(derivative_at_pathshifted(fn, r, it))
-                    / _w(r))
-
-        sup = supremum_unit(objective, tol, n_grid=256)
-        return base + sup.value
-
-    w1 = witness(Kind.CONSTANT)
-    w2 = witness(Kind.HALF_LOG)
+    w1, _ = _image_log_bloch(TestFunction(Kind.CONSTANT), 1.0, tol, it)
+    w2, _ = _image_log_bloch(TestFunction(Kind.HALF_LOG), 1.0, tol, it)
     computed = max(a_report.computed, b_report.computed)
     slack = 1e-4
     passed = (
@@ -333,28 +329,18 @@ def alpha_lower_bound(alpha, tol):
     derivative of Hf at 0 is checked against its exact value
     1/(4(2-alpha)), and at alpha = 1.5 an off-axis polar scan confirms the
     radial search dominates."""
-    _require_alpha_window(alpha)
+    require_alpha_window(alpha)
     it = inner_tolerance(min(tol, 1e-8))
 
-    def j_integrand(t):
-        return np.exp((1.0 - alpha) * (np.log1p(-t) + np.log1p(t)))
-
     j_quad = float(integrate_singular(
-        j_integrand, 0.0, 1.0, SingularitySpec(None, 1.0 - alpha), it).value)
-    correction = (3.0 * alpha - 5.0) / (4.0 * (alpha - 1.0) * (2.0 - alpha))
-    l_quad = j_quad / (2.0 * (alpha - 1.0)) + correction
+        _extremal_profile(alpha), 0.0, 1.0, SingularitySpec(None, 1.0 - alpha),
+        it).value)
+    l_quad = _lower_from_profile(j_quad, alpha)
     l_closed, u_value = alpha_bound_values(alpha)
 
     fn = TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, alpha)
-    h0 = abs(apply_integral(fn, 0.0, it))
-
-    def objective(r):
-        return (_om2(r) ** alpha * abs(derivative_at_pathshifted(fn, r, it))
-                / _w(r))
-
-    sup = supremum_unit(objective, tol, n_grid=256)
-    denom = bloch_norm(fn, alpha, False, tol)
-    ratio = (h0 + sup.value) / denom
+    image_norm, sup = _image_log_bloch(fn, alpha, tol, it)
+    ratio = image_norm / bloch_norm(fn, alpha, False, tol)
     bracket_ok = (l_closed - tol <= ratio <= u_value + 1e-4)
 
     d_closed = 1.0 / (4.0 * (2.0 - alpha))
@@ -399,11 +385,9 @@ def alpha_upper_bound(alpha):
     Also certifies the two facts the bound rests on: the weight-ratio
     supremum (1+r)^alpha / weight(r) equals 1 (attained as r -> 0) and the
     lower bound never exceeds the upper bound."""
-    _require_alpha_window(alpha)
     tol = 1e-10
-    u_sin = math.pi / math.sin(math.pi * (alpha - 1.0)) + 1.0 / (2.0 - alpha)
+    l_closed, u_sin = alpha_bound_values(alpha)
     u_beta = beta(2.0 - alpha, alpha) / (alpha - 1.0) + 1.0 / (2.0 - alpha)
-    l_closed, _ = alpha_bound_values(alpha)
 
     sup = supremum_unit(
         lambda r: (1.0 + r) ** alpha / _w(r), 1e-8, limit_at_zero=1.0)
@@ -466,9 +450,7 @@ def unboundedness_profile(alpha):
             for r in rs
         ])
     else:
-        def integrand(t):
-            return np.exp((1.0 - alpha) * (np.log1p(-t) + np.log1p(t)))
-
+        integrand = _extremal_profile(alpha)
         vals = np.array([
             float(integrate(integrand, 0.0, float(r), it).value) for r in rs
         ])
@@ -820,44 +802,51 @@ def gamma_identities(tol):
 # suite driver
 # ---------------------------------------------------------------------------
 
+# The default suite in its canonical order: check(run) reads the run's
+# parameters and, from run.done, the reports finished so far, so the two
+# growth-space constants are computed once.
+_CHECKS = (
+    ("bloch-A-constant", lambda run: compute_A(run.tol)),
+    ("bloch-B-constant",
+     lambda run: compute_B(run.tol, a_report=run.done["bloch-A-constant"])),
+    ("bloch-to-blochlog-norm",
+     lambda run: norm_bloch_to_blochlog(
+         run.tol, a_report=run.done["bloch-A-constant"],
+         b_report=run.done["bloch-B-constant"])),
+    ("alpha-lower-bound-1.5", lambda run: alpha_lower_bound(1.5, run.tol)),
+    ("alpha-upper-bound-1.5", lambda run: alpha_upper_bound(1.5)),
+    ("alpha-bounds-order", lambda run: alpha_bounds_order(run.alpha_grid)),
+    ("alpha-unbounded-0.5", lambda run: alpha_unboundedness_witness(0.5)),
+    ("alpha-unbounded-2", lambda run: alpha_unboundedness_witness(2.0)),
+    ("alpha-unbounded-2.5", lambda run: alpha_unboundedness_witness(2.5)),
+    ("h1-upper-internals",
+     lambda run: h1_upper_bound_internals(run.tol, run.seed)),
+    ("h1-lower-bound-0.5", lambda run: h1_lower_bound(0.5, run.tol)),
+    ("h1-lower-bound-0.99", lambda run: h1_lower_bound(0.99, run.tol)),
+    ("hinf-norm", lambda run: hinf_norm(run.tol)),
+    ("series-integral-agreement",
+     lambda run: representation_agreement(run.tol, run.truncation, run.seed)),
+    ("modulus-mean-bands", lambda run: modulus_mean_bands(run.tol)),
+    ("gamma-identities", lambda run: gamma_identities(run.tol)),
+)
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
+
+
 def run_all(tol=1e-8, truncation=DEFAULT_TRUNCATION, seed=1729,
             alpha_grid=DEFAULT_ALPHA_GRID):
     """Run the default verification suite in its canonical order.
 
     Numerical non-convergence inside a check is captured as a failed
     CheckReport rather than an exception, so the suite always returns one
-    report per registered check.  The two growth-space constants are
-    computed once and handed to the checks that compare against them."""
-    done = {}
-    checks = (
-        ("bloch-A-constant", lambda: compute_A(tol)),
-        ("bloch-B-constant",
-         lambda: compute_B(tol, a_report=done["bloch-A-constant"])),
-        ("bloch-to-blochlog-norm",
-         lambda: norm_bloch_to_blochlog(
-             tol, a_report=done["bloch-A-constant"],
-             b_report=done["bloch-B-constant"])),
-        ("alpha-lower-bound-1.5", lambda: alpha_lower_bound(1.5, tol)),
-        ("alpha-upper-bound-1.5", lambda: alpha_upper_bound(1.5)),
-        ("alpha-bounds-order", lambda: alpha_bounds_order(alpha_grid)),
-        ("alpha-unbounded-0.5", lambda: alpha_unboundedness_witness(0.5)),
-        ("alpha-unbounded-2", lambda: alpha_unboundedness_witness(2.0)),
-        ("alpha-unbounded-2.5", lambda: alpha_unboundedness_witness(2.5)),
-        ("h1-upper-internals", lambda: h1_upper_bound_internals(tol, seed)),
-        ("h1-lower-bound-0.5", lambda: h1_lower_bound(0.5, tol)),
-        ("h1-lower-bound-0.99", lambda: h1_lower_bound(0.99, tol)),
-        ("hinf-norm", lambda: hinf_norm(tol)),
-        ("series-integral-agreement",
-         lambda: representation_agreement(tol, truncation, seed)),
-        ("modulus-mean-bands", lambda: modulus_mean_bands(tol)),
-        ("gamma-identities", lambda: gamma_identities(tol)),
-    )
-    for name, thunk in checks:
+    report per registered check."""
+    run = types.SimpleNamespace(tol=tol, truncation=truncation, seed=seed,
+                                alpha_grid=alpha_grid, done={})
+    for name, check in _CHECKS:
         try:
-            report = thunk()
+            report = check(run)
         except (QuadratureError, DivergenceError) as exc:
             report = CheckReport(
                 name, math.nan, math.nan, tol, False,
                 f"numerical non-convergence: {exc}")
-        done[name] = report
-    return list(done.values())
+        run.done[name] = report
+    return list(run.done.values())

@@ -139,9 +139,15 @@ def _direct_matrix(a, out_order):
     return np.sum(a[None, :] / (n + k + 1.0), axis=1)
 
 
-def test_matrix_action_fast_path_matches_direct_real():
+# out = 2048: 2049 and 2050 put the transform length h.size = size + 2047 on
+# both sides of 4096, 4096 doubles it; 2100 is the original case.
+_FAST_PATH_SIZES = (2049, 2050, 2100, 4096)
+
+
+@pytest.mark.parametrize("size", _FAST_PATH_SIZES)
+def test_matrix_action_fast_path_matches_direct_real(size):
     rng = np.random.default_rng(11)
-    a = rng.standard_normal(2100)
+    a = rng.standard_normal(size)
     s = CoefficientSeries(a, a.size, 0.0)
     out = 2048
     assert a.size * out > (1 << 22)  # exercises the transform route
@@ -150,9 +156,10 @@ def test_matrix_action_fast_path_matches_direct_real():
     assert np.max(np.abs(res.coeffs - ref)) < 1e-12
 
 
-def test_matrix_action_fast_path_matches_direct_complex():
+@pytest.mark.parametrize("size", _FAST_PATH_SIZES)
+def test_matrix_action_fast_path_matches_direct_complex(size):
     rng = np.random.default_rng(12)
-    a = rng.standard_normal(2100) + 1j * rng.standard_normal(2100)
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     s = CoefficientSeries(a, a.size, 0.0)
     out = 2048
     res = apply_matrix(s, out)

@@ -1,6 +1,9 @@
 """Differential oracle: the adaptive integrators against mpmath.quad.
 
-Rows x^a (1-x)^b g(x) with declared endpoint exponents a, b in (-0.95, 1)
+Smooth integrands: integrate on a finite interval, and integrate_halfline on
+integrands that decay at least like x^-2, the rate its rational map needs.
+
+Singular integrands: rows x^a (1-x)^b g(x) with declared endpoint exponents a, b in (-0.95, 1)
 and smooth factors g are integrated on one shared mesh by the family
 engine, and one row at a time by the scalar engine (integrate_singular),
 and compared with mpmath's tanh-sinh quadrature at 30 significant digits.
@@ -19,8 +22,11 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hilbertnorm.quadrature import (  # noqa: E402
+    QuadratureError,
     SingularitySpec,
+    integrate,
     integrate_family,
+    integrate_halfline,
     integrate_singular,
 )
 
@@ -53,10 +59,13 @@ def _family(a, b, c, k):
     return family
 
 
+def _close(got, want):
+    return abs(got - want) <= 10.0 * TOL * max(1.0, abs(want))
+
+
 def _check(values, a, b, cs, k):
     for got, ci in zip(values, cs):
-        want = _reference(a, b, ci, k)
-        assert abs(got - want) <= 10.0 * TOL * max(1.0, abs(want))
+        assert _close(got, _reference(a, b, ci, k))
 
 
 def _on_examples(test):
@@ -81,3 +90,39 @@ def test_singular_matches_mpmath(a, b, cs, k):
                                  0.0, 1.0, SingularitySpec(a, b), TOL).value
               for i in range(c.size)]
     _check(values, a, b, cs, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lo=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+       w=st.floats(min_value=1e-3, max_value=10.0, allow_nan=False),
+       c=_factor, k=_factor)
+def test_integrate_matches_mpmath(lo, w, c, k):
+    got = integrate(lambda x: np.cos(k * x) / (1.0 + c * x * x),
+                    lo, lo + w, TOL).value
+    with mpmath.workdps(30):
+        # split the oscillations for tanh-sinh
+        want = float(mpmath.quad(
+            lambda x: mpmath.cos(k * x) / (1 + c * x * x),
+            mpmath.linspace(lo, lo + w, 9)))
+    assert _close(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=st.floats(min_value=2.0, max_value=4.0, allow_nan=False),
+       c=_factor, a=st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
+def test_halfline_matches_mpmath(s, c, a):
+    got = integrate_halfline(
+        lambda x: np.log1p(x) * np.exp(-c * x) / (1.0 + x) ** s, a, TOL).value
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(
+            lambda x: mpmath.log(1 + x) * mpmath.exp(-c * x) / (1 + x) ** s,
+            [a, a + 1, mpmath.inf]))
+    assert _close(got, want)
+
+
+def test_halfline_slow_decay_raises():
+    # (1+x)^-1.5 is outside the O(x^-2) contract: the mapped integrand
+    # blows up at u = 1, and the call must raise rather than return a number
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureError):
+        integrate_halfline(lambda x: (1.0 + x) ** -1.5, 0.0, TOL)
