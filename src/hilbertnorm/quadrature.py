@@ -395,11 +395,13 @@ def _circle_points(r, theta):
 def circle_mean(f, r, p, tol, n_max=1 << 14):
     """Integral p-mean of |f| on the circle of radius r.
 
-    Finite p: periodic trapezoid rule with doubling from 64 points until the
-    mean of |f|^p is stable to tol, falling back to adaptive quadrature in
-    the angle if doubling has not converged by n_max points. p = infinity:
-    maximum of |f| over a 4096-point grid, refined around the top three
-    local candidates by the golden-section search the supremum searches use
+    Finite p: periodic trapezoid rule with doubling from 64 points until two
+    consecutive doublings each move the mean of |f|^p by at most
+    tol * max(1, mean) (a single agreement can be a chance crossing of two
+    error terms), falling back to adaptive quadrature in the angle if
+    doubling has not converged by n_max points. p = infinity: maximum of |f|
+    over a 4096-point grid, refined around the top three local candidates by
+    the golden-section search the supremum searches use
     (supsearch._golden_max), stopped at tol * max(1, maximum). f receives
     ndarray of points z = r e^{i theta}."""
     r = float(r)
@@ -418,19 +420,25 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
     theta = 2.0 * np.pi * np.arange(n) / n
     vals = np.abs(np.asarray(f(_circle_points(r, theta)))) ** p
     mean = float(np.mean(vals))
+    agreed = 0
     while n < n_max:
         shifted = theta + np.pi / n
         new = np.abs(np.asarray(f(_circle_points(r, shifted)))) ** p
         mean_new = 0.5 * (mean + float(np.mean(new)))
         n *= 2
         theta = np.sort(np.concatenate([theta, shifted]))
-        if abs(mean_new - mean) <= tol * max(1.0, abs(mean_new)):
-            return mean_new ** (1.0 / p)
+        agreed = agreed + 1 if abs(mean_new - mean) <= tol * max(1.0, abs(mean_new)) else 0
         mean = mean_new
+        if agreed == 2:
+            return mean ** (1.0 / p)
+    return _angular_mean(f, r, p, tol)
 
-    # Doubling exhausted: the integrand has structure on an angular scale the
-    # uniform grid cannot afford (radii within ~1e-10 of the boundary); let
-    # adaptive bisection resolve it.
+
+def _angular_mean(f, r, p, tol):
+    """(mean of |f|^p on the circle of radius r)^(1/p) by adaptive
+    quadrature in the angle: the fallback of the doubling trapezoid rules,
+    for integrands with structure on an angular scale a uniform grid cannot
+    afford (radii within ~1e-10 of the boundary)."""
     def g(t):
         return np.abs(np.asarray(f(_circle_points(r, t)))) ** p
 

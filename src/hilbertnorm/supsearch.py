@@ -119,26 +119,41 @@ def halfline_grid(n_grid=512, x_max=60.0):
 
 
 def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
-            tail_span):
+            tail_span, *, vectorized=False):
     """Supremum of g over the grid args = to_arg(xs), the body of both
     public searches. Classifies the first point within the tie band of the
     grid maximum and golden-refines its bracket in x. limit_at_zero replaces
     the evaluation at x = 0; limit_at_infinity, when it beats the grid
     maximum by more than the tie band, is the supremum at arg = infinity;
-    tail_span is the x-distance the divergence test looks back over."""
+    tail_span is the x-distance the divergence test looks back over. With
+    vectorized, g maps an ndarray of arguments to an ndarray of values: the
+    grid is one call, and golden refinement calls it on one-element arrays."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
     def at(arg):
         if arg == 0.0 and limit_at_zero is not None:
             return float(limit_at_zero)
+        if vectorized:
+            return float(g(np.array([arg]))[0])
         return float(g(arg))
 
-    vals = np.empty(len(args))
-    for i, arg in enumerate(args):
-        vals[i] = at(float(arg))
-        if not math.isfinite(vals[i]):
-            raise ValueError(f"objective not finite at {arg!r}")
+    if vectorized:
+        vals = np.array(g(args), dtype=float)
+        if vals.shape != args.shape:
+            raise ValueError(f"objective returned shape {vals.shape} for "
+                             f"{args.shape} arguments")
+        if limit_at_zero is not None:
+            vals[args == 0.0] = float(limit_at_zero)
+    else:
+        vals = np.full(len(args), math.nan)
+        for i, arg in enumerate(args):
+            vals[i] = at(float(arg))
+            if not math.isfinite(vals[i]):
+                break
+    bad = np.nonzero(~np.isfinite(vals))[0]
+    if bad.size:
+        raise ValueError(f"objective not finite at {args[bad[0]]!r}")
     _check_divergence(xs, vals, tail_span)
 
     vmax = float(np.max(vals))
@@ -169,17 +184,20 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
                      float(abs(v_star - vmax) + tol * max(1.0, value)))
 
 
-def supremum_unit(g, tol, limit_at_zero=None, n_grid=512, x_max=40.0):
+def supremum_unit(g, tol, limit_at_zero=None, n_grid=512, x_max=40.0, *,
+                  vectorized=False):
     """Supremum of g over r in [0, 1).
 
     Evaluates g on r = 1 - e^{-x} for x uniform on [0, x_max] (the grid
     saturates at the largest double below 1 and is deduplicated there),
     golden-refines the winning bracket in x, and classifies the maximizer.
-    limit_at_zero, when given, replaces the r = 0 evaluation.
+    limit_at_zero, when given, replaces the r = 0 evaluation. With
+    vectorized, g takes an ndarray of radii and returns an ndarray of values
+    of the same shape, and the whole grid is evaluated in one call.
     """
     xs, rs = unit_grid(n_grid, x_max)
     return _search(g, tol, xs, rs, lambda x: min(-math.expm1(-x), _R_MAX),
-                   limit_at_zero, None, math.log(10.0))
+                   limit_at_zero, None, math.log(10.0), vectorized=vectorized)
 
 
 def supremum_halfline(g, tol, limit_at_zero=None, limit_at_infinity=None,

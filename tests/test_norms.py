@@ -12,6 +12,7 @@ from hilbertnorm.catalog import (
     eval_series,
     taylor_coeffs,
 )
+from hilbertnorm import norms
 from hilbertnorm.norms import (
     _mean_objective,
     bloch_norm,
@@ -122,7 +123,8 @@ def test_hardy_norm_exact_agrees_with_sweep():
     # classify its plateau near r = 1 as interior)
     for a in _random_polynomials(107, 4, max_degree=16):
         s = CoefficientSeries(a, a.size, 0.0)
-        swept = supremum_unit(_mean_objective(s, 1.0, False, 1e-7), 1e-6)
+        swept = supremum_unit(_mean_objective(s, 1.0, False, 1e-7), 1e-6,
+                              vectorized=True)
         fast = hardy_norm_details(s, 1.0, False, 1e-6)
         assert fast.value == pytest.approx(swept.value, rel=1e-6)
 
@@ -152,7 +154,8 @@ def test_hardy_norm_other_inputs_keep_the_sweep(p, log_weighted, tail_bound):
     s = CoefficientSeries(a, a.size, tail_bound)
     tol = 1e-4
     expected = supremum_unit(
-        _mean_objective(s, p, log_weighted, max(0.1 * tol, 1e-13)), tol)
+        _mean_objective(s, p, log_weighted, max(0.1 * tol, 1e-13)), tol,
+        vectorized=True)
     assert hardy_norm_details(s, p, log_weighted, tol) == expected
 
 
@@ -165,6 +168,108 @@ def test_hardy_norm_exact_unconverged_raises():
     partial = info.value.result
     assert partial.boundary == AT_BOUNDARY_LIMIT
     assert partial.value == pytest.approx(4.0 / math.pi, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# swept route for series: all radii of a trapezoid level in one FFT pass
+
+
+def _reference_mean(coeffs, r, p, n=1 << 16):
+    """M_p(r, f): Parseval's sum for p = 2, else an n-point FFT."""
+    row = coeffs * r ** np.arange(coeffs.size)
+    if p == 2.0:
+        return math.sqrt(float(np.sum(np.abs(row) ** 2)))
+    return float(np.mean(np.abs(np.fft.fft(row, n)) ** p)) ** (1.0 / p)
+
+
+def _reference_weighted_sup(coeffs, p):
+    """sup_r M_p(r, f) / (1 - 2 log(1-r)) on x = -log(1-r): a 41-point grid
+    on [0, 40] with 2^12-point means picks the bracket, then golden section
+    with 2^16-point means narrows it to a width of 1e-4 in x."""
+    def objective(x, n=1 << 16):
+        r = min(-math.expm1(-x), np.nextafter(1.0, 0.0))
+        return _reference_mean(coeffs, r, p, n) / (1.0 + 2.0 * x)
+
+    xs = np.linspace(0.0, 40.0, 41)
+    i = int(np.argmax([objective(x, 1 << 12) for x in xs]))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    best = max(objective(xs[i]), fc, fd)
+    while hi - lo > 1e-4:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = objective(d)
+        best = max(best, fc, fd)
+    return best
+
+
+def test_series_means_meet_tol_near_boundary():
+    # one agreement between two doublings missed tol on 16 of these 200
+    # means, by up to 20 x tol; the rule needs two in a row
+    rs = np.array([1.0 - 1e-3, 1.0 - 1e-6])
+    tol = 1e-5
+    for a in _random_polynomials(2, 100):
+        got = norms._series_means(a, rs, 1.0, tol)
+        for r, value in zip(rs, got):
+            want = _reference_mean(a, r, 1.0)
+            assert abs(value - want) <= tol * max(1.0, want), (a.size, r)
+
+
+# (p, log_weighted, tail_bound) of the norms that keep the radial sweep
+SWEPT_KINDS = [(1.0, True, 0.0), (2.0, True, 0.0),
+               (2.0, False, None), (1.0, False, None)]
+
+
+def test_hardy_norm_swept_series_matches_references():
+    tol = 1e-4
+    for i, a in enumerate(_random_polynomials(109, 100)):
+        p, log_weighted, tail = SWEPT_KINDS[i % 4]
+        if log_weighted:
+            ref = _reference_weighted_sup(a, p)
+        else:
+            # M_p(r) never decreases, so the unweighted sup is at r = 1
+            ref = _reference_mean(a, 1.0, p)
+        value = hardy_norm(CoefficientSeries(a, a.size, tail), p, log_weighted, tol)
+        assert abs(value - ref) <= tol * max(1.0, ref), (a.size, p, log_weighted)
+
+
+def test_hardy_norm_swept_long_series(monkeypatch):
+    # 10^4 coefficients: the first rule has 2^15 points, so an FFT block
+    # holds at most two radii, and the doubling runs past 2^14 up to 4 times
+    # the first rule without the angular fallback
+    def no_fallback(*args):
+        raise AssertionError("angular fallback taken")
+
+    monkeypatch.setattr(norms, "_angular_mean", no_fallback)
+    a = np.random.default_rng(110).standard_normal(10_000) / np.arange(1, 10_001)
+    value = hardy_norm(CoefficientSeries(a, a.size, None), 2.0, False, 1e-6)
+    assert value == pytest.approx(_reference_mean(a, 1.0, 2.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("f,p,log_weighted", [
+    (TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.5), 1.0, True),
+    (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.5), 1.0, False),
+    (TestFunction(Kind.HALF_LOG), math.inf, True),
+    (TestFunction(Kind.CONSTANT), 2.0, False),
+    (CoefficientSeries(np.array([0.5, -1.0 + 0.25j, 0.3j]), 3, None),
+     math.inf, True),
+])
+def test_hardy_norm_scalar_routes_match_scalar_sweep(f, p, log_weighted):
+    # routes without an array mean loop their scalar one: the vectorized
+    # search returns what the scalar search over the same means returns
+    # (on a 64-point grid, which keeps the circle-mean routes cheap)
+    tol = 1e-4
+    objective = _mean_objective(f, p, log_weighted, max(0.1 * tol, 1e-13))
+    scalar = supremum_unit(lambda r: float(objective(np.array([r]))[0]), tol,
+                           n_grid=64)
+    assert supremum_unit(objective, tol, n_grid=64, vectorized=True) == scalar
 
 
 def test_hardy_norm_validation():

@@ -169,6 +169,22 @@ def test_circle_mean_sup_norm_of_polynomials_respects_tol():
         assert calls[1e-4] < calls[1e-8] < calls[1e-12]
 
 
+def test_circle_mean_meets_tol_near_boundary():
+    # Near r = 1 the trapezoid error of M_1 can cross zero between two
+    # doublings; stopping at the first agreement missed tol on 10 of these
+    # 200 polynomials, by up to 80 x tol.  Two consecutive agreements meet it.
+    rng = np.random.default_rng(1)
+    r, tol = 1.0 - 1e-6, 1e-5
+    for _ in range(200):
+        degree = int(rng.integers(1, 65))
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        want = float(np.mean(np.abs(
+            np.fft.fft(coeffs * r ** np.arange(coeffs.size), 1 << 16))))
+        got = circle_mean(
+            lambda z: np.polynomial.polynomial.polyval(z, coeffs), r, 1.0, tol)
+        assert abs(got - want) <= tol * max(1.0, want), degree
+
+
 def test_circle_mean_nondecreasing_in_radius():
     rng = np.random.default_rng(2718)
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)

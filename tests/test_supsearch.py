@@ -1,6 +1,7 @@
 """Supremum search over the unit interval and the half-line."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hilbertnorm.supsearch import (
     AT_ZERO,
     INTERIOR,
     DivergenceError,
+    SupResult,
     halfline_grid,
     supremum_halfline,
     supremum_unit,
@@ -17,11 +19,23 @@ from hilbertnorm.supsearch import (
 )
 
 
-# Both entry points search the same problems through r = 1 - e^{-x}.  Each
-# objective below is a function of the distance to the boundary, e = 1 - r =
-# e^{-x}, which both coordinates compute without cancellation.
+def _array_twin(g):
+    """The objective g on an ndarray of arguments, one value per element."""
+    return lambda args: np.array([g(float(a)) for a in args])
+
+
+def _unit_vectorized(g, tol, **kwargs):
+    """supremum_unit evaluating the array twin of the scalar objective g."""
+    return supremum_unit(_array_twin(g), tol, vectorized=True, **kwargs)
+
+
+# Both entry points search the same problems through r = 1 - e^{-x}, and the
+# unit search also through the array twin of each objective.  Each objective
+# below is a function of the distance to the boundary, e = 1 - r = e^{-x},
+# which both coordinates compute without cancellation.
 SEARCHES = {
     "unit": (supremum_unit, lambda r: 1.0 - r, unit_grid()[1]),
+    "unit-vectorized": (_unit_vectorized, lambda r: 1.0 - r, unit_grid()[1]),
     "halfline": (supremum_halfline, lambda x: math.exp(-x), halfline_grid()),
 }
 both_searches = pytest.mark.parametrize("entry", sorted(SEARCHES))
@@ -97,6 +111,65 @@ def test_rejects_nonfinite_objective(entry):
 def test_rejects_bad_tolerance(entry):
     with pytest.raises(ValueError):
         _search(entry, lambda e: 1.0 - e, 0.0)
+
+
+# Scalar objectives on [0, 1) and the keywords of their unit search.
+UNIT_OBJECTIVES = [
+    (lambda r: (1.0 - r) * r, {}),
+    (lambda r: 1.0 / (1.0 + r), {"limit_at_zero": 1.0}),
+    (lambda r: 1.0 - (1.0 - r) ** 0.1, {}),
+    (lambda r: math.sin(5.0 * r) * (1.0 - r), {}),
+    # a vectorized objective sees r = 0 too; the limit replaces its value
+    (lambda r: math.sin(r) / r if r else math.nan, {"limit_at_zero": 1.0}),
+    (lambda r: 2.0, {"n_grid": 64, "x_max": 25.0}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(UNIT_OBJECTIVES)))
+def test_vectorized_twin_gives_identical_result(case):
+    g, kwargs = UNIT_OBJECTIVES[case]
+    assert (supremum_unit(_array_twin(g), 1e-9, vectorized=True, **kwargs)
+            == supremum_unit(g, 1e-9, **kwargs))
+
+
+def test_vectorized_grid_is_one_call():
+    calls = []
+
+    def g(rs):
+        calls.append(rs.size)
+        return rs * (1.0 - rs)
+
+    supremum_unit(g, 1e-10, vectorized=True)
+    assert calls[0] == unit_grid()[1].size
+    assert set(calls[1:]) == {1}
+
+
+def test_vectorized_rejects_nonfinite_grid_value():
+    rs = unit_grid()[1]
+    with pytest.raises(ValueError, match=re.escape(repr(rs[3]))):
+        supremum_unit(lambda r: np.where(r >= rs[3], np.nan, r), 1e-8,
+                      vectorized=True)
+
+
+def test_vectorized_honours_limit_at_zero():
+    def g(rs):
+        with np.errstate(invalid="ignore"):
+            return np.sin(rs) / rs  # nan at r = 0
+
+    res = supremum_unit(g, 1e-10, limit_at_zero=1.0, vectorized=True)
+    assert res == SupResult(1.0, 0.0, AT_ZERO, res.error_estimate)
+    with pytest.raises(ValueError):
+        supremum_unit(g, 1e-10, vectorized=True)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda rs: 1.0,
+    lambda rs: rs[:-1],
+    lambda rs: np.ones((rs.size, 2)),
+])
+def test_vectorized_rejects_wrong_output_shape(wrong):
+    with pytest.raises(ValueError, match="shape"):
+        supremum_unit(wrong, 1e-8, vectorized=True)
 
 
 def test_unit_validation_grid_dominance():
