@@ -11,6 +11,8 @@ underlying curves and tables for plotting.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .catalog import (
     DEFAULT_TRUNCATION,
     CoefficientSeries,
@@ -75,60 +77,7 @@ from .verification import (
     run_all,
 )
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TRUNCATION",
-    "CoefficientSeries",
-    "Kind",
-    "TestFunction",
-    "derivative_series",
-    "eval",
-    "eval_series",
-    "tail_error",
-    "taylor_coeffs",
-    "apply_T",
-    "apply_integral",
-    "apply_matrix",
-    "derivative_at",
-    "derivative_at_pathshifted",
-    "bloch_norm",
-    "bloch_seminorm",
-    "bloch_seminorm_details",
-    "hardy_inequality_gap",
-    "hardy_norm",
-    "hardy_norm_details",
-    "i_c",
-    "QuadratureError",
-    "QuadResult",
-    "SingularitySpec",
-    "circle_mean",
-    "integrate",
-    "integrate_family",
-    "integrate_halfline",
-    "integrate_singular",
-    "beta",
-    "gamma",
-    "log_weight",
-    "reflection_residual",
-    "AT_BOUNDARY_LIMIT",
-    "AT_ZERO",
-    "INTERIOR",
-    "DivergenceError",
-    "SupResult",
-    "supremum_halfline",
-    "supremum_unit",
-    "CHECK_NAMES",
-    "CheckReport",
-    "alpha_bound_values",
-    "alpha_lower_bound",
-    "alpha_unboundedness_witness",
-    "alpha_upper_bound",
-    "compute_A",
-    "compute_B",
-    "h1_lower_bound",
-    "h1_upper_bound_internals",
-    "hinf_norm",
-    "norm_bloch_to_blochlog",
-    "representation_agreement",
-    "run_all",
-]
+# Every public name imported above, once.
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

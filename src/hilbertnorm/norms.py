@@ -22,8 +22,9 @@ import numpy as np
 
 from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
                       eval_series, derivative_series)
-from .quadrature import (QuadratureError, _angular_mean, _circle_points,
-                         circle_mean, integrate)
+from .quadrature import (_CIRCLE_MAX_GRID, _TRAPEZOID_MAX_POINTS,
+                         QuadratureError, _angular_mean, _circle_max,
+                         _circle_points, circle_mean, integrate)
 from .specfun import log_weight
 from .supsearch import (SupResult, supremum_unit, unit_grid, AT_ZERO,
                         AT_BOUNDARY_LIMIT)
@@ -45,16 +46,24 @@ def _validate_p(p):
     return float(p)
 
 
+def _inner_tol(tol):
+    """Tolerance of the circle means inside a radial search to tol."""
+    return max(0.1 * tol, 1e-13)
+
+
 def _weight_at(r, log_weighted):
     return float(log_weight(r)) if log_weighted else 1.0
 
 
 def _mean_objective(f, p, log_weighted, inner_tol):
     """Radii -> M_p(r, f) / weight(r), array in and array out, choosing the
-    cheapest sound route. A series with p finite takes all radii in one
-    FFT pass per trapezoid level; every other route loops its scalar mean."""
-    if isinstance(f, CoefficientSeries) and p != math.inf:
+    cheapest sound route. A series takes all radii in one FFT pass per
+    trapezoid level (p finite) or in one circle-maximum pass (p = inf);
+    every other route loops its scalar mean."""
+    if isinstance(f, CoefficientSeries):
         def means(rs):
+            if p == math.inf:
+                return _series_maxima(f.coeffs, rs, inner_tol)
             return _series_means(f.coeffs, rs, p, inner_tol)
 
         if not log_weighted:
@@ -77,9 +86,6 @@ def _mean_objective(f, p, log_weighted, inner_tol):
         else:
             def mean(r):
                 return circle_mean(lambda z: cat_eval(f, z), r, p, inner_tol)
-    elif isinstance(f, CoefficientSeries):
-        def mean(r):
-            return circle_mean(lambda z: eval_series(f, z), r, p, inner_tol)
     else:
         raise TypeError("expected a TestFunction or CoefficientSeries")
 
@@ -117,7 +123,7 @@ def _series_means(coeffs, rs, p, inner_tol):
     rs = np.asarray(rs, dtype=float)
     rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
-    n_max = max(1 << 14, 4 * n)
+    n_max = max(_TRAPEZOID_MAX_POINTS, 4 * n)
     means = _trapezoid_means(rows, n, p)
     agreed = np.zeros(rs.size, dtype=int)
     live = np.arange(rs.size)
@@ -134,6 +140,23 @@ def _series_means(coeffs, rs, p, inner_tol):
             lambda z: np.polynomial.polynomial.polyval(z, coeffs),
             rs[i], p, inner_tol)
     return out
+
+
+def _series_maxima(coeffs, rs, inner_tol):
+    """M_inf(r, f) at every radius of rs for the polynomial with these
+    coefficients: _circle_max on |f(r e^{2 pi i j / n})|, one unscaled
+    inverse FFT of a_k r^k per radius (n: 4096, or more for a longer series)
+    in blocks of radii."""
+    rs = np.asarray(rs, dtype=float)
+    if not coeffs.size:  # the zero function, which polyval cannot take
+        return np.zeros(rs.size)
+    rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
+    n = max(_CIRCLE_MAX_GRID, 1 << (coeffs.size - 1).bit_length())
+    step = max(1, _BLOCK_POINTS // n)
+    blocks = (np.abs(np.fft.ifft(rows[i:i + step], n, axis=1, norm="forward"))
+              for i in range(0, rs.size, step))
+    return _circle_max(blocks, lambda k, t: np.abs(np.polynomial.polynomial.polyval(
+        _circle_points(rs[k], t), coeffs)), inner_tol)
 
 
 # Largest trapezoid rule of the boundary mean: a polynomial whose zeros keep
@@ -175,7 +198,7 @@ def hardy_norm_details(f, p, log_weighted, tol):
     p = _validate_p(p)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    inner_tol = max(0.1 * tol, 1e-13)
+    inner_tol = _inner_tol(tol)
     if (isinstance(f, CoefficientSeries) and f.tail_bound == 0.0
             and not log_weighted and p != math.inf):
         return _boundary_norm(f.coeffs, p, inner_tol)
@@ -243,27 +266,10 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
         return supremum_unit(_bloch_objective(
             lambda r, om2: abs(eval_series(d, r)), alpha, log_weighted), tol)
 
-    # No radial certificate: scan a coarse polar grid for the best ray, then
-    # refine radially along it. The returned value still dominates every
-    # point evaluated anywhere on the grid.
-    thetas = 2.0 * np.pi * np.arange(64) / 64.0
-    _, rs = unit_grid(128)
-    z = rs[:, None] * np.exp(1j * thetas[None, :])
-    mod = np.abs(np.polynomial.polynomial.polyval(z, d.coeffs))
-    om2 = ((1.0 - rs) * (1.0 + rs)) ** alpha
-    w = log_weight(rs) if log_weighted else np.ones_like(rs)
-    grid_vals = mod * (om2 / w)[:, None]
-    i_r, i_th = np.unravel_index(int(np.argmax(grid_vals)), grid_vals.shape)
-    coarse_best = float(grid_vals[i_r, i_th])
-    theta = thetas[i_th]
-
-    refined = supremum_unit(_bloch_objective(
-        lambda r, om2: abs(eval_series(d, _circle_points(r, theta))),
-        alpha, log_weighted), tol)
-    if refined.value >= coarse_best:
-        return refined
-    return SupResult(coarse_best, float(rs[i_r]), refined.boundary,
-                     refined.error_estimate)
+    # No radial certificate: the circle maximum of |f'| at every radius.
+    maxima = _mean_objective(d, math.inf, log_weighted, _inner_tol(tol))
+    return supremum_unit(lambda rs: ((1.0 - rs) * (1.0 + rs)) ** alpha * maxima(rs),
+                         tol, vectorized=True)
 
 
 def bloch_seminorm(f, alpha, log_weighted, tol):

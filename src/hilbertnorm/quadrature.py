@@ -75,6 +75,9 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _WKG = np.stack([_WGK, _WG], axis=1)
 
 _DEFAULT_PANEL_CAP = 1 << 16
+# Largest trapezoid rule of a finite-p circle mean before the angular
+# fallback, and the angular grid of a circle maximum.
+_TRAPEZOID_MAX_POINTS = 1 << 14
 _CIRCLE_MAX_GRID = 4096
 
 
@@ -139,8 +142,9 @@ def _panel(f, a, b):
 def integrate(f, a, b, tol, panel_cap=_DEFAULT_PANEL_CAP):
     """Adaptive GK15 integration of f over [a, b] until the total error
     estimate drops below tol * max(1, |value|). Worst panel first;
-    deterministic for fixed inputs. Raises QuadratureError (carrying the best
-    result) if the panel cap is exceeded."""
+    deterministic for fixed inputs. Raises QuadratureError, carrying the best
+    result, if the panel cap is exceeded or a refined panel turns
+    non-finite."""
     a = float(a)
     b = float(b)
     if not a < b:
@@ -171,8 +175,13 @@ def integrate(f, a, b, tol, panel_cap=_DEFAULT_PANEL_CAP):
             heapq.heappush(heap, (0.0, seq, pa, pb, pv, pe))
             total_err -= pe
             continue
-        v1, e1, n1 = _panel(f, pa, pm)
-        v2, e2, n2 = _panel(f, pm, pb)
+        try:
+            v1, e1, n1 = _panel(f, pa, pm)
+            v2, e2, n2 = _panel(f, pm, pb)
+        except QuadratureError as exc:
+            exc.result = _collect(heap + [(neg_err, seq, pa, pb, pv, pe)],
+                                  evaluations, (False, False))
+            raise
         evaluations += n1 + n2
         seq += 1
         heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
@@ -277,15 +286,28 @@ def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
 
     f must be O(x^-2) as x -> infinity, which keeps the mapped integrand
     f(x)/(1-u)^2 bounded at u = 1; slower decay can drive the refinement
-    onto u = 1 and raise QuadratureError."""
+    onto u = 1, where the mapped integrand is not finite, and the
+    QuadratureError raised then names the x-range of that panel and carries
+    the partial result."""
     a = float(a)
+    nodes = None
 
     def g(u):
+        nonlocal nodes
+        nodes = u
         omu = 1.0 - u
         x = a + u / omu
         return np.asarray(f(x)) / (omu * omu)
 
-    return integrate(g, 0.0, 1.0, tol, panel_cap)
+    try:
+        return integrate(g, 0.0, 1.0, tol, panel_cap)
+    except QuadratureError as exc:
+        if nodes.max() < 1.0:
+            raise
+        raise QuadratureError(
+            f"integrand not finite for x in [{a + nodes.min() / (1.0 - nodes.min()):g}, "
+            "inf]: integrate_halfline needs f(x) = O(x^-2) as x -> infinity",
+            exc.result) from None
 
 
 def _panels(g, lo, hi):
@@ -392,18 +414,18 @@ def _circle_points(r, theta):
     return pts
 
 
-def circle_mean(f, r, p, tol, n_max=1 << 14):
+def circle_mean(f, r, p, tol):
     """Integral p-mean of |f| on the circle of radius r.
 
     Finite p: periodic trapezoid rule with doubling from 64 points until two
     consecutive doublings each move the mean of |f|^p by at most
     tol * max(1, mean) (a single agreement can be a chance crossing of two
     error terms), falling back to adaptive quadrature in the angle if
-    doubling has not converged by n_max points. p = infinity: maximum of |f|
-    over a 4096-point grid, refined around the top three local candidates by
-    the golden-section search the supremum searches use
-    (supsearch._golden_max), stopped at tol * max(1, maximum). f receives
-    ndarray of points z = r e^{i theta}."""
+    doubling has not converged by 2^14 points. p = infinity: maximum of |f|
+    over a 4096-point grid, refined by golden section around the top three
+    local maxima (the one-circle case of _circle_max), stopped at
+    tol * max(1, grid maximum). f receives ndarray of points
+    z = r e^{i theta}."""
     r = float(r)
     if not (0.0 <= r < 1.0):
         raise ValueError("circle_mean requires 0 <= r < 1")
@@ -413,7 +435,11 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
         raise ValueError("tol must be positive")
 
     if p == math.inf:
-        return _circle_max(f, r, tol)
+        theta = 2.0 * np.pi * np.arange(_CIRCLE_MAX_GRID) / _CIRCLE_MAX_GRID
+        vals = np.abs(np.asarray(f(_circle_points(r, theta))))
+        return float(_circle_max(
+            [vals[None, :]],
+            lambda _, t: np.abs(np.asarray(f(_circle_points(r, t)))), tol)[0])
 
     p = float(p)
     n = 64
@@ -421,7 +447,7 @@ def circle_mean(f, r, p, tol, n_max=1 << 14):
     vals = np.abs(np.asarray(f(_circle_points(r, theta)))) ** p
     mean = float(np.mean(vals))
     agreed = 0
-    while n < n_max:
+    while n < _TRAPEZOID_MAX_POINTS:
         shifted = theta + np.pi / n
         new = np.abs(np.asarray(f(_circle_points(r, shifted)))) ** p
         mean_new = 0.5 * (mean + float(np.mean(new)))
@@ -446,23 +472,30 @@ def _angular_mean(f, r, p, tol):
     return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
 
 
-def _circle_max(f, r, tol):
-    theta = 2.0 * np.pi * np.arange(_CIRCLE_MAX_GRID) / _CIRCLE_MAX_GRID
-    vals = np.abs(np.asarray(f(_circle_points(r, theta))))
-    # local maxima on the periodic grid
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    is_peak = (vals >= left) & (vals >= right)
-    peak_idx = np.nonzero(is_peak)[0]
-    order = peak_idx[np.argsort(vals[peak_idx])[::-1]]
-    best = float(np.max(vals))
-    h = 2.0 * np.pi / _CIRCLE_MAX_GRID
+def _circle_max(blocks, at, tol):
+    """Maximum of |f| on each of several circles.
 
-    def g(t):
-        return float(np.abs(np.asarray(f(_circle_points(r, np.array([t])))))[0])
-
-    for idx in order[:3]:
-        _, peak = _golden_max(g, theta[idx] - h, theta[idx] + h,
-                              tol * max(1.0, best))
-        best = max(best, peak)
+    blocks yields arrays of shape (circles, n): |f| at the angles 2 pi j / n
+    on consecutive circles. at(k, theta) gives |f| at angles theta on the
+    circles k (index arrays). The grid maximum of each circle is refined
+    around its top three local maxima by golden section, every bracket of
+    every circle in one lockstep search (supsearch._golden_max), stopped at
+    tol * max(1, grid maximum)."""
+    best, circles, peaks = [], [], []
+    for vals in blocks:
+        n = vals.shape[1]
+        i, j = np.nonzero((vals >= np.roll(vals, 1, axis=1))
+                          & (vals >= np.roll(vals, -1, axis=1)))
+        # the local maxima of each circle in descending order; keep three
+        order = np.lexsort((-vals[i, j], i))
+        i, j = i[order], j[order]
+        top = np.arange(i.size) - np.searchsorted(i, i) < 3
+        circles.append(i[top] + sum(map(len, best)))
+        peaks.append(j[top])
+        best.append(np.max(vals, axis=1))
+    best, k = np.concatenate(best), np.concatenate(circles)
+    theta, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
+    _, refined = _golden_max(lambda t, i: at(k[i], t), theta - h, theta + h,
+                             tol * np.maximum(1.0, best[k]))
+    np.maximum.at(best, k, refined)
     return best

@@ -61,25 +61,32 @@ class DivergenceError(Exception):
 
 
 def _golden_max(fun, lo, hi, value_tol):
-    """Golden-section maximization on [lo, hi]; returns (x_best, f_best)."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = fun(c)
-    fd = fun(d)
+    """Golden-section maximization on every bracket [lo[i], hi[i]] in
+    lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
+    index arrays i, one call per iteration over the brackets still live; a
+    bracket stops once it is 1e-12 relative narrow or its two interior values
+    agree within 0.01 * value_tol[i]. Returns the arrays (x_best, f_best)."""
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
+    value_tol = np.broadcast_to(value_tol, lo.shape)
+    live = np.arange(lo.size)
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = (np.array(fun(x, live), dtype=float) for x in (c, d))
     for _ in range(_GOLDEN_MAX_ITER):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = fun(d)
-        if hi - lo <= 1e-12 * max(1.0, abs(c)) or abs(fc - fd) <= 0.01 * value_tol:
+        if not live.size:
             break
-    if fc >= fd:
-        return c, fc
-    return d, fd
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        hi[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        lo[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        c[lt] = hi[lt] - _INVPHI * (hi[lt] - lo[lt])
+        d[rt] = lo[rt] + _INVPHI * (hi[rt] - lo[rt])
+        fx = np.asarray(fun(np.where(left, c[live], d[live]), live), dtype=float)
+        fc[lt], fd[rt] = fx[left], fx[~left]
+        done = ((hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live])))
+                | (np.abs(fc[live] - fd[live]) <= 0.01 * value_tol[live]))
+        live = live[~done]
+    at_c = fc >= fd
+    return np.where(at_c, c, d), np.where(at_c, fc, fd)
 
 
 def _check_divergence(xs, vals, x_span_tail):
@@ -173,8 +180,9 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
         return SupResult(vmax, float(args[-1]), AT_BOUNDARY_LIMIT,
                          float(abs(vals[-1] - vals[-2])))
 
-    x_star, v_star = _golden_max(lambda x: at(to_arg(x)), xs[max(ibest - 1, 0)],
-                                 xs[min(ibest + 1, last)], tol * max(1.0, vmax))
+    x_star, v_star = (float(v[0]) for v in _golden_max(
+        lambda x, _: [at(to_arg(float(x[0])))], xs[max(ibest - 1, 0)],
+        xs[min(ibest + 1, last)], tol * max(1.0, vmax)))
     if ibest == 0 and v_star <= vals[0] + tie_tol:
         return SupResult(vmax, 0.0, AT_ZERO,
                          float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)

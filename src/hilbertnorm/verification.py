@@ -231,7 +231,8 @@ def compute_A(tol):
 def compute_B(tol, a_report=None):
     """Half-log-witness norm constant B = log 2 + sup/2 of its objective.
 
-    The supremum sits at an interior radius (near 1 - e^-7); B must land
+    The supremum sits at an interior radius, r = 0.998068 at tol 1e-8
+    (x = -log(1 - r) ~ 6.25 in the search coordinate); B must land
     strictly inside (log 2, 2 log 2) and below the constant-witness value,
     taken from ``a_report`` (a finished :func:`compute_A` report at the same
     tol) or computed here when it is not given.

@@ -5,7 +5,8 @@ pass/fail line per criterion; every test also prints a `criterion NN:
 PASS|FAIL` summary line with the measured quantities (shown with `-s`, or in
 the captured output of a failing run).
 
-The full verification suite runs once, module-scoped; criteria 1, 2, and 10
+The full verification suite runs once per session (the verify_run fixture
+of conftest.py, shared with the golden record test); criteria 1, 2, and 10
 time or parameterize their checks and therefore run them separately.
 """
 
@@ -27,7 +28,6 @@ from hilbertnorm.verification import (
     compute_B,
     hinf_sup_objective,
     representation_agreement,
-    run_all,
 )
 
 LOG2 = math.log(2.0)
@@ -39,10 +39,8 @@ def _line(num, ok, text):
 
 
 @pytest.fixture(scope="module")
-def suite():
-    t0 = time.perf_counter()
-    reports = run_all(tol=1e-8)
-    elapsed = time.perf_counter() - t0
+def suite(verify_run):
+    reports, elapsed = verify_run
     return {r.name: r for r in reports}, elapsed
 
 

@@ -138,9 +138,10 @@ def test_hardy_norm_exact_classification():
     const = hardy_norm_details(
         CoefficientSeries(np.array([-3.0 + 4.0j]), 1, 0.0), 1.0, False, 1e-8)
     assert const == SupResult(5.0, 0.0, AT_ZERO, 0.0)
-    empty = hardy_norm_details(CoefficientSeries(np.array([]), 0, 0.0),
-                               2.0, False, 1e-8)
-    assert empty == SupResult(0.0, 0.0, AT_ZERO, 0.0)
+    for p, log_weighted in ((2.0, False), (math.inf, False), (math.inf, True)):
+        empty = hardy_norm_details(CoefficientSeries(np.array([]), 0, 0.0),
+                                   p, log_weighted, 1e-8)
+        assert empty == SupResult(0.0, 0.0, AT_ZERO, 0.0)
 
 
 @pytest.mark.parametrize("p,log_weighted,tail_bound", [
@@ -220,6 +221,19 @@ def test_series_means_meet_tol_near_boundary():
         for r, value in zip(rs, got):
             want = _reference_mean(a, r, 1.0)
             assert abs(value - want) <= tol * max(1.0, want), (a.size, r)
+
+
+def test_series_maxima_reach_the_dense_grid_maximum():
+    # the circle maxima refine the 4096-angle grid: each must reach the
+    # maximum over 2^16 angles, out to the saturated radius
+    rs = np.array([0.0, 0.5, 0.9, 0.99, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
+    tol = 1e-9
+    for a in _random_polynomials(3, 12):
+        got = norms._series_maxima(a, rs, tol)
+        for r, value in zip(rs, got):
+            row = a * r ** np.arange(a.size)
+            want = float(np.max(np.abs(np.fft.fft(row, 1 << 16))))
+            assert value >= want - tol * max(1.0, want), (a.size, r)
 
 
 # (p, log_weighted, tail_bound) of the norms that keep the radial sweep
@@ -310,16 +324,42 @@ def test_bloch_seminorm_certified_series_route():
 
 
 def test_bloch_seminorm_polar_route():
-    # f = z - z^2/2 has derivative 1 - z: no nonnegativity certificate, and
-    # the maximizing ray is the negative axis where the sup is
-    # max_r (1-r^2)(1+r) = 32/27 at r = 1/3
+    # f = z - z^2/4 has derivative 1 - z/2: no nonnegativity certificate, and
+    # the circle maximum of |f'| sits on the negative axis, so the seminorm
+    # is max_r (1-r^2)(1 + r/2), attained where 3r^2 + 4r - 1 = 0
     s = CoefficientSeries(np.array([0.0, 1.0, -0.25]), 3, 0.0)
     res = bloch_seminorm_details(s, 1.0, False, 1e-8)
-    # derivative is 1 - z/2; recompute: sup (1-r^2)|1 - z/2| on |z| = r is
-    # (1-r^2)(1+r/2) at z = -r
-    xs = np.linspace(0.0, 0.999, 400)
-    expected = float(np.max((1.0 - xs ** 2) * (1.0 + 0.5 * xs)))
-    assert res.value == pytest.approx(expected, abs=1e-4)
+    x = (math.sqrt(7.0) - 2.0) / 3.0
+    assert res.value == pytest.approx((1.0 - x * x) * (1.0 + 0.5 * x), abs=1e-8)
+
+
+def _polar_grid_max(d):
+    """max over 1024 angles 2 pi j / 1024 of |p(r e^{i theta})| for the
+    polynomial p with coefficients d, at 1500 radii r = 1 - e^{-x} (x
+    uniform on [0, 40]), as one matrix product of the coefficient rows
+    d_k r^k with the table of e^{i k theta}. Returns (radii, maxima)."""
+    _, rs = unit_grid(1500)
+    k = np.arange(d.size)
+    table = np.exp(2j * np.pi * np.outer(k, np.arange(1024)) / 1024.0)
+    return rs, np.max(np.abs((d * rs[:, None] ** k) @ table), axis=1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bloch_seminorm_no_certificate_matches_polar_grid(seed):
+    # complex polynomials of degree 2-19: the seminorm is a supremum over
+    # the whole disk, so it must reach the maximum of a dense polar grid
+    # (refining along one ray of a coarse scan fell short by up to 1.5 %)
+    rng = np.random.default_rng(1000 + seed)
+    deg = int(rng.integers(2, 20))
+    a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+    s = CoefficientSeries(a, a.size, 0.0)
+    rs, maxima = _polar_grid_max(np.arange(1, a.size) * a[1:])
+    tol = 1e-8
+    for log_weighted in (False, True):
+        weight = 1.0 - 2.0 * np.log1p(-rs) if log_weighted else 1.0
+        want = float(np.max((1.0 - rs) * (1.0 + rs) * maxima / weight))
+        got = bloch_seminorm(s, 1.0, log_weighted, tol)
+        assert got >= want - tol * max(1.0, want), (deg, log_weighted)
 
 
 def test_bloch_seminorm_polar_route_dominates_grid():
@@ -339,10 +379,10 @@ def test_bloch_seminorm_polar_route_dominates_grid():
 
 @pytest.mark.parametrize("seed", [None] + list(range(0, 200, 5)))
 def test_bloch_seminorm_polar_route_near_boundary(seed):
-    # Real series without a radial certificate whose best coarse ray is
-    # refined out to the last radius, where r e^{i theta} can round onto
-    # |z| = 1: the refinement must stay inside the disk.  seed None is
-    # a degree-3 reproducer; the seeded series have degree 1-29.
+    # Real series without a radial certificate whose radial search refines
+    # out to the last radius, where r e^{i theta} can round onto |z| = 1:
+    # the circle maxima must stay inside the disk.  seed None is a degree-3
+    # reproducer; the seeded series have degree 1-29.
     if seed is None:
         coeffs = np.random.default_rng(31).standard_normal(4)
     else:

@@ -122,7 +122,15 @@ def test_halfline_matches_mpmath(s, c, a):
 
 def test_halfline_slow_decay_raises():
     # (1+x)^-1.5 is outside the O(x^-2) contract: the mapped integrand
-    # blows up at u = 1, and the call must raise rather than return a number
+    # blows up at u = 1, and the call must raise rather than return a number,
+    # naming the contract and an x-range that reaches infinity, and carrying
+    # the partial result short of the tolerance (the integral is 2)
     with np.errstate(divide="ignore", invalid="ignore"), \
-            pytest.raises(QuadratureError):
+            pytest.raises(QuadratureError) as info:
         integrate_halfline(lambda x: (1.0 + x) ** -1.5, 0.0, TOL)
+    message = str(info.value)
+    assert "O(x^-2)" in message and message.split(":")[0].endswith(", inf]")
+    partial = info.value.result
+    assert partial is not None and partial.evaluations > 15
+    assert partial.error_estimate > TOL
+    assert abs(partial.value - 2.0) <= partial.error_estimate
