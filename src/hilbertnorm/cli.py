@@ -21,9 +21,11 @@ payload as one object.
 """
 
 import argparse
+import collections.abc
 import dataclasses
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -60,6 +62,13 @@ _WITNESS_ALPHAS = (0.5, 2.0, 2.5)
 _DEFAULT_POINTS = 512
 
 
+def _number(name, value):
+    """value if it is a real number (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Reproducible run parameters shared by every subcommand."""
@@ -71,16 +80,20 @@ class RunConfig:
     seed: int = 1729
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if int(self.truncation) != self.truncation or self.truncation < 16:
+        if not 0.0 < _number("tolerance", self.tolerance) < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        # x % 1 is nan for an infinite or nan x, so those fail here too
+        if _number("truncation", self.truncation) % 1 != 0 or self.truncation < 16:
             raise ValueError("truncation must be an integer >= 16")
         if self.output_format not in _FORMATS:
             raise ValueError(
                 f"output_format must be one of {', '.join(_FORMATS)}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if _number("seed", self.seed) % 1 != 0 or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        grid = tuple(float(a) for a in self.alpha_grid)
+        # a string passes as iterable, and its characters fail as entries
+        if not isinstance(self.alpha_grid, collections.abc.Iterable):
+            raise ValueError(f"alpha_grid must be a list, not {self.alpha_grid!r}")
+        grid = tuple(float(_number("alpha_grid entry", a)) for a in self.alpha_grid)
         if not grid:
             raise ValueError("alpha_grid must not be empty")
         for a in grid:
@@ -118,8 +131,6 @@ def _config_from_args(args):
         value = getattr(args, attr, None)
         if value is not None:
             data[field] = value
-    if "alpha_grid" in data:
-        data["alpha_grid"] = tuple(float(a) for a in data["alpha_grid"])
     return RunConfig(**data)
 
 

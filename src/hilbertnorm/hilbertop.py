@@ -15,7 +15,6 @@ values 1 -+ phi_t(z) are produced as exact-ratio expressions rather than by
 subtracting phi from 1.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,32 +70,12 @@ def apply_matrix(s, out_order):
     work = coeffs if coeffs.imag.any() else coeffs.real
     ks = np.flatnonzero(work)
     vals = work[ks]
-    if vals.size * out_order > (1 << 22):
-        # The matrix is constant along antidiagonals, so its action is a
-        # correlation against h_m = 1/(m+1); the FFT form costs
-        # O((N + out) log) instead of O(N * out) and differs from the direct
-        # sums only at the 1e-14 roundoff level. Only lags 0..out_order-1 are
-        # read, and a circular transform of width >= h.size wraps every
-        # other lag past them, so the width need not fit the full product.
-        a = np.zeros(int(ks[-1]) + 1, dtype=work.dtype)
-        a[ks] = vals
-        h = 1.0 / np.arange(1.0, ks[-1] + out_order + 1.0)
-        width = 1 << int(math.ceil(math.log2(h.size)))
-        if np.iscomplexobj(work):
-            conv = np.fft.ifft(np.fft.fft(a[::-1], width) * np.fft.fft(h, width))
-        else:
-            conv = np.fft.irfft(
-                np.fft.rfft(a[::-1], width) * np.fft.rfft(h, width), width)
-        b = np.asarray(conv[a.size - 1:a.size - 1 + out_order], dtype=complex)
-    else:
-        n = np.arange(out_order, dtype=float)[:, None]
-        kf = ks.astype(float)
-        b = np.zeros(out_order, dtype=work.dtype)
-        for j0 in range(0, vals.size, _MATRIX_CHUNK):
-            j1 = min(j0 + _MATRIX_CHUNK, vals.size)
-            b = b + np.sum(
-                vals[None, j0:j1] / (n + kf[None, j0:j1] + 1.0), axis=1)
-        b = b.astype(complex)
+    n = np.arange(out_order, dtype=float)[:, None]
+    kf = ks.astype(float)
+    b = np.zeros(out_order, dtype=work.dtype)
+    for j0 in range(0, vals.size, _MATRIX_CHUNK):
+        j1 = min(j0 + _MATRIX_CHUNK, vals.size)
+        b = b + np.sum(vals[None, j0:j1] / (n + kf[None, j0:j1] + 1.0), axis=1)
     if s.tail_bound == 0.0:
         k = np.arange(coeffs.size, dtype=float)
         tail = float(np.sum(np.abs(coeffs) / (out_order + k + 1.0)))

@@ -63,7 +63,7 @@ def _mean_objective(f, p, log_weighted, inner_tol):
     if isinstance(f, CoefficientSeries):
         def means(rs):
             if p == math.inf:
-                return _series_maxima(f.coeffs, rs, inner_tol)
+                return _series_maxima(f.coeffs, rs)
             return _series_means(f.coeffs, rs, p, inner_tol)
 
         if not log_weighted:
@@ -142,7 +142,7 @@ def _series_means(coeffs, rs, p, inner_tol):
     return out
 
 
-def _series_maxima(coeffs, rs, inner_tol):
+def _series_maxima(coeffs, rs):
     """M_inf(r, f) at every radius of rs for the polynomial with these
     coefficients: _circle_max on |f(r e^{2 pi i j / n})|, one unscaled
     inverse FFT of a_k r^k per radius (n: 4096, or more for a longer series)
@@ -156,7 +156,7 @@ def _series_maxima(coeffs, rs, inner_tol):
     blocks = (np.abs(np.fft.ifft(rows[i:i + step], n, axis=1, norm="forward"))
               for i in range(0, rs.size, step))
     return _circle_max(blocks, lambda k, t: np.abs(np.polynomial.polynomial.polyval(
-        _circle_points(rs[k], t), coeffs)), inner_tol)
+        _circle_points(rs[k], t), coeffs)))
 
 
 # Largest trapezoid rule of the boundary mean: a polynomial whose zeros keep

@@ -423,8 +423,8 @@ def circle_mean(f, r, p, tol):
     error terms), falling back to adaptive quadrature in the angle if
     doubling has not converged by 2^14 points. p = infinity: maximum of |f|
     over a 4096-point grid, refined by golden section around the top three
-    local maxima (the one-circle case of _circle_max), stopped at
-    tol * max(1, grid maximum). f receives ndarray of points
+    local maxima (the one-circle case of _circle_max) down to brackets
+    1e-12 relative narrow, whatever tol. f receives ndarray of points
     z = r e^{i theta}."""
     r = float(r)
     if not (0.0 <= r < 1.0):
@@ -439,7 +439,7 @@ def circle_mean(f, r, p, tol):
         vals = np.abs(np.asarray(f(_circle_points(r, theta))))
         return float(_circle_max(
             [vals[None, :]],
-            lambda _, t: np.abs(np.asarray(f(_circle_points(r, t)))), tol)[0])
+            lambda _, t: np.abs(np.asarray(f(_circle_points(r, t)))))[0])
 
     p = float(p)
     n = 64
@@ -472,15 +472,16 @@ def _angular_mean(f, r, p, tol):
     return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
 
 
-def _circle_max(blocks, at, tol):
+def _circle_max(blocks, at):
     """Maximum of |f| on each of several circles.
 
     blocks yields arrays of shape (circles, n): |f| at the angles 2 pi j / n
     on consecutive circles. at(k, theta) gives |f| at angles theta on the
     circles k (index arrays). The grid maximum of each circle is refined
     around its top three local maxima by golden section, every bracket of
-    every circle in one lockstep search (supsearch._golden_max), stopped at
-    tol * max(1, grid maximum)."""
+    every circle in one lockstep search (supsearch._golden_max), stopped on
+    bracket width alone: two interior values can agree while they straddle
+    the peak."""
     best, circles, peaks = [], [], []
     for vals in blocks:
         n = vals.shape[1]
@@ -495,7 +496,6 @@ def _circle_max(blocks, at, tol):
         best.append(np.max(vals, axis=1))
     best, k = np.concatenate(best), np.concatenate(circles)
     theta, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
-    _, refined = _golden_max(lambda t, i: at(k[i], t), theta - h, theta + h,
-                             tol * np.maximum(1.0, best[k]))
+    _, refined = _golden_max(lambda t, i: at(k[i], t), theta - h, theta + h)
     np.maximum.at(best, k, refined)
     return best

@@ -60,14 +60,15 @@ class DivergenceError(Exception):
         self.witness = witness or []
 
 
-def _golden_max(fun, lo, hi, value_tol):
+def _golden_max(fun, lo, hi, value_tol=None):
     """Golden-section maximization on every bracket [lo[i], hi[i]] in
     lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
     index arrays i, one call per iteration over the brackets still live; a
-    bracket stops once it is 1e-12 relative narrow or its two interior values
-    agree within 0.01 * value_tol[i]. Returns the arrays (x_best, f_best)."""
+    bracket stops once it is 1e-12 relative narrow or, given value_tol, its
+    two interior values agree within 0.01 * value_tol (which does not bound
+    the distance to a peak between them). Returns the arrays
+    (x_best, f_best)."""
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
-    value_tol = np.broadcast_to(value_tol, lo.shape)
     live = np.arange(lo.size)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = (np.array(fun(x, live), dtype=float) for x in (c, d))
@@ -82,8 +83,9 @@ def _golden_max(fun, lo, hi, value_tol):
         d[rt] = lo[rt] + _INVPHI * (hi[rt] - lo[rt])
         fx = np.asarray(fun(np.where(left, c[live], d[live]), live), dtype=float)
         fc[lt], fd[rt] = fx[left], fx[~left]
-        done = ((hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live])))
-                | (np.abs(fc[live] - fd[live]) <= 0.01 * value_tol[live]))
+        done = hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live]))
+        if value_tol is not None:
+            done |= np.abs(fc[live] - fd[live]) <= 0.01 * value_tol
         live = live[~done]
     at_c = fc >= fd
     return np.where(at_c, c, d), np.where(at_c, fc, fd)

@@ -669,16 +669,26 @@ def hinf_norm(tol):
 # representation and special-function checks
 # ---------------------------------------------------------------------------
 
+def _half_log_image(n_terms):
+    """b_n = sum_{k odd} 1/(k(n+k+1)), n < n_terms: the exact image of the
+    half-log series. As 1/(k(n+k+1)) = (1/(n+1))(1/k - 1/(n+k+1)), it is
+    D_n / (2(n+1)) with D_n = psi(n/2+1) - psi(1/2): D_0 = 2 log 2, D_1 = 2
+    and D_{n+2} = D_n + 2/(n+2), one cumulative sum per parity."""
+    n = np.arange(n_terms, dtype=float)
+    d = np.concatenate(((2.0 * _LOG2, 2.0), 2.0 / n[2:]))[:n_terms]
+    d[0::2], d[1::2] = np.cumsum(d[0::2]), np.cumsum(d[1::2])
+    return d / (2.0 * (n + 1.0))
+
+
 def representation_agreement(tol, truncation=DEFAULT_TRUNCATION, seed=1729):
     """Matrix action versus integral form at 20 random points, |z| <= 0.95.
 
     The constant input has an exact (finite) coefficient series, so its
-    residual isolates the output truncation and quadrature error.  The
-    half-log input has coefficients decaying only like 1/k, so its input
-    series is sized from the certified tail estimate
-    |residual| <= 1 / (2 N |1-z|): N is the smallest power of two making
-    that estimate comfortably smaller than the agreement tolerance at the
-    sampled points (clamped to [2^20, 2^23])."""
+    residual isolates the output truncation and quadrature error. The
+    half-log image comes from its closed form (_half_log_image), and the
+    matrix action on the first N = DEFAULT_TRUNCATION half-log coefficients
+    must fall below it by 0..1/(2N) at output indices n < N, up to roundoff:
+    the dropped tail sum_{k>N odd} 1/(k(n+k+1)) is largest at n = 0."""
     agree_tol = max(tol, 1e-6)
     quad_tol = 1e-9
     rng = np.random.default_rng(seed)
@@ -686,30 +696,27 @@ def representation_agreement(tol, truncation=DEFAULT_TRUNCATION, seed=1729):
     angles = 2.0 * math.pi * rng.random(20)
     zs = radii * np.exp(1j * angles)
 
-    def worst_residual(fn, series):
-        out = apply_matrix(series, truncation)
-        worst = 0.0
-        for z in zs:
-            direct = apply_integral(fn, complex(z), quad_tol)
-            via_series = eval_series(out, complex(z))
-            worst = max(worst, abs(via_series - direct))
-        return worst
+    def worst_residual(fn, out):
+        direct = np.array([apply_integral(fn, complex(z), quad_tol) for z in zs])
+        return float(np.max(np.abs(eval_series(out, zs) - direct)))
 
     fn_const = TestFunction(Kind.CONSTANT)
-    res_const = worst_residual(fn_const, taylor_coeffs(fn_const, 1))
-
-    min1mz = float(np.min(np.abs(1.0 - zs)))
-    sized = 1.25 / (agree_tol * min1mz)
-    n_in = 1 << max(20, min(23, math.ceil(math.log2(sized))))
+    res_const = worst_residual(
+        fn_const, apply_matrix(taylor_coeffs(fn_const, 1), truncation))
     fn_half = TestFunction(Kind.HALF_LOG)
-    res_half = worst_residual(fn_half, taylor_coeffs(fn_half, n_in))
+    res_half = worst_residual(fn_half, CoefficientSeries(_half_log_image(truncation)))
+    n = DEFAULT_TRUNCATION
+    gap = _half_log_image(n) - apply_matrix(taylor_coeffs(fn_half, n), n).coeffs.real
+    gap_ok = bool(np.all(gap >= -1e-14) and np.all(gap <= 0.5 / n + 1e-14))
 
     computed = max(res_const, res_half)
-    passed = computed <= agree_tol
+    passed = computed <= agree_tol and gap_ok
     detail = (
         f"constant-input residual {res_const:.3e}; half-log residual "
-        f"{res_half:.3e} with input length {n_in} sized from "
-        f"min |1-z| = {min1mz:.4f}; output order {truncation}"
+        f"{res_half:.3e} of the closed-form image; matrix action on the "
+        f"first {n} half-log coefficients below the image by "
+        f"[{gap.min():.4e}, {gap.max():.4e}] within 1/(2N) = "
+        f"{0.5 / n:.4e}: {gap_ok}; output order {truncation}"
     )
     return CheckReport(
         "series-integral-agreement", computed, 0.0, agree_tol, passed, detail)

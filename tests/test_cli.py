@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import hilbertnorm.cli as cli
@@ -37,20 +38,24 @@ def test_run_config_summary_is_stable():
 
 
 def test_run_config_coerces_grid():
-    cfg = RunConfig(alpha_grid=[1.2, 1.4])
-    assert cfg.alpha_grid == (1.2, 1.4)
-    assert isinstance(cfg.alpha_grid, tuple)
+    for grid in ([1.2, 1.4], np.array([1.2, 1.4]), (a for a in (1.2, 1.4))):
+        cfg = RunConfig(alpha_grid=grid)
+        assert cfg.alpha_grid == (1.2, 1.4)
+        assert isinstance(cfg.alpha_grid, tuple)
+        assert all(type(a) is float for a in cfg.alpha_grid)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(tolerance=0.0),
     dict(tolerance=-1e-8),
+    dict(tolerance=math.inf),
     dict(truncation=15),
     dict(truncation=16.5),
     dict(output_format="xml"),
     dict(seed=-1),
     dict(seed=2.5),
     dict(alpha_grid=()),
+    dict(alpha_grid="1.5"),
     dict(alpha_grid=(1.0005,)),
     dict(alpha_grid=(1.5, 2.5)),
 ])
@@ -273,6 +278,20 @@ def test_config_file_malformed(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert main(["curve", "alpha-bounds", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"alpha_grid": 1.5}, "alpha_grid must be a list"),
+    ({"tolerance": "abc"}, "tolerance must be a number"),
+    ({"truncation": None}, "truncation must be a number"),
+])
+def test_config_file_wrong_type(tmp_path, capsys, raw, message):
+    # a wrong JSON type is a usage error (exit 2), not a failed check (1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_config_file_missing(tmp_path, capsys):

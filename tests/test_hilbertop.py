@@ -21,6 +21,7 @@ from hilbertnorm.hilbertop import (
     derivative_at_pathshifted,
 )
 from hilbertnorm.quadrature import SingularitySpec, integrate, integrate_singular
+from hilbertnorm.verification import _half_log_image
 
 LOG2 = 0.6931471805599453
 HALF_LOG3 = 0.549306144334054846
@@ -139,24 +140,26 @@ def _direct_matrix(a, out_order):
     return np.sum(a[None, :] / (n + k + 1.0), axis=1)
 
 
-# out = 2048: 2049 and 2050 put the transform length h.size = size + 2047 on
-# both sides of 4096, 4096 doubles it; 2100 is the original case.
-_FAST_PATH_SIZES = (2049, 2050, 2100, 4096)
+# Inputs longer than the output order (out = 2048), every coefficient
+# nonzero: 2049, 2050 and 2100 end in a partial chunk of 256 columns, 4096
+# fills sixteen. The callers in src/ pass at most 1,024 nonzeros x 2,048
+# outputs (the half-log gap of series-integral-agreement) and one nonzero
+# x --trunc outputs (its constant input).
+_LARGE_INPUT_SIZES = (2049, 2050, 2100, 4096)
 
 
-@pytest.mark.parametrize("size", _FAST_PATH_SIZES)
+@pytest.mark.parametrize("size", _LARGE_INPUT_SIZES)
 def test_matrix_action_fast_path_matches_direct_real(size):
     rng = np.random.default_rng(11)
     a = rng.standard_normal(size)
     s = CoefficientSeries(a, a.size, 0.0)
     out = 2048
-    assert a.size * out > (1 << 22)  # exercises the transform route
     res = apply_matrix(s, out)
     ref = _direct_matrix(a, out)
     assert np.max(np.abs(res.coeffs - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("size", _FAST_PATH_SIZES)
+@pytest.mark.parametrize("size", _LARGE_INPUT_SIZES)
 def test_matrix_action_fast_path_matches_direct_complex(size):
     rng = np.random.default_rng(12)
     a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -165,6 +168,19 @@ def test_matrix_action_fast_path_matches_direct_complex(size):
     res = apply_matrix(s, out)
     ref = _direct_matrix(a, out)
     assert np.max(np.abs(res.coeffs - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("size", [256, 2048])
+def test_matrix_action_half_log_telescoping_gap(size):
+    # Truncating the half-log input after `size` terms drops
+    # sum_{k>size odd} 1/(k(n+k+1)) from b_n: nonnegative, largest at n = 0
+    # and there below sum_{k>size odd} 1/(k(k+1)) < 1/(2 size).
+    out = 1024
+    s = taylor_coeffs(TestFunction(Kind.HALF_LOG), size)
+    gap = _half_log_image(out) - apply_matrix(s, out).coeffs.real
+    assert np.all(gap >= -1e-14)
+    assert np.all(np.diff(gap) <= 1e-14)
+    assert gap[0] <= 1.0 / (2 * size) + 1e-14
 
 
 # ---------------------------------------------------------------------------

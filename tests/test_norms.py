@@ -229,7 +229,7 @@ def test_series_maxima_reach_the_dense_grid_maximum():
     rs = np.array([0.0, 0.5, 0.9, 0.99, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
     tol = 1e-9
     for a in _random_polynomials(3, 12):
-        got = norms._series_maxima(a, rs, tol)
+        got = norms._series_maxima(a, rs)
         for r, value in zip(rs, got):
             row = a * r ** np.arange(a.size)
             want = float(np.max(np.abs(np.fft.fft(row, 1 << 16))))

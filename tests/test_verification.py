@@ -2,12 +2,15 @@
 
 import math
 import re
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from hilbertnorm.verification import (
     CHECK_NAMES,
+    DEFAULT_TRUNCATION,
     CheckReport,
     alpha_bound_values,
     alpha_bounds_order,
@@ -29,6 +32,7 @@ from hilbertnorm.verification import (
     representation_agreement,
     unboundedness_profile,
 )
+from hilbertnorm.verification import _half_log_image
 
 PI_HALF_MINUS_HALF = math.pi / 2.0 - 0.5
 
@@ -242,6 +246,40 @@ def test_gamma_identities_report():
 def test_modulus_mean_bands_report():
     rep = modulus_mean_bands(1e-8)
     assert rep.passed
+
+
+def test_half_log_image_matches_digamma():
+    # b_n = (psi(n/2 + 1) - psi(1/2)) / (2 (n + 1)) from mpmath, against the
+    # two cumulative sums of the closed form
+    n = 1 << 16
+    psi_half = mpmath.digamma(mpmath.mpf(0.5))
+    want = np.array([float((mpmath.digamma(mpmath.mpf(k) / 2 + 1) - psi_half)
+                           / (2 * (k + 1))) for k in range(n)])
+    got = _half_log_image(n)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_representation_agreement_report(verify_run):
+    reports, _ = verify_run
+    rep = next(r for r in reports if r.name == "series-integral-agreement")
+    assert rep.passed
+    assert rep.computed <= 1e-11
+    assert f"first {DEFAULT_TRUNCATION} half-log coefficients" in rep.detail
+    assert "1/(2N) = 2.4414e-04: True" in rep.detail
+
+
+@pytest.mark.parametrize("truncation", [DEFAULT_TRUNCATION, 1 << 16])
+def test_representation_agreement_memory(truncation):
+    # the exact image needs no long input series, and the matrix action on
+    # the half-log input has a fixed output order: a few MB at any
+    # truncation (one 256-column chunk of 2^16 outputs alone is 128 MB)
+    tracemalloc.start()
+    try:
+        representation_agreement(1e-8, truncation=truncation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_representation_agreement_truncation_too_small():
