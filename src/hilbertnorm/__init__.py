@@ -25,7 +25,6 @@ from .catalog import (
     taylor_coeffs,
 )
 from .hilbertop import (
-    apply_T,
     apply_integral,
     apply_matrix,
     derivative_at,

@@ -7,15 +7,14 @@ Path-shifted derivative: (Hf)'(z) = int_0^1 t f(phi_t(z)) / (d_t(z) (1 - z)) dt
 
 where phi_t(z) = t / d_t(z), d_t(z) = 1 - (1 - t) z, and the weighted
 composition family T_t f = w_t (f o phi_t) with w_t(z) = 1 / d_t(z)
-decomposes the operator as Hf = int_0^1 T_t f dt.
+decomposes the operator as Hf = int_0^1 T_t f dt (the path t -> phi_t(z));
+that substitution in the derivative kernel gives the path-shifted form.
 
 Numerical form: every denominator is grouped so no catastrophic cancellation
 occurs as t -> 1 or |z| -> 1, e.g. d_t(z) = (1 - z) + t z, and the composed
 values 1 -+ phi_t(z) are produced as exact-ratio expressions rather than by
 subtracting phi from 1.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,35 +23,13 @@ from .catalog import Kind, TestFunction, CoefficientSeries, eval as cat_eval, \
 from .quadrature import SingularitySpec, integrate_singular
 
 __all__ = [
-    "CompositionSymbol",
     "apply_matrix",
     "apply_integral",
     "derivative_at",
     "derivative_at_pathshifted",
-    "apply_T",
 ]
 
 _MATRIX_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class CompositionSymbol:
-    """The disk automorphism-like symbol pair (w_t, phi_t) at parameter t."""
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ValueError("CompositionSymbol requires 0 < t < 1")
-
-    def weight(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = 1.0 / ((1.0 - z) + self.t * z)
-        return complex(out) if out.ndim == 0 else out
-
-    def phi(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.t / ((1.0 - z) + self.t * z)
-        return complex(out) if out.ndim == 0 else out
 
 
 def apply_matrix(s, out_order):
@@ -171,12 +148,3 @@ def derivative_at_pathshifted(fn, z, tol):
 
     return complex(
         integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
-
-
-def apply_T(fn, t, z):
-    """One member of the weighted composition family: (T_t f)(z) =
-    w_t(z) f(phi_t(z))."""
-    sym = CompositionSymbol(float(t))
-    z = _require_point(z)
-    w = sym.weight(z)
-    return complex(w * cat_eval(fn, sym.phi(z)))

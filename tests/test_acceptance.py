@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from hilbertnorm.catalog import CoefficientSeries
-from hilbertnorm.hilbertop import CompositionSymbol
 from hilbertnorm.norms import hardy_norm
 from hilbertnorm.specfun import gamma, log_weight
 from hilbertnorm.supsearch import supremum_unit
@@ -233,18 +232,20 @@ def test_criterion_12_property_suite_and_runtime(suite):
         weighted = hardy_norm(s, 2.0, True, 1e-4)
         assert weighted <= unweighted + 1e-8
 
-    # the composed argument is largest in modulus on the positive axis
+    # the path-shifted derivative takes logarithms of 1 - phi_t(z) and
+    # 1 + phi_t(z); both ratios lie in the right half-plane, off the cut
     for _ in range(200):
         t = float(rng.uniform(0.01, 0.99))
         r = float(rng.uniform(0.0, 0.999))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        sym = CompositionSymbol(t)
         z = r * complex(math.cos(theta), math.sin(theta))
-        assert abs(sym.phi(z)) <= abs(sym.phi(r)) * (1.0 + 1e-12)
+        d = (1.0 - z) + t * z
+        assert ((1.0 - t) * (1.0 - z) / d).real > 0.0
+        assert (((1.0 - z) + t * (1.0 + z)) / d).real > 0.0
 
     failed = [name for name, rep in reports.items() if not rep.passed]
     ok = not failed and elapsed < 120.0
-    assert _line(12, ok, f"four search/weight/norm/symbol properties hold; "
+    assert _line(12, ok, f"four search/weight/norm/path-ratio properties hold; "
                          f"all {len(reports)} checks passed in {elapsed:.1f}s "
                          f"< 120s")
     assert failed == []

@@ -19,10 +19,7 @@ from hilbertnorm.verification import (
     alpha_upper_bound,
     bloch_a_objective,
     bloch_b_objective,
-    compute_A,
-    compute_B,
     gamma_identities,
-    h1_lower_bound,
     h1_sup_objective,
     hinf_norm,
     hinf_objective,
@@ -35,6 +32,11 @@ from hilbertnorm.verification import (
 from hilbertnorm.verification import _half_log_image
 
 PI_HALF_MINUS_HALF = math.pi / 2.0 - 0.5
+
+
+def _report(verify_run, name):
+    reports, _ = verify_run
+    return next(r for r in reports if r.name == name)
 
 
 def test_check_names_registry():
@@ -150,10 +152,20 @@ def test_alpha_bounds_order_custom_grid():
     assert rep.computed < 0.0
 
 
-def test_alpha_lower_bound_report():
-    rep = alpha_lower_bound(1.5, 1e-8)
+def test_alpha_lower_bound_report(verify_run):
+    rep = _report(verify_run, "alpha-lower-bound-1.5")
     assert rep.passed
     assert rep.computed == pytest.approx(PI_HALF_MINUS_HALF, abs=1e-8)
+
+
+def test_alpha_lower_bound_certifies_radial_reduction_off_grid():
+    # the radial reduction rests on the sign of the Taylor coefficients, not
+    # on a scan at one alpha, so every alpha of the window carries it
+    rep = alpha_lower_bound(1.2, 1e-8)
+    assert rep.passed
+    assert rep.name == "alpha-lower-bound-1.2"
+    assert ("radial reduction certified (the 2048 Taylor coefficients of f "
+            "are real and nonnegative): True") in rep.detail
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +209,15 @@ def test_unboundedness_witness_reports():
 # individual check reports
 
 
-def test_compute_a_report():
-    rep = compute_A(1e-8)
+def test_compute_a_report(verify_run):
+    rep = _report(verify_run, "bloch-A-constant")
     assert rep.passed
     assert rep.computed == pytest.approx(1.5, abs=1e-9)
     assert "r -> 0" in rep.detail
 
 
-def test_compute_b_report():
-    rep = compute_B(1e-8)
+def test_compute_b_report(verify_run):
+    rep = _report(verify_run, "bloch-B-constant")
     assert rep.passed
     assert rep.computed == pytest.approx(1.2048755513373923, abs=1e-10)
     assert math.log(2.0) < rep.computed < 2.0 * math.log(2.0)
@@ -224,8 +236,8 @@ def test_hinf_norm_report():
     assert rep.computed == pytest.approx(1.0, abs=1e-10)
 
 
-def test_h1_lower_bound_report():
-    rep = h1_lower_bound(0.5, 1e-8)
+def test_h1_lower_bound_report(verify_run):
+    rep = _report(verify_run, "h1-lower-bound-0.5")
     assert rep.passed
     assert rep.computed == pytest.approx(1.6944261753566803, abs=1e-9)
     assert "(AtZero at r = 0)" in rep.detail
@@ -260,8 +272,7 @@ def test_half_log_image_matches_digamma():
 
 
 def test_representation_agreement_report(verify_run):
-    reports, _ = verify_run
-    rep = next(r for r in reports if r.name == "series-integral-agreement")
+    rep = _report(verify_run, "series-integral-agreement")
     assert rep.passed
     assert rep.computed <= 1e-11
     assert f"first {DEFAULT_TRUNCATION} half-log coefficients" in rep.detail
