@@ -183,6 +183,19 @@ def test_curve_default_points_is_512(capsys, name):
     assert default == capsys.readouterr().out
 
 
+def test_curve_row_counts(capsys):
+    # a unit-radius curve drops the radii that saturate at the largest
+    # double below 1: 512 points give 450 rows
+    assert main(["curve", "bloch-A-objective"]) == 0
+    assert len(capsys.readouterr().out.splitlines()[4:]) == 450
+    # a half-line curve always keeps its 128-point log tail past x = 10
+    # (and at least 16 points on [0, 10])
+    assert main(["curve", "h1-sup-objective", "--points", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()[4:]) == 144
+    assert main(["curve", "h1-sup-objective"]) == 0
+    assert len(capsys.readouterr().out.splitlines()[4:]) == 512
+
+
 def test_curve_output_is_deterministic(capsys):
     assert main(["curve", "bloch-B-objective", "--points", "8"]) == 0
     first = capsys.readouterr().out

@@ -11,6 +11,12 @@ Tanh-sinh alone loses most digits for exponents near -1, so the reference
 splits [0, 1] at 1/2 and removes each endpoint power by the exact
 substitution x = u^(1/(1+a)) in 30-digit arithmetic, leaving mpmath smooth
 integrands.
+
+Hypergeometric oracles: the circle means I_c(r) = 2F1(s, s; 1; r^2) with
+s = (1 + c)/2, and the integral form of the operator on the Hardy extremal
+(1 - z)^-a, whose image is 2F1(1, 1; 2 - a; z)/(1 - a) (Euler's integral),
+against mpmath's hyp2f1 at 30 digits, independent of every integrator in
+the package.
 """
 
 import numpy as np
@@ -21,6 +27,9 @@ mpmath = pytest.importorskip("mpmath")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hilbertnorm.catalog import Kind, TestFunction  # noqa: E402
+from hilbertnorm.hilbertop import apply_integral  # noqa: E402
+from hilbertnorm.norms import i_c  # noqa: E402
 from hilbertnorm.quadrature import (  # noqa: E402
     QuadratureError,
     SingularitySpec,
@@ -29,6 +38,7 @@ from hilbertnorm.quadrature import (  # noqa: E402
     integrate_halfline,
     integrate_singular,
 )
+from hilbertnorm.verification import _BAND_CS, _BAND_RS  # noqa: E402
 
 TOL = 1e-10
 
@@ -134,3 +144,24 @@ def test_halfline_slow_decay_raises():
     assert partial is not None and partial.evaluations > 15
     assert partial.error_estimate > TOL
     assert abs(partial.value - 2.0) <= partial.error_estimate
+
+
+@pytest.mark.parametrize("c", _BAND_CS)
+def test_circle_mean_matches_hypergeometric(c):
+    for r in _BAND_RS + (1.0 - 1e-6,):
+        got = i_c(c, r, 1e-12)
+        with mpmath.workdps(30):
+            s = (1 + mpmath.mpf(c)) / 2
+            want = float(mpmath.hyp2f1(s, s, 1, mpmath.mpf(r) ** 2))
+        assert abs(got - want) <= 1e-11 * abs(want), (c, r)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99])
+def test_hardy_extremal_image_matches_hypergeometric(a):
+    fn = TestFunction(Kind.HARDY_ALPHA_EXTREMAL, a)
+    for z in (0.3 + 0.2j, 0.99 * np.exp(0.01j), 0.999999 * np.exp(1e-5j)):
+        got = apply_integral(fn, complex(z), 1e-12)
+        with mpmath.workdps(30):
+            am = mpmath.mpf(a)
+            want = complex(mpmath.hyp2f1(1, 1, 2 - am, mpmath.mpc(z)) / (1 - am))
+        assert abs(got - want) <= 1e-10 * abs(want), (a, z)

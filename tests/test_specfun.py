@@ -1,11 +1,13 @@
-"""Gamma/Beta wrappers, the reflection self-test, and the logarithmic weight."""
+"""Gamma/Beta wrappers, the dilogarithm, the reflection self-test, and the
+logarithmic weight."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from hilbertnorm.specfun import beta, gamma, log_weight, reflection_residual
+from hilbertnorm.specfun import beta, dilog, gamma, log_weight, reflection_residual
 
 # 30-digit reference values (independent high-precision evaluation, frozen)
 GAMMA_HALF = 1.77245385090551602729816748334
@@ -72,6 +74,22 @@ def test_reflection_residual_small_at_nonintegers():
     points = (0.1, 0.25, 1.0 / 3.0, 0.4, 0.45, 0.6, 2.0 / 3.0, 0.75, 1.3, 2.6)
     for z in points:
         assert reflection_residual(z) < 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.25, 0.5, math.nextafter(0.5, 1.0),
+                               0.75, 0.99, 1.0 - 1e-12])
+def test_dilog_matches_mpmath(x):
+    # both sides of the reflection switch at 1/2, and the deep end where
+    # log(x) log(1-x) -> 0
+    with mpmath.workdps(30):
+        want = float(mpmath.polylog(2, mpmath.mpf(x)))
+    assert dilog(x) == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("x", [-1e-3, 1.0, 2.0])
+def test_dilog_rejects_out_of_domain(x):
+    with pytest.raises(ValueError):
+        dilog(x)
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, -3.0])

@@ -19,6 +19,7 @@ from hilbertnorm.verification import (
     alpha_upper_bound,
     bloch_a_objective,
     bloch_b_objective,
+    compute_B,
     gamma_identities,
     h1_sup_objective,
     hinf_norm,
@@ -29,9 +30,22 @@ from hilbertnorm.verification import (
     representation_agreement,
     unboundedness_profile,
 )
-from hilbertnorm.verification import _half_log_image
+from hilbertnorm import verification
+from hilbertnorm.supsearch import unit_grid
+from hilbertnorm.verification import (
+    _half_log_average,
+    _half_log_average_closed,
+    _half_log_image,
+    _kernel_average,
+    _kernel_average_closed,
+)
 
 PI_HALF_MINUS_HALF = math.pi / 2.0 - 0.5
+
+# The 30-digit maximum of the closed-form B objective (the closed form
+# evaluated in mpmath and maximized there), at x* = -log(1 - r*).
+B_30_DIGITS = 1.20487555509884680
+B_X_STAR = 6.24644955993
 
 
 def _report(verify_run, name):
@@ -91,6 +105,60 @@ def test_bloch_b_objective_is_finite():
     val = bloch_b_objective(1e-9)(0.5)
     assert math.isfinite(val)
     assert val > 0.0
+
+
+def test_closed_averages_match_quadrature():
+    # every 8th radius of the search grid, r = 0 excluded (the closed forms
+    # take r > 0; the searches pass the limit there)
+    for r in unit_grid()[1][8::8]:
+        r = float(r)
+        assert abs(_kernel_average_closed(r)
+                   - _kernel_average(r, 1e-13)) <= 1e-12, r
+        assert abs(_half_log_average_closed(r)
+                   - _half_log_average(r, 1e-13)) <= 1e-12, r
+
+
+def _half_log_average_mp(r):
+    """The closed form of the half-log average at 30 digits."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+        a, c = 1 - r, 1 + r
+        la = mpmath.log(a)
+        big_i = (-(mpmath.log(c) - mpmath.log(r)) * la - la * la / 2
+                 + mpmath.polylog(2, a / c) - mpmath.polylog(2, 1 / c))
+        t1 = ((2 * mpmath.log(2) - a * la) / c - 1) / r - (a / r ** 2) * big_i
+        t2 = -la * (1 / r + a * la / r ** 2)
+        t3 = 1 / r - a * mpmath.polylog(2, r) / r ** 2
+        return float(t1 + t2 + t3)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.998063, 1.0 - 1e-7])
+def test_half_log_average_closed_matches_mpmath(r):
+    # the float terms cancel like 1/r^2, so small r keeps fewer digits
+    assert abs(_half_log_average_closed(r) - _half_log_average_mp(r)) <= 1e-13
+
+
+def test_kernel_average_closed_branches_meet():
+    # the series below 1/2 and the logarithmic form above agree at the switch
+    r = 0.5
+    assert _kernel_average_closed(r) == pytest.approx(
+        1.0 / r + ((1.0 - r) / (r * r)) * math.log1p(-r), rel=1e-15)
+    assert _kernel_average_closed(r) == pytest.approx(
+        2.0 - 2.0 * math.log(2.0), rel=1e-15)
+    assert _kernel_average_closed(1e-9) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_compute_b_fails_when_closed_form_drifts(monkeypatch):
+    # the quadrature cross-check is part of the verdict: a closed form off by
+    # 1e-6 moves B by far less than its interval but must fail the check
+    closed = verification._half_log_average_closed
+    monkeypatch.setattr(verification, "_half_log_average_closed",
+                        lambda r: closed(r) + 1e-6)
+    rep = compute_B(1e-8)
+    assert not rep.passed
+    diff = float(re.search(r"off the closed form by at most (\S+)",
+                           rep.detail).group(1))
+    assert diff == pytest.approx(1e-6, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +287,17 @@ def test_compute_a_report(verify_run):
 def test_compute_b_report(verify_run):
     rep = _report(verify_run, "bloch-B-constant")
     assert rep.passed
-    assert rep.computed == pytest.approx(1.2048755513373923, abs=1e-10)
+    assert abs(rep.computed - B_30_DIGITS) <= 1e-8
+    # The golden section stops once its two interior values agree, so B sits
+    # up to a tol-sized shortfall below the peak.  The peak is flat in x (the
+    # objective's second derivative there is about -2.07e-3), so a value
+    # short by d leaves x* up to sqrt(2 d / 2.07e-3) away: 4.4e-3 for
+    # d = 2e-8, the shortfall of sup/2 allowed by the 1e-8 pin above.
+    x_star = float(re.search(r"x\* = (\S+)", rep.detail).group(1))
+    assert abs(x_star - B_X_STAR) <= 4.4e-3
+    diff = float(re.search(r"off the closed form by at most (\S+)",
+                           rep.detail).group(1))
+    assert diff <= 1e-8
     assert math.log(2.0) < rep.computed < 2.0 * math.log(2.0)
     assert rep.computed < 1.5
 
