@@ -550,11 +550,20 @@ def h1_upper_bound_internals(tol, seed=1729):
     inequality sum |a_n|/(n+1) <= pi ||f|| on seeded random polynomials, and
     that the bound's profile function has supremum exactly 1, attained as
     x -> 0, so the assembled bound is 2 pi * 1."""
-    ns = np.arange(1.0, 1_000_001.0)
+    n_terms = 1_000_000
+    # 1/(m(m+1)) for m = 1 .. n_terms + 50, built in place block by block so
+    # that no full-size temporary exists; each partial sum is one slice
+    terms = np.empty(n_terms + 50)
+    block = 1 << 16
+    for lo in range(0, terms.size, block):
+        out = terms[lo:lo + block]
+        m = np.arange(lo + 1.0, lo + out.size + 1.0)
+        np.multiply(m, m + 1.0, out=out)
+        np.divide(1.0, out, out=out)
     worst_tel = 0.0
     for k in range(51):
-        partial = float(np.sum(1.0 / ((ns + k) * (ns + k + 1.0))))
-        total = partial + 1.0 / (1.0e6 + k + 1.0)
+        partial = float(np.sum(terms[k:k + n_terms]))
+        total = partial + 1.0 / (n_terms + k + 1.0)
         worst_tel = max(worst_tel, abs(total - 1.0 / (k + 1.0)))
     telescope_ok = worst_tel <= 1e-9
 
@@ -592,56 +601,85 @@ def h1_upper_bound_internals(tol, seed=1729):
         "h1-upper-internals", computed, H1_LOG_UPPER, tol, passed, detail)
 
 
+_H1_T_TOL = 1e-9
+
+
+def _h1_profile_integral(alpha, z):
+    """K(z) = int_0^1 ((1-z) + z t)^(alpha-1) (1-t)^(-alpha) dt at each point
+    of the 1-d array z in the unit disk, as one integrate_family result.
+
+    At t = 0 the factor d^(alpha-1), d = (1-z) + z t, is singular only in
+    the limit |1-z| -> 0: for |z| < 1 it is a near singularity at distance
+    about |1-z|.  It is declared with the majorant exponent
+    min(alpha-1, -1/2), whose substitution leaves s^1 on an integrand that
+    is regular at t = 0 and a positive power of s as |1-z| -> 0.  The
+    exponent alpha-1 itself would leave s^((1-alpha)/alpha), which the
+    panels bisect toward s = 0 when alpha is near 1."""
+    omz = 1.0 - z
+
+    def profile(t):
+        d = omz[:, None] + np.outer(z, t)
+        # log|d| + i arg(d) is the principal log (Re d > 0) at a third of
+        # the cost of the complex log ufunc
+        log_d = np.log(np.abs(d)) + 1j * np.angle(d)
+        return np.exp((alpha - 1.0) * log_d - alpha * np.log1p(-t))
+
+    return integrate_family(
+        profile, 0.0, 1.0, SingularitySpec(min(alpha - 1.0, -0.5), -alpha),
+        _H1_T_TOL)
+
+
+def _h1_numerator_mean(alpha, r):
+    """Circle mean (1/pi) int_0^pi |Hf(r e^(i theta))| dtheta of the image
+    of the Hardy extremal (1-z)^(-alpha), 0 < r < 1, with the integrand
+    values it spent: (mean, values).
+
+    It is computed through the factorization |Hf(z)| = |1-z|^(-alpha) |K(z)|
+    (_h1_profile_integral), so the boundary spike is integrated by the
+    declared-exponent transform rather than resolved pointwise.  Both
+    integrals run on integrate_family: each level of the angular integral
+    is one call, integrating K at all its new angles on one shared mesh."""
+    omr = 1.0 - r
+    spent = 0
+
+    def theta_integrand(thetas):
+        nonlocal spent
+        k = _h1_profile_integral(alpha, r * np.exp(1j * thetas))
+        spent += k.evaluations
+        q2 = omr * omr + 4.0 * r * np.sin(0.5 * thetas) ** 2
+        return q2 ** (-0.5 * alpha) * np.abs(k.value)
+
+    res = integrate_family(
+        theta_integrand, 0.0, math.pi,
+        SingularitySpec(-alpha, None), 1e-7)
+    return float(res.value) / math.pi, spent + res.evaluations
+
+
 def h1_lower_bound(alpha, tol):
     """Hardy-space ratio witness against its closed-form floor
     Gamma((2-alpha)/2)^2 / Gamma(2-alpha), for alpha in (0, 1).
 
     The numerator is the supremum over radii of the circle mean of |Hf| for
-    the boundary-singular extremal, divided by the log weight.  The mean is
-    computed through the factorization |Hf(z)| = |1-z|^(-alpha) |K(z)| with
-    K a smooth profile integral, so the boundary spike is integrated by the
-    declared-exponent transform rather than resolved pointwise.  Both
-    integrals run on integrate_family: each level of the angular integral
-    is one call, integrating K at all its new angles on one shared mesh.
-    The denominator is the Hardy norm of the extremal itself.  As alpha -> 1
-    the floor approaches pi, which is asserted at alpha = 0.99.  The detail
-    counts the numerator search's objective calls and integrand values."""
+    the boundary-singular extremal (_h1_numerator_mean), divided by the log
+    weight; its profile integral declares the near-singular end t = 0 with
+    the majorant exponent min(alpha-1, -1/2) (_h1_profile_integral).  The
+    denominator is the Hardy norm of the extremal itself.  As
+    alpha -> 1 the floor approaches pi, which is asserted at alpha = 0.99.
+    The detail counts the numerator search's objective calls and integrand
+    values."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("floor comparison requires alpha in (0, 1)")
     floor = gamma((2.0 - alpha) / 2.0) ** 2 / gamma(2.0 - alpha)
     fn = TestFunction(Kind.HARDY_ALPHA_EXTREMAL, alpha)
-    t_tol = 1e-9
-    theta_tol = 1e-7
     spent = {"objective": 0, "values": 0}
 
     def objective(r):
         spent["objective"] += 1
         if r == 0.0:
-            return abs(apply_integral(fn, 0.0, t_tol)) / _w(r)
-        omr = 1.0 - r
-
-        def theta_integrand(thetas):
-            z = r * np.exp(1j * thetas)
-            omz = 1.0 - z
-
-            def profile(t):
-                d = omz[:, None] + np.outer(z, t)
-                # log|d| + i arg(d) is the principal log (Re d > 0) at a
-                # third of the cost of the complex log ufunc
-                log_d = np.log(np.abs(d)) + 1j * np.angle(d)
-                return np.exp((alpha - 1.0) * log_d - alpha * np.log1p(-t))
-
-            k = integrate_family(
-                profile, 0.0, 1.0, SingularitySpec(alpha - 1.0, -alpha), t_tol)
-            spent["values"] += k.evaluations
-            q2 = omr * omr + 4.0 * r * np.sin(0.5 * thetas) ** 2
-            return q2 ** (-0.5 * alpha) * np.abs(k.value)
-
-        res = integrate_family(
-            theta_integrand, 0.0, math.pi,
-            SingularitySpec(-alpha, None), theta_tol)
-        spent["values"] += res.evaluations
-        return float(res.value) / math.pi / _w(r)
+            return abs(apply_integral(fn, 0.0, _H1_T_TOL)) / _w(r)
+        mean, values = _h1_numerator_mean(alpha, r)
+        spent["values"] += values
+        return mean / _w(r)
 
     sup = supremum_unit(objective, max(tol, 1e-6), n_grid=64, x_max=25.0)
     numerator = sup.value

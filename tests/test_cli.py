@@ -3,10 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hilbertnorm
 import hilbertnorm.cli as cli
 from hilbertnorm.cli import (
     CURVES,
@@ -80,6 +85,19 @@ def test_list_command(capsys):
         assert f"  {name}\n" in out
     for name in TABLES:
         assert f"  {name}\n" in out
+
+
+def test_module_entry_point_lists_like_main(capsys):
+    # python -m hilbertnorm runs __main__.py, which nothing else imports;
+    # the package directory's parent goes on the path, installed or not
+    env = dict(os.environ)
+    src = str(Path(hilbertnorm.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hilbertnorm", "list"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["list"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_unknown_curve_exits_2(capsys):

@@ -16,8 +16,13 @@ Hypergeometric oracles: the circle means I_c(r) = 2F1(s, s; 1; r^2) with
 s = (1 + c)/2, and the integral form of the operator on the Hardy extremal
 (1 - z)^-a, whose image is 2F1(1, 1; 2 - a; z)/(1 - a) (Euler's integral),
 against mpmath's hyp2f1 at 30 digits, independent of every integrator in
-the package.
+the package.  The h1 numerator is held to the same image: its profile
+integral K(z) = 2F1(1 - a, 1 - a; 2 - a; z)/(1 - a) up to |1 - z| = 1e-11,
+and its circle mean M_1(r, Hf) against mpmath.quad of |hyp2f1| over the
+angle, split at (1 - r) 10^k so the spike at theta = 0 is resolved.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +43,12 @@ from hilbertnorm.quadrature import (  # noqa: E402
     integrate_halfline,
     integrate_singular,
 )
-from hilbertnorm.verification import _BAND_CS, _BAND_RS  # noqa: E402
+from hilbertnorm.verification import (  # noqa: E402
+    _BAND_CS,
+    _BAND_RS,
+    _h1_numerator_mean,
+    _h1_profile_integral,
+)
 
 TOL = 1e-10
 
@@ -165,3 +175,37 @@ def test_hardy_extremal_image_matches_hypergeometric(a):
             am = mpmath.mpf(a)
             want = complex(mpmath.hyp2f1(1, 1, 2 - am, mpmath.mpc(z)) / (1 - am))
         assert abs(got - want) <= 1e-10 * abs(want), (a, z)
+
+
+def test_h1_profile_integral_matches_hypergeometric():
+    # |1 - z| from 1e-11 to 1 on three rays out of z = 1, inside the disk,
+    # one point per call: a family of one refines its mesh for that point only
+    a = 0.99
+    am = mpmath.mpf(a)
+    for d in 10.0 ** np.arange(-11, 1):
+        for phi in (0.0, 1.0, 1.5):
+            z = 1.0 - d * np.exp(1j * phi)
+            if abs(z) >= 1.0:
+                continue
+            got = _h1_profile_integral(a, np.array([z])).value[0]
+            with mpmath.workdps(30):
+                want = complex(mpmath.hyp2f1(1 - am, 1 - am, 2 - am, mpmath.mpc(z))
+                               / (1 - am))
+            assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99])
+def test_h1_numerator_mean_matches_hypergeometric(a):
+    for r in (0.3, 0.99, 1.0 - 1e-6):
+        got, values = _h1_numerator_mean(a, r)
+        assert values > 0
+        # 15 digits keep each reference under a second and still resolve
+        # 1e-10; the breakpoints put the spike of width 1 - r in its own piece
+        with mpmath.workdps(15):
+            am, rm = mpmath.mpf(a), mpmath.mpf(r)
+            breaks = [(1 - rm) * 10 ** k for k in range(20)
+                      if (1.0 - r) * 10.0 ** k < math.pi]
+            want = float(mpmath.quad(
+                lambda th: abs(mpmath.hyp2f1(1, 1, 2 - am, rm * mpmath.expj(th))),
+                [0] + breaks + [mpmath.pi]) / ((1 - am) * mpmath.pi))
+        assert abs(got - want) <= 1e-10 * want, (a, r)

@@ -327,6 +327,18 @@ def test_h1_lower_bound_report(verify_run):
     assert int(counts.group(2)) > 0
 
 
+def test_h1_lower_bound_099_values_budget(verify_run):
+    # the ratio is not pinned: the denominator's swept H^1 norm is low at
+    # alpha = 0.99 (ROADMAP item 1).  The numerator's profile integral
+    # declares its near-singular t = 0 end as a -1/2 majorant; declared as
+    # alpha - 1 = -0.01 it spent 20,152,890 values, against 7,191,090.
+    rep = _report(verify_run, "h1-lower-bound-0.99")
+    assert rep.passed
+    assert "(AtZero at r = 0)" in rep.detail
+    values = re.search(r"(\d+) circle-mean integrand values", rep.detail)
+    assert 0 < int(values.group(1)) <= 10_000_000
+
+
 def test_gamma_identities_report():
     rep = gamma_identities(1e-8)
     assert rep.passed
