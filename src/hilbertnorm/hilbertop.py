@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import Kind, TestFunction, CoefficientSeries, eval as cat_eval, \
     _expm1_complex
-from .quadrature import SingularitySpec, integrate_singular
+from .quadrature import SingularitySpec, integrate_family, integrate_singular
 
 __all__ = [
     "apply_matrix",
@@ -126,8 +126,17 @@ def derivative_at_pathshifted(fn, z, tol):
     both of which lie in the right half-plane for |z| < 1; their logarithms
     therefore combine without branch jumps, and the t -> 1 singularity enters
     only through the explicit (1-t) factor that the singular quadrature
-    transform neutralizes exactly."""
-    z = _require_point(z)
+    transform neutralizes exactly.
+
+    z may also be a 1-d array: every point is integrated in one
+    integrate_family call on a shared mesh, and a scalar z is the one-point
+    family. The mesh declares t = 0 by the majorant -1/2: d_t(z) is
+    near-singular there at distance |1-z|, which the level engine does not
+    resolve undeclared (t/d_t(z) is bounded)."""
+    points = np.asarray(z, dtype=complex)
+    if points.ndim > 1 or not np.all(np.abs(points) < 1.0):
+        raise ValueError("evaluation points must satisfy |z| < 1")
+    z = points.reshape(-1)[:, None]
     omz = 1.0 - z
     kind = fn.kind
     al = fn.param
@@ -136,15 +145,16 @@ def derivative_at_pathshifted(fn, z, tol):
         d = omz + t * z
         base = t / (d * omz)
         if kind is Kind.CONSTANT:
-            return base + 0.0j
+            return base
         w1 = (1.0 - t) * omz / d
         if kind is Kind.HARDY_ALPHA_EXTREMAL:
-            return base * np.exp(-al * np.log(w1.astype(complex)))
+            return base * np.exp(-al * np.log(w1))
         w2 = (omz + t * (1.0 + z)) / d
         if kind is Kind.HALF_LOG:
-            return base * 0.5 * (np.log(w2.astype(complex)) - np.log(w1.astype(complex)))
-        w = (1.0 - al) * (np.log(w1.astype(complex)) + np.log(w2.astype(complex)))
+            return base * 0.5 * (np.log(w2) - np.log(w1))
+        w = (1.0 - al) * (np.log(w1) + np.log(w2))
         return base * _expm1_complex(w) / (2.0 * (al - 1.0))
 
-    return complex(
-        integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
+    spec = SingularitySpec(-0.5, _endpoint_spec(fn).right_exponent)
+    value = integrate_family(integrand, 0.0, 1.0, spec, tol).value
+    return value if points.ndim else complex(value[0])

@@ -218,13 +218,15 @@ def alpha_bound_values(alpha):
 def _image_log_bloch(fn, alpha, tol, inner_tol):
     """The log-weighted alpha-Bloch norm of Hf along the radius, |Hf(0)| +
     sup_r (1-r^2)^alpha |(Hf)'(r)| / weight(r) through the shifted-path
-    derivative, and the search result for the supremum."""
+    derivative, and the search result for the supremum; the 256-radius grid
+    is one call of the derivative's array route."""
     def objective(r):
         return (_om2(r) ** alpha
-                * abs(derivative_at_pathshifted(fn, r, inner_tol)) / _w(r))
+                * np.abs(derivative_at_pathshifted(fn, r, inner_tol))
+                / log_weight(r))
 
     h0 = abs(apply_integral(fn, 0.0, inner_tol))
-    sup = supremum_unit(objective, tol, n_grid=256)
+    sup = supremum_unit(objective, tol, n_grid=256, vectorized=True)
     return h0 + sup.value, sup
 
 

@@ -15,7 +15,8 @@ from hilbertnorm.hilbertop import (
     derivative_at,
     derivative_at_pathshifted,
 )
-from hilbertnorm.verification import _half_log_image
+from hilbertnorm.supsearch import unit_grid
+from hilbertnorm.verification import _half_log_average_closed, _half_log_image
 
 LOG2 = 0.6931471805599453
 
@@ -165,7 +166,47 @@ def test_derivative_of_constant_at_origin():
 def test_pathshifted_derivative_agrees_with_direct(fn, z):
     direct = derivative_at(fn, z, 1e-9)
     shifted = derivative_at_pathshifted(fn, z, 1e-9)
+    assert isinstance(shifted, complex)
     assert abs(direct - shifted) <= 1e-7 * max(1.0, abs(direct))
+
+
+# ---------------------------------------------------------------------------
+# path-shifted derivative on an array of points (one shared-mesh call)
+
+
+def _grid_radii():
+    _, rs = unit_grid(256)
+    return rs[rs > 0.0]
+
+
+def test_pathshifted_array_constant_matches_closed_form():
+    # H1(z) = -log(1-z)/z, so (H1)'(r) = 1/(r(1-r)) + log(1-r)/r^2
+    r = _grid_radii()
+    got = derivative_at_pathshifted(TestFunction(Kind.CONSTANT), r, 1e-10)
+    exact = 1.0 / (r * (1.0 - r)) + np.log1p(-r) / (r * r)
+    assert got.shape == r.shape
+    assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact))
+
+
+def test_pathshifted_array_half_log_matches_closed_form():
+    r = _grid_radii()
+    got = derivative_at_pathshifted(TestFunction(Kind.HALF_LOG), r, 1e-10)
+    exact = np.array([_half_log_average_closed(float(x)) / (2.0 * (1.0 - x))
+                      for x in r])
+    assert np.all(got.imag == 0.0)
+    assert np.all(np.abs(got.real - exact) <= 1e-12 * np.abs(exact))
+
+
+@pytest.mark.parametrize("fn", [
+    TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5),
+    TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.5),
+], ids=["bloch-1.5", "hardy-0.5"])
+def test_pathshifted_array_agrees_with_scalar_direct(fn):
+    z = np.array([0.3, -0.45, 0.2 + 0.6j, -0.5 - 0.3j, 0.85])
+    got = derivative_at_pathshifted(fn, z, 1e-9)
+    for zi, value in zip(z, got):
+        direct = derivative_at(fn, zi, 1e-9)
+        assert abs(direct - value) <= 1e-7 * max(1.0, abs(direct))
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5])
@@ -177,6 +218,8 @@ def test_operator_rejects_divergent_integrand(alpha):
         derivative_at(fn, 0.3, 1e-9)
     with pytest.raises(ValueError):
         derivative_at_pathshifted(fn, 0.3, 1e-9)
+    with pytest.raises(ValueError):
+        derivative_at_pathshifted(fn, np.array([0.3]), 1e-9)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.0, 1.0 + 0.0j, 0.8 + 0.6001j, 2.0])
@@ -188,3 +231,6 @@ def test_operator_rejects_points_outside_disk(z):
         derivative_at(fn, z, 1e-9)
     with pytest.raises(ValueError):
         derivative_at_pathshifted(fn, z, 1e-9)
+    # one point outside the disk rejects the whole array
+    with pytest.raises(ValueError):
+        derivative_at_pathshifted(fn, np.array([0.3, z, 0.5]), 1e-9)

@@ -30,7 +30,7 @@ from hilbertnorm.verification import (
     representation_agreement,
     unboundedness_profile,
 )
-from hilbertnorm import verification
+from hilbertnorm import hilbertop, verification
 from hilbertnorm.supsearch import unit_grid
 from hilbertnorm.verification import (
     _half_log_average,
@@ -306,6 +306,26 @@ def test_norm_bloch_to_blochlog_report():
     rep = norm_bloch_to_blochlog(1e-8)
     assert rep.passed
     assert rep.computed == pytest.approx(1.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: norm_bloch_to_blochlog(1e-8),
+    lambda: alpha_lower_bound(1.5, 1e-8),
+], ids=["bloch-to-blochlog-norm", "alpha-lower-bound-1.5"])
+def test_log_bloch_witness_is_one_family_sweep(monkeypatch, check):
+    # the witness grid goes through the derivative's array route; only the
+    # scalar |Hf(0)| and derivative_at calls stay on integrate_singular (a
+    # sweep of scalar calls made about 500 and 270)
+    calls = []
+    real = hilbertop.integrate_singular
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hilbertop, "integrate_singular", counted)
+    assert check().passed
+    assert len(calls) <= 10
 
 
 def test_hinf_norm_report():
