@@ -193,21 +193,27 @@ def _alpha_points(config, points):
     return tuple(lo + i * step for i in range(points))
 
 
+def _each_point(objective):
+    """The grid map of an objective of one abscissa."""
+    return lambda xs: [objective(x) for x in xs.tolist()]
+
+
 # name -> (columns, grid(config, points), objective factory(config)); the
-# objective maps an abscissa to the remaining columns of its row.
+# objective maps the grid, an ndarray of abscissae, to the remaining columns
+# of each row (the growth-space objectives in one integration).
 CURVES = {
     "bloch-A-objective": (("r", "value"), _unit_radii, lambda config:
                           bloch_a_objective(inner_tolerance(config.tolerance))),
     "bloch-B-objective": (("r", "value"), _unit_radii, lambda config:
                           bloch_b_objective(inner_tolerance(config.tolerance))),
     "h1-sup-objective": (("x", "value"), _halfline_points,
-                         lambda config: h1_sup_objective),
+                         lambda config: _each_point(h1_sup_objective)),
     "hinf-sup-objective": (("x", "value"), _halfline_points,
-                           lambda config: hinf_sup_objective),
+                           lambda config: _each_point(hinf_sup_objective)),
     "hinf-objective": (("r", "value"), _unit_radii,
-                       lambda config: hinf_objective),
+                       lambda config: _each_point(hinf_objective)),
     "alpha-bounds": (("alpha", "lower", "upper"), _alpha_points,
-                     lambda config: alpha_bound_values),
+                     lambda config: _each_point(alpha_bound_values)),
 }
 
 
@@ -291,9 +297,9 @@ def cmd_curve(name, config, points=None, out=None):
     """Emit one registered curve.  Returns the exit code."""
     out = sys.stdout if out is None else out
     columns, grid, factory = CURVES[name]
-    objective = factory(config)
-    rows = [(float(x), *np.atleast_1d(objective(float(x))).tolist())
-            for x in grid(config, points)]
+    xs = np.asarray(grid(config, points), dtype=float)
+    rows = [(x, *np.atleast_1d(v).tolist())
+            for x, v in zip(xs.tolist(), factory(config)(xs))]
     _emit(name, columns, rows, config, out)
     return 0
 

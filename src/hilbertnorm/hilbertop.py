@@ -81,36 +81,38 @@ def _endpoint_spec(fn):
     return SingularitySpec()
 
 
-def _require_point(z):
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise ValueError("evaluation point must satisfy |z| < 1")
-    return z
+def _require_points(z):
+    points = np.asarray(z, dtype=complex)
+    if points.ndim > 1 or not np.all(np.abs(points) < 1.0):
+        raise ValueError("evaluation points must satisfy |z| < 1")
+    return points
+
+
+def _operator_integral(fn, z, tol, kernel):
+    """int_0^1 kernel(t, 1 - tz) dt at one point z or a 1-d array of them:
+    every point is one member of a lockstep integration, with the value of
+    its own scalar call, and a scalar z is the one-point case."""
+    points = _require_points(z)
+    zk = points.reshape(-1, 1)
+    omz = 1.0 - zk
+    n = points.size
+    value = integrate_singular(
+        lambda k, t: kernel(t, omz[k] + zk[k] * (1.0 - t)),
+        np.zeros(n), np.ones(n), _endpoint_spec(fn), tol).value
+    return value if points.ndim else complex(value[0])
 
 
 def apply_integral(fn, z, tol):
-    """Hf(z) = int_0^1 f(t)/(1-tz) dt for a catalog function."""
-    z = _require_point(z)
-    omz = 1.0 - z
-
-    def integrand(t):
-        return cat_eval(fn, t) / (omz + z * (1.0 - t))
-
-    return complex(
-        integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
+    """Hf(z) = int_0^1 f(t)/(1-tz) dt for a catalog function, at a point z
+    or a 1-d array of points."""
+    return _operator_integral(fn, z, tol, lambda t, d: cat_eval(fn, t) / d)
 
 
 def derivative_at(fn, z, tol):
-    """(Hf)'(z) = int_0^1 t f(t)/(1-tz)^2 dt for a catalog function."""
-    z = _require_point(z)
-    omz = 1.0 - z
-
-    def integrand(t):
-        d = omz + z * (1.0 - t)
-        return t * cat_eval(fn, t) / (d * d)
-
-    return complex(
-        integrate_singular(integrand, 0.0, 1.0, _endpoint_spec(fn), tol).value)
+    """(Hf)'(z) = int_0^1 t f(t)/(1-tz)^2 dt for a catalog function, at a
+    point z or a 1-d array of points."""
+    return _operator_integral(
+        fn, z, tol, lambda t, d: t * cat_eval(fn, t) / (d * d))
 
 
 def derivative_at_pathshifted(fn, z, tol):
@@ -133,9 +135,7 @@ def derivative_at_pathshifted(fn, z, tol):
     family. The mesh declares t = 0 by the majorant -1/2: d_t(z) is
     near-singular there at distance |1-z|, which the level engine does not
     resolve undeclared (t/d_t(z) is bounded)."""
-    points = np.asarray(z, dtype=complex)
-    if points.ndim > 1 or not np.all(np.abs(points) < 1.0):
-        raise ValueError("evaluation points must satisfy |z| < 1")
+    points = _require_points(z)
     z = points.reshape(-1)[:, None]
     omz = 1.0 - z
     kind = fn.kind

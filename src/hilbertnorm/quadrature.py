@@ -8,13 +8,17 @@ they receive an ndarray of abscissae and must return an ndarray of values
 (real or complex) of the same shape.
 
 Two engines refine the panels. The heap engine (integrate and the functions
-built on it) splits the worst panel of a scalar integrand, one panel per
-call. The level-by-level engine (integrate_family) integrates a family, an
-integrand returning shape (..., m) for m abscissae, on one shared mesh: each
-level splits every panel over its share of the error budget and evaluates
-all of them in one call, so the per-call cost is spread over many panels and
-members. The heap engine stays for scalars: the curves and tables print its
-results to 17 digits, and another mesh would change their last digits.
+built on it) refines each integral by splitting its worst panel, QUADPACK's
+qag strategy. It refines many independent members in lockstep: each round
+splits the worst panel of every member still above its budget and evaluates
+all their halves in one integrand call, while each member keeps its own
+heap and stop test. A scalar integral is the one-member case, and each
+member's mesh and value are those of its one-member call, bit for bit. The
+level-by-level engine (integrate_family) integrates a family, an integrand
+returning shape (..., m) for m abscissae, on one shared mesh: each level
+splits every panel over its share of the error budget. The two stay
+separate because the curves and tables print the heap engine's results to
+17 digits, and the shared mesh would change their last digits.
 """
 
 import heapq
@@ -73,8 +77,12 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _WKG = np.stack([_WGK, _WG], axis=1)
+# the two rules as weights of shape (2, 1, 15), for rows of panels
+_WKG_ROWS = np.stack([_WGK, _WG])[:, None, :]
 
 _DEFAULT_PANEL_CAP = 1 << 16
+# Below this resabs the 50*eps*resabs error floor would underflow.
+_RESABS_FLOOR = np.finfo(float).tiny / (50.0 * _EPS)
 # Largest trapezoid rule of a finite-p circle mean before the angular
 # fallback, and the angular grid of a circle maximum.
 _TRAPEZOID_MAX_POINTS = 1 << 14
@@ -114,29 +122,123 @@ class QuadratureError(Exception):
         self.result = result
 
 
-def _panel(f, a, b):
-    """One GK15 panel. Returns (value_K15, error, nevals) with the QUADPACK
-    error sharpening: err = resasc * min(1, (200*|K-G|/resasc)^1.5), floored
-    at 50*eps*resabs."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XGK
-    y = np.asarray(f(x))
+def _rule(f, members, lo, hi):
+    """GK15 on every panel [lo[j], hi[j]] of member members[j] in one call
+    of f: lists of the K15 values and of the error estimates, sharpened as
+    QUADPACK does (err = resasc * min(1, (200*|K-G|/resasc)^1.5), floored at
+    50*eps*resabs), and the index of the first panel where f is not finite
+    (None if none). Rows are summed along the row and sharpened in scalar
+    arithmetic, so each panel gets the bits of a call on it alone; a BLAS
+    product sums in another order, and an array power rounds differently."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+    y = np.asarray(f(members, x))
     if y.shape != x.shape:
         raise QuadratureError(
             f"integrand returned shape {y.shape} for input shape {x.shape}")
-    if not np.all(np.isfinite(y)):
-        raise QuadratureError(f"integrand not finite on panel [{a:g}, {b:g}]")
-    k15 = half * np.sum(_WGK * y)
-    g7 = half * np.sum(_WG * y)
-    resabs = half * np.sum(_WGK * np.abs(y))
-    resasc = half * np.sum(_WGK * np.abs(y - k15 / (b - a)))
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return k15, err, 15
+    # the Kronrod weights are positive, so resabs is finite iff its row is
+    resabs = half * np.add.reduce(_WGK * np.abs(y), axis=1)
+    finite = np.isfinite(resabs)
+    if not finite.all():
+        return None, None, int(np.argmin(finite))
+    k15, g7 = half * np.add.reduce(_WKG_ROWS * y, axis=-1)
+    resasc = half * np.add.reduce(_WGK * np.abs(y - (k15 / (hi - lo))[:, None]), axis=1)
+    errors = []
+    for diff, asc, sabs in zip((k15 - g7).tolist(), resasc.tolist(), resabs.tolist()):
+        err = abs(diff)
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        if sabs > _RESABS_FLOOR:
+            err = max(50.0 * _EPS * sabs, err)
+        errors.append(err)
+    return k15.tolist(), errors, None
+
+
+def _collect(heap):
+    """Value and error of one member, its panels summed in left-endpoint
+    order."""
+    panels = sorted(heap, key=lambda p: p[2])
+    values = np.array([p[4] for p in panels])
+    value = complex(np.sum(values)) if np.iscomplexobj(values) else float(np.sum(values))
+    return value, float(np.sum([p[5] for p in panels]))
+
+
+def _heap(f, a, b, tol, panel_cap):
+    """The heap engine on the members [a[k], b[k]] (1-d arrays), as
+    integrate describes. Each round splits the worst panel of every member
+    still above its budget and evaluates all the halves in one call of f;
+    each member keeps its own heap, seq counter, totals, freeze of panels at
+    float resolution and stop test. The first member past panel_cap panels,
+    or whose refined panel turns non-finite, raises QuadratureError carrying
+    that member's partial QuadResult."""
+    n = a.size
+    name = (lambda k: "") if n == 1 else (lambda k: f"member {k}: ")
+    values, errors, bad = _rule(f, np.arange(n), a, b)
+    if bad is not None:
+        raise QuadratureError(
+            f"{name(bad)}integrand not finite on panel [{a[bad]:g}, {b[bad]:g}]")
+    # per member, a heap of (-error, seq, a, b, value, error); seq breaks
+    # ties reproducibly
+    heaps = [[(-e, 0, lo, hi, v, e)]
+             for lo, hi, v, e in zip(a.tolist(), b.tolist(), values, errors)]
+    seqs = [0] * n
+    evaluations = [15] * n
+    results = [None] * n
+    live = range(n)
+    while live:
+        for k in live:
+            if errors[k] <= tol * max(1.0, abs(values[k])):
+                # converged: sum the member's panels and release them
+                results[k], heaps[k] = _collect(heaps[k]), None
+        live = [k for k in live if heaps[k] is not None]
+        split = []
+        for k in live:
+            heap = heaps[k]
+            if len(heap) >= panel_cap:
+                raise QuadratureError(
+                    f"{name(k)}no convergence after {len(heap)} panels (error "
+                    f"{errors[k]:.3e}, needed {tol * max(1.0, abs(values[k])):.3e})",
+                    QuadResult(*_collect(heap), evaluations[k]))
+            panel = heapq.heappop(heap)
+            pm = 0.5 * (panel[2] + panel[3])
+            if panel[2] < pm < panel[3]:
+                split.append((k, panel, pm))
+            else:
+                # panel at float resolution; keep it and stop refining this spot
+                seqs[k] += 1
+                heapq.heappush(heap, (0.0, seqs[k]) + panel[2:])
+                errors[k] -= panel[5]
+        if not split:
+            continue
+        ends = np.array([(p[2], pm, p[3]) for _, p, pm in split])
+        lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
+        vals, errs, bad = _rule(f, np.repeat([k for k, _, _ in split], 2), lo, hi)
+        if bad is not None:
+            k, panel, _ = split[bad // 2]
+            raise QuadratureError(
+                f"{name(k)}integrand not finite on panel [{lo[bad]:g}, {hi[bad]:g}]",
+                QuadResult(*_collect(heaps[k] + [panel]), evaluations[k]))
+        for j, (k, panel, pm) in enumerate(split):
+            v1, v2, e1, e2 = vals[2 * j], vals[2 * j + 1], errs[2 * j], errs[2 * j + 1]
+            heap = heaps[k]
+            heapq.heappush(heap, (-e1, seqs[k] + 1, panel[2], pm, v1, e1))
+            heapq.heappush(heap, (-e2, seqs[k] + 2, pm, panel[3], v2, e2))
+            seqs[k] += 2
+            evaluations[k] += 30
+            values[k] += (v1 + v2) - panel[4]
+            errors[k] += (e1 + e2) - panel[5]
+    value, error = zip(*results)
+    return QuadResult(np.array(value), np.array(error), sum(evaluations))
+
+
+def _pointwise(f):
+    """The members form of an integrand f of flat abscissae; values of
+    another shape pass through for _rule to report."""
+    def g(_, x):
+        y = np.asarray(f(x.ravel()))
+        return y.reshape(x.shape) if y.shape == (x.size,) else y
+
+    return g
 
 
 def integrate(f, a, b, tol, panel_cap=_DEFAULT_PANEL_CAP):
@@ -144,66 +246,16 @@ def integrate(f, a, b, tol, panel_cap=_DEFAULT_PANEL_CAP):
     estimate drops below tol * max(1, |value|). Worst panel first;
     deterministic for fixed inputs. Raises QuadratureError, carrying the best
     result, if the panel cap is exceeded or a refined panel turns
-    non-finite."""
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError("integrate requires a < b")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    non-finite.
 
-    value, err, n = _panel(f, a, b)
-    evaluations = n
-    # heap of (-error, seq, a, b, value, error); seq breaks ties reproducibly
-    seq = 0
-    heap = [(-err, seq, a, b, value, err)]
-    total_value = value
-    total_err = err
-
-    while total_err > tol * max(1.0, abs(total_value)):
-        if len(heap) >= panel_cap:
-            result = _collect(heap, evaluations, (False, False))
-            raise QuadratureError(
-                f"no convergence after {len(heap)} panels "
-                f"(error {total_err:.3e}, needed {tol * max(1.0, abs(total_value)):.3e})",
-                result)
-        neg_err, _, pa, pb, pv, pe = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:
-            # panel at float resolution; keep it and stop refining this spot
-            seq += 1
-            heapq.heappush(heap, (0.0, seq, pa, pb, pv, pe))
-            total_err -= pe
-            continue
-        try:
-            v1, e1, n1 = _panel(f, pa, pm)
-            v2, e2, n2 = _panel(f, pm, pb)
-        except QuadratureError as exc:
-            exc.result = _collect(heap + [(neg_err, seq, pa, pb, pv, pe)],
-                                  evaluations, (False, False))
-            raise
-        evaluations += n1 + n2
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, pm, pb, v2, e2))
-        total_value += (v1 + v2) - pv
-        total_err += (e1 + e2) - pe
-
-    return _collect(heap, evaluations, (False, False))
-
-
-def _collect(heap, evaluations, flags):
-    """Assemble a QuadResult from heap panels in fixed (left-endpoint) order."""
-    panels = sorted(heap, key=lambda p: p[2])
-    values = np.array([p[4] for p in panels])
-    errors = np.array([p[5] for p in panels])
-    return QuadResult(
-        value=complex(np.sum(values)) if np.iscomplexobj(values) else float(np.sum(values)),
-        error_estimate=float(np.sum(errors)),
-        evaluations=evaluations,
-        singular_flags=flags,
-    )
+    a and b may also be 1-d arrays (broadcast against each other), one
+    integral per member k over [a[k], b[k]]: then f(members, x) gets
+    abscissae x of shape (rows, 15), row j on a panel of member members[j],
+    and all members are refined in lockstep with one call of f per round.
+    The result holds per-member value and error arrays and the members'
+    total evaluations; each member's value, error and evaluations are those
+    of its one-member call, bit for bit."""
+    return integrate_singular(f, a, b, SingularitySpec(), tol, panel_cap)
 
 
 def _transformed(f, a, b, exponent, side):
@@ -216,32 +268,38 @@ def _transformed(f, a, b, exponent, side):
     underflows past it, and the singular factor is rebuilt from the exact
     float distance of the snapped point, which keeps the product finite and
     correct to rounding.
-    """
-    span = b - a
+
+    a and b are arrays of member intervals; f(k, x) and the returned g(k, s)
+    evaluate the members k, an index into them (an index array of rows, or
+    0 for the one interval of a family)."""
     e = 0.0 if exponent is None else float(exponent)
     q = 1.0 / (1.0 + e)
-    coef = q * span ** (1.0 + e)
+    # per member in scalar arithmetic, as the one-member call rounds it
+    coef = np.array([[q * s ** (1.0 + e)] for s in (b - a).tolist()])
+    # member columns, so that both kinds of k select rows
+    span = (b - a)[:, None]
     edge, inner, sign = (b, a, -1.0) if side == "right" else (a, b, 1.0)
-    off = np.nextafter(edge, inner)
+    off = np.nextafter(edge, inner)[:, None]
+    edge = edge[:, None]
 
-    def g(s):
-        x = edge + sign * (span * s ** q)
-        x = np.where(x == edge, off, x)
-        dist = np.abs(edge - x)
-        return coef * np.asarray(f(x)) * dist ** (-e)
+    def g(k, s):
+        end = edge[k]
+        x = end + sign * (span[k] * s ** q)
+        x = np.where(x == end, off[k], x)
+        dist = np.abs(end - x)
+        return coef[k] * np.asarray(f(k, x)) * dist ** (-e)
 
     return g
 
 
 def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
-    """Integrate f over [a, b] with the declared singularities of spec, as
-    integrate_singular describes; engine(g, lo, hi, tol, panel_cap)
-    integrates one piece and returns its QuadResult and a failure message
-    (False when it converged)."""
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError("singular integration requires a < b")
+    """Integrate f(k, x) over the member intervals [a[k], b[k]] (1-d
+    arrays) with the declared singularities of spec, as integrate_singular
+    describes; engine(g, lo, hi, tol, panel_cap) integrates one piece and
+    returns its QuadResult and a failure message (False when it
+    converged)."""
+    if not (a < b).all():
+        raise ValueError("integration requires a < b")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if not isinstance(spec, SingularitySpec):
@@ -254,7 +312,8 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
         m = 0.5 * (a + b) if all(flags) else (b if flags[0] else a)
         ends = [(a, m, left, "left"), (m, b, right, "right")]
         ends = [end for end, flag in zip(ends, flags) if flag]
-        pieces = [(_transformed(f, lo, hi, e, side), 0.0, 1.0, tol / len(ends))
+        pieces = [(_transformed(f, lo, hi, e, side), np.zeros(a.size),
+                   np.ones(a.size), tol / len(ends))
                   for lo, hi, e, side in ends]
     value = 0.0
     err = 0.0
@@ -276,9 +335,20 @@ def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
     Each declared endpoint gets the neutralizing power substitution; with
     both endpoints declared the interval is split at its midpoint and each
     half gets its own transform at half the tolerance. Declared exponents
-    may be conservative majorants (e.g. -0.5 for a logarithmic blowup)."""
-    return _by_pieces(lambda *piece: (integrate(*piece), False),
-                      f, a, b, spec, tol, panel_cap)
+    may be conservative majorants (e.g. -0.5 for a logarithmic blowup).
+    Array bounds give one integral per member as in integrate, every member
+    with the same declared exponents."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim > 1:
+        raise ValueError("integration bounds must be scalars or 1-d arrays")
+    one = a.ndim == 0
+    res = _by_pieces(lambda *piece: (_heap(*piece), False),
+                     _pointwise(f) if one else f, a.reshape(-1), b.reshape(-1),
+                     spec, tol, panel_cap)
+    if not one:
+        return res
+    return QuadResult(res.value[0].item(), float(res.error_estimate[0]),
+                      res.evaluations, res.singular_flags)
 
 
 def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
@@ -302,10 +372,14 @@ def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
     try:
         return integrate(g, 0.0, 1.0, tol, panel_cap)
     except QuadratureError as exc:
-        if nodes.max() < 1.0:
+        # the panels of the last call, both halves of the split one; name
+        # the one that reached u = 1
+        panels = nodes.reshape(-1, 15)
+        hit = panels[np.any(panels >= 1.0, axis=1)]
+        if not hit.size:
             raise
         raise QuadratureError(
-            f"integrand not finite for x in [{a + nodes.min() / (1.0 - nodes.min()):g}, "
+            f"integrand not finite for x in [{a + hit.min() / (1.0 - hit.min()):g}, "
             "inf]: integrate_halfline needs f(x) = O(x^-2) as x -> infinity",
             exc.result) from None
 
@@ -314,7 +388,7 @@ def _panels(g, lo, hi):
     """GK15 on every panel [lo[i], hi[i]] of a family integrand in one call.
 
     g maps abscissae of shape (m,) to values of shape (..., m). Returns the
-    K15 values and the error estimates (sharpened as in _panel), each of
+    K15 values and the error estimates (sharpened as in _rule), each of
     shape (members, panels), and the family shape (...)."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
@@ -396,7 +470,10 @@ def integrate_family(f, a, b, spec, tol, panel_cap=1 << 10):
     shape, each member within tol * max(1, |value|). Past panel_cap panels
     on a piece (lower than integrate's cap: every member fills every panel)
     it raises QuadratureError carrying that partial QuadResult."""
-    return _by_pieces(_levels, f, a, b, spec, tol, panel_cap)
+    return _by_pieces(
+        lambda g, lo, hi, *rest: _levels(lambda x: g(0, x), lo[0], hi[0], *rest),
+        lambda _, x: f(x), np.array([float(a)]), np.array([float(b)]), spec,
+        tol, panel_cap)
 
 
 def _circle_points(r, theta):
@@ -479,9 +556,7 @@ def _circle_max(blocks, at):
     on consecutive circles. at(k, theta) gives |f| at angles theta on the
     circles k (index arrays). The grid maximum of each circle is refined
     around its top three local maxima by golden section, every bracket of
-    every circle in one lockstep search (supsearch._golden_max), stopped on
-    bracket width alone: two interior values can agree while they straddle
-    the peak."""
+    every circle in one lockstep search (supsearch._golden_max)."""
     best, circles, peaks = [], [], []
     for vals in blocks:
         n = vals.shape[1]

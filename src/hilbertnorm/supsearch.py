@@ -60,14 +60,13 @@ class DivergenceError(Exception):
         self.witness = witness or []
 
 
-def _golden_max(fun, lo, hi, value_tol=None):
+def _golden_max(fun, lo, hi):
     """Golden-section maximization on every bracket [lo[i], hi[i]] in
     lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
     index arrays i, one call per iteration over the brackets still live; a
-    bracket stops once it is 1e-12 relative narrow or, given value_tol, its
-    two interior values agree within 0.01 * value_tol (which does not bound
-    the distance to a peak between them). Returns the arrays
-    (x_best, f_best)."""
+    bracket stops once it is 1e-12 relative narrow (never on its two
+    interior values agreeing: they can agree while they straddle the peak).
+    Returns the arrays (x_best, f_best)."""
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
     live = np.arange(lo.size)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
@@ -84,8 +83,6 @@ def _golden_max(fun, lo, hi, value_tol=None):
         fx = np.asarray(fun(np.where(left, c[live], d[live]), live), dtype=float)
         fc[lt], fd[rt] = fx[left], fx[~left]
         done = hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live]))
-        if value_tol is not None:
-            done |= np.abs(fc[live] - fd[live]) <= 0.01 * value_tol
         live = live[~done]
     at_c = fc >= fd
     return np.where(at_c, c, d), np.where(at_c, fc, fd)
@@ -184,7 +181,7 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
 
     x_star, v_star = (float(v[0]) for v in _golden_max(
         lambda x, _: [at(to_arg(float(x[0])))], xs[max(ibest - 1, 0)],
-        xs[min(ibest + 1, last)], tol * max(1.0, vmax)))
+        xs[min(ibest + 1, last)]))
     if ibest == 0 and v_star <= vals[0] + tie_tol:
         return SupResult(vmax, 0.0, AT_ZERO,
                          float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)

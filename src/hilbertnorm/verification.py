@@ -77,10 +77,6 @@ class CheckReport:
     detail: str
 
 
-def _w(r):
-    return float(log_weight(r))
-
-
 def _om2(r):
     # (1 - r^2) without cancellation for r near 1
     return (1.0 - r) * (1.0 + r)
@@ -95,10 +91,21 @@ def inner_tolerance(tol):
 # objective functions shared with the CLI curve emitter
 # ---------------------------------------------------------------------------
 
+def _radial_average(integrand, r, spec, inner_tol):
+    """int_0^1 integrand(k, t) dt for each radius r[k] of a 1-d array r, in
+    one integration, or for a scalar r as its one-point case."""
+    n = np.size(r)
+    value = integrate_singular(
+        integrand, np.zeros(n), np.ones(n), spec, inner_tol).value
+    return value if np.ndim(r) else float(value[0])
+
+
 def _kernel_average(r, inner_tol):
-    """The average of the kernel t/((1-r)+tr) over t in [0, 1]."""
-    return float(integrate(
-        lambda t: t / ((1.0 - r) + t * r), 0.0, 1.0, inner_tol).value)
+    """The average of the kernel t/((1-r)+tr) over t in [0, 1], for a
+    scalar or 1-d array r."""
+    rk = np.reshape(r, (-1, 1))
+    return _radial_average(lambda k, t: t / ((1.0 - rk[k]) + t * rk[k]),
+                           r, SingularitySpec(), inner_tol)
 
 
 def _kernel_average_closed(r):
@@ -118,18 +125,20 @@ def _kernel_average_closed(r):
 
 
 def _half_log_average(r, inner_tol):
-    """The kernel-weighted average of the composed half-log over t in [0, 1];
-    its integrand blows up like a half power at t = 1."""
-    omr = 1.0 - r
-    opr = 1.0 + r
-    log_omr = math.log(omr)
+    """The kernel-weighted average of the composed half-log over t in [0, 1],
+    for a scalar or 1-d array r; its integrand blows up like a half power at
+    t = 1."""
+    rk = np.reshape(r, (-1, 1))
+    omr = 1.0 - rk
+    opr = 1.0 + rk
+    # math.log, not np.log: an array log rounds some values differently
+    log_omr = np.vectorize(math.log)(omr)
 
-    def integrand(t):
-        kernel = t / (omr + t * r)
-        return kernel * (np.log(omr + t * opr) - log_omr - np.log1p(-t))
+    def integrand(k, t):
+        kernel = t / (omr[k] + t * rk[k])
+        return kernel * (np.log(omr[k] + t * opr[k]) - log_omr[k] - np.log1p(-t))
 
-    return float(integrate_singular(
-        integrand, 0.0, 1.0, SingularitySpec(None, -0.5), inner_tol).value)
+    return _radial_average(integrand, r, SingularitySpec(None, -0.5), inner_tol)
 
 
 def _half_log_average_closed(r):
@@ -153,15 +162,18 @@ def _half_log_average_closed(r):
 
 def bloch_a_objective(inner_tol):
     """Radial objective whose supremum (plus one) is the constant-witness
-    norm: (1+r)/weight(r) times the average of t/((1-r)+tr) over t."""
-    return lambda r: (1.0 + r) * _kernel_average(r, inner_tol) / _w(r)
+    norm: (1+r)/weight(r) times the average of t/((1-r)+tr) over t. It maps
+    a scalar or 1-d array of radii to its values, an array in one
+    integration."""
+    return lambda r: (1.0 + r) * _kernel_average(r, inner_tol) / log_weight(r)
 
 
 def bloch_b_objective(inner_tol):
     """Radial objective whose supremum fixes the half-log witness constant:
     (1+r)/weight(r) times the kernel-weighted average of the composed
-    logarithm."""
-    return lambda r: (1.0 + r) * _half_log_average(r, inner_tol) / _w(r)
+    logarithm. It maps a scalar or 1-d array of radii to its values, an
+    array in one integration."""
+    return lambda r: (1.0 + r) * _half_log_average(r, inner_tol) / log_weight(r)
 
 
 def h1_sup_objective(x):
@@ -182,7 +194,7 @@ def hinf_objective(r):
     """(1/r) log(1/(1-r)) / weight(r) with the removable value 1 at r = 0."""
     if r == 0.0:
         return 1.0
-    return (-math.log1p(-r) / r) / _w(r)
+    return (-math.log1p(-r) / r) / log_weight(r)
 
 
 def require_alpha_window(alpha):
@@ -244,13 +256,15 @@ def compute_A(tol):
     0.75 and 0.9, and against 2 - 2 log 2 at r = 1/2."""
     it = inner_tolerance(tol)
     sup = supremum_unit(
-        lambda r: (1.0 + r) * _kernel_average_closed(r) / _w(r), tol,
+        lambda r: (1.0 + r) * _kernel_average_closed(r) / log_weight(r), tol,
         limit_at_zero=0.5)
     computed = 1.0 + sup.value
 
-    cross = max(abs(_kernel_average(r, it) - _kernel_average_closed(r))
-                for r in (0.25, 0.5, 0.75, 0.9))
-    mid = abs(_kernel_average(0.5, it) - (2.0 - 2.0 * _LOG2))
+    radii = (0.25, 0.5, 0.75, 0.9)
+    averages = _kernel_average(np.array(radii), it).tolist()
+    cross = max(abs(q - _kernel_average_closed(r))
+                for r, q in zip(radii, averages))
+    mid = abs(averages[1] - (2.0 - 2.0 * _LOG2))
     passed = (
         abs(computed - BLOCH_LOG_NORM) <= tol
         and sup.boundary == AT_ZERO
@@ -271,11 +285,12 @@ def compute_B(tol, a_report=None):
     The supremum is searched on the closed-form half-log average
     (:func:`_half_log_average_closed`, through the dilogarithm); it peaks
     at an interior radius, r = 0.998063 (x* = -log(1 - r) = 6.24645 in the
-    search coordinate).  The peak is flat in x, so a search that stops
-    within tol of its value reports x* a few 1e-3 off (6.2491 at tol
-    1e-8).  The quadrature average must agree with the closed
-    form to 100 times the inner tolerance at the maximizer and at r = 0.25,
-    0.5, 0.75 and 0.9.  B must land strictly inside (log 2, 2 log 2) and
+    search coordinate).  The peak is flat in x, so only the bracket width
+    stops the search there: two values within tol of each other can still
+    straddle x* by a few 1e-3.  The quadrature average must agree with the
+    closed form to 100 times the inner tolerance at the maximizer and at
+    r = 0.25, 0.5, 0.75 and 0.9, all five in one integration.  B must land
+    strictly inside (log 2, 2 log 2) and
     below the constant-witness value, taken from ``a_report`` (a finished
     :func:`compute_A` report at the same tol) or computed here when it is
     not given.  The quadrature objective stays below 2 log 2 at deep radii,
@@ -283,19 +298,19 @@ def compute_B(tol, a_report=None):
     with the closed-form value (4/3) log 4, checked for equality."""
     it = inner_tolerance(tol)
     sup = supremum_unit(
-        lambda r: (1.0 + r) * _half_log_average_closed(r) / _w(r), tol,
+        lambda r: (1.0 + r) * _half_log_average_closed(r) / log_weight(r), tol,
         limit_at_zero=1.0)
     computed = _LOG2 + 0.5 * sup.value
     x_star = -math.log1p(-sup.arg)
 
-    cross = max(abs(_half_log_average(r, it) - _half_log_average_closed(r))
-                for r in (sup.arg, 0.25, 0.5, 0.75, 0.9))
+    radii = (sup.arg, 0.25, 0.5, 0.75, 0.9)
+    averages = _half_log_average(np.array(radii), it).tolist()
+    cross = max(abs(q - _half_log_average_closed(r))
+                for r, q in zip(radii, averages))
 
-    objective = bloch_b_objective(it)
-    tail_ok = True
-    for k in (12, 13, 14, 15):
-        r = 1.0 - 10.0 ** (-k)
-        tail_ok = tail_ok and (_LOG2 + 0.5 * objective(r) < 2.0 * _LOG2 + tol)
+    deep = bloch_b_objective(it)(
+        np.array([1.0 - 10.0 ** (-k) for k in (12, 13, 14, 15)]))
+    tail_ok = bool(np.all(_LOG2 + 0.5 * deep < 2.0 * _LOG2 + tol))
 
     r_half = 0.5
 
@@ -305,7 +320,7 @@ def compute_B(tol, a_report=None):
 
     half_val = float(integrate_halfline(halfline_integrand, 1.0, it).value)
     half_bound = (2.0 / (1.0 + r_half)) * math.log(2.0 / (1.0 - r_half))
-    h_mid = _half_log_average(r_half, it)
+    h_mid = averages[2]
     half_ok = (abs(half_val - half_bound) <= 1e-6
                and h_mid <= half_val + tol)
 
@@ -436,7 +451,7 @@ def alpha_upper_bound(alpha):
     u_beta = beta(2.0 - alpha, alpha) / (alpha - 1.0) + 1.0 / (2.0 - alpha)
 
     sup = supremum_unit(
-        lambda r: (1.0 + r) ** alpha / _w(r), 1e-8, limit_at_zero=1.0)
+        lambda r: (1.0 + r) ** alpha / log_weight(r), 1e-8, limit_at_zero=1.0)
 
     passed = (
         abs(u_sin - u_beta) <= tol * max(1.0, abs(u_beta))
@@ -490,16 +505,12 @@ def unboundedness_profile(alpha):
 
     if alpha < 1.0:
         fn = TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, alpha)
-        vals = np.array([
-            _om2(float(r)) ** alpha * abs(derivative_at(fn, float(r), it))
-            / _w(float(r))
-            for r in rs
-        ])
+        derivatives = derivative_at(fn, rs, it).tolist()
+        vals = np.array([_om2(r) ** alpha * abs(d) / log_weight(r)
+                         for r, d in zip(rs.tolist(), derivatives)])
     else:
         integrand = _extremal_profile(alpha)
-        vals = np.array([
-            float(integrate(integrand, 0.0, float(r), it).value) for r in rs
-        ])
+        vals = integrate(lambda _, t: integrand(t), 0.0, rs, it).value
     return js, rs, vals
 
 
@@ -678,10 +689,10 @@ def h1_lower_bound(alpha, tol):
     def objective(r):
         spent["objective"] += 1
         if r == 0.0:
-            return abs(apply_integral(fn, 0.0, _H1_T_TOL)) / _w(r)
+            return abs(apply_integral(fn, 0.0, _H1_T_TOL)) / log_weight(r)
         mean, values = _h1_numerator_mean(alpha, r)
         spent["values"] += values
-        return mean / _w(r)
+        return mean / log_weight(r)
 
     sup = supremum_unit(objective, max(tol, 1e-6), n_grid=64, x_max=25.0)
     numerator = sup.value
@@ -780,7 +791,7 @@ def representation_agreement(tol, truncation=DEFAULT_TRUNCATION, seed=1729):
     zs = radii * np.exp(1j * angles)
 
     def worst_residual(fn, out):
-        direct = np.array([apply_integral(fn, complex(z), quad_tol) for z in zs])
+        direct = apply_integral(fn, zs, quad_tol)
         return float(np.max(np.abs(eval_series(out, zs) - direct)))
 
     fn_const = TestFunction(Kind.CONSTANT)

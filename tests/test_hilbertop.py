@@ -209,6 +209,24 @@ def test_pathshifted_array_agrees_with_scalar_direct(fn):
         assert abs(direct - value) <= 1e-7 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("fn", [
+    TestFunction(Kind.CONSTANT),
+    TestFunction(Kind.HALF_LOG),
+    TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.5),
+    TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5),
+    TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.5),
+], ids=["constant", "halflog", "hardy-0.5", "bloch-1.5", "bloch-0.5"])
+@pytest.mark.parametrize("operator", [apply_integral, derivative_at],
+                         ids=["integral", "derivative"])
+def test_operator_array_equals_scalar_calls(fn, operator):
+    # an array of points is one lockstep integration, each point with the
+    # bits of its own scalar call
+    z = np.array([0.0, 0.3, -0.45, 0.2 + 0.6j, -0.5 - 0.3j, 0.85, 1.0 - 2.0 ** -20])
+    got = operator(fn, z, 1e-9)
+    assert got.shape == z.shape
+    assert got.tolist() == [operator(fn, zi, 1e-9) for zi in z.tolist()]
+
+
 @pytest.mark.parametrize("alpha", [2.0, 2.5])
 def test_operator_rejects_divergent_integrand(alpha):
     fn = TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, alpha)
@@ -232,5 +250,6 @@ def test_operator_rejects_points_outside_disk(z):
     with pytest.raises(ValueError):
         derivative_at_pathshifted(fn, z, 1e-9)
     # one point outside the disk rejects the whole array
-    with pytest.raises(ValueError):
-        derivative_at_pathshifted(fn, np.array([0.3, z, 0.5]), 1e-9)
+    for operator in (apply_integral, derivative_at, derivative_at_pathshifted):
+        with pytest.raises(ValueError):
+            operator(fn, np.array([0.3, z, 0.5]), 1e-9)

@@ -1,6 +1,7 @@
 """Adaptive quadrature: plain, endpoint-singular, half-line, and circle means."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,3 +407,121 @@ def test_family_is_deterministic():
     assert np.array_equal(first.value, second.value)
     assert np.array_equal(first.error_estimate, second.error_estimate)
     assert first.evaluations == second.evaluations
+
+
+# ---------------------------------------------------------------------------
+# heap engine: many members in lockstep
+
+
+def _seeded_members(n=10, seed=16):
+    """Per-member intervals [a, b] and complex frequencies w."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 0.5, n)
+    b = a + rng.uniform(0.2, 2.0, n)
+    w = rng.uniform(0.5, 30.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    return a, b, w
+
+
+def test_lockstep_members_equal_their_one_member_calls():
+    # (b - x)^-0.4 e^(i w x) on [a, b], the right end declared, each member
+    # with its own interval and frequency
+    a, b, w = _seeded_members()
+    spec = SingularitySpec(None, -0.4)
+
+    def family(members, x):
+        return (b[members, None] - x) ** -0.4 * np.exp(1j * w[members, None] * x)
+
+    batch = integrate_singular(family, a, b, spec, 1e-11)
+    assert batch.value.shape == batch.error_estimate.shape == a.shape
+    assert batch.singular_flags == (False, True)
+    total = 0
+    for k, (ak, bk, wk) in enumerate(zip(a, b, w)):
+        one = integrate_singular(lambda x: (bk - x) ** -0.4 * np.exp(1j * wk * x),
+                                 ak, bk, spec, 1e-11)
+        assert batch.value[k] == one.value
+        assert batch.error_estimate[k] == one.error_estimate
+        total += one.evaluations
+    # a batch counts the evaluations of all its members
+    assert batch.evaluations == total
+
+
+def test_lockstep_integrand_gets_one_row_per_panel():
+    seen = []
+    c = np.array([10.0, 20.0, 30.0])
+
+    def family(members, x):
+        seen.append((members.copy(), x.shape))
+        return np.sin(c[members, None] * x) ** 2
+
+    b = np.array([1.0, 2.0, 3.0])
+    res = integrate(family, 0.0, b, 1e-10)
+    assert np.allclose(res.value, b / 2.0 - np.sin(2.0 * c * b) / (4.0 * c),
+                       rtol=0.0, atol=1e-9)
+    # the first call has one panel per member, later calls both halves of
+    # every split panel, and one call serves the splits of all members
+    assert seen[0][1] == (3, 15) and list(seen[0][0]) == [0, 1, 2]
+    assert all(shape == (members.size, 15) and members.size % 2 == 0
+               for members, shape in seen[1:])
+    splits = (res.evaluations - 3 * 15) // 30
+    assert len(seen) - 1 < splits
+
+
+def test_lockstep_member_without_convergence_raises_its_partial():
+    def family(members, x):
+        return np.where(members[:, None] == 1, 1.0 / x, np.cos(x))
+
+    with pytest.raises(QuadratureError, match="member 1: no convergence") as info:
+        integrate(family, np.zeros(3), np.ones(3), 1e-10, panel_cap=64)
+    with pytest.raises(QuadratureError) as alone:
+        integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-10, panel_cap=64)
+    assert info.value.result == alone.value.result
+
+
+def test_lockstep_member_turning_nonfinite_raises_its_partial():
+    # the member is finite on its first panel; the centre of a refined panel
+    # hits the bad point
+    def rough(x):
+        return np.where(x == 0.25, np.inf, np.sin(40.0 * x))
+
+    def family(members, x):
+        return np.where(members[:, None] == 2, rough(x), np.cos(x))
+
+    with pytest.raises(QuadratureError,
+                       match=r"member 2: integrand not finite on panel \[0, 0.5\]") as info:
+        integrate(family, np.zeros(3), np.ones(3), 1e-10)
+    with pytest.raises(QuadratureError) as alone:
+        integrate(rough, 0.0, 1.0, 1e-10)
+    assert isinstance(info.value.result, QuadResult)
+    assert info.value.result == alone.value.result
+
+
+def test_lockstep_bounds_validation():
+    with pytest.raises(ValueError):
+        integrate(lambda k, x: x, np.zeros((2, 2)), 1.0, 1e-8)
+    with pytest.raises(ValueError):
+        integrate(lambda k, x: x, np.zeros(2), np.array([1.0, 0.0]), 1e-8)
+    with pytest.raises(QuadratureError, match="shape"):
+        integrate(lambda k, x: x[:, :3], np.zeros(2), np.ones(2), 1e-8)
+
+
+def test_halfline_error_names_the_failing_half():
+    # f = 1/x is not O(x^-2): the refinement reaches u = 1, where the mapped
+    # integrand is not finite; both halves of that split panel share one
+    # call, and the error names the half that reached u = 1
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / x
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="O\\(x\\^-2\\)") as info:
+            integrate_halfline(f, 1.0, 1e-10)
+    assert isinstance(info.value.result, QuadResult)
+    named = float(re.search(r"x in \[(\S+), inf\]", str(info.value)).group(1))
+    halves = calls[-1].reshape(-1, 15)
+    assert halves.shape[0] == 2
+    failing = np.isinf(halves).any(axis=1)
+    assert failing.sum() == 1
+    assert named == float(f"{halves[failing].min():g}")
+    assert named != float(f"{halves[~failing].min():g}")

@@ -288,18 +288,36 @@ def test_compute_b_report(verify_run):
     rep = _report(verify_run, "bloch-B-constant")
     assert rep.passed
     assert abs(rep.computed - B_30_DIGITS) <= 1e-8
-    # The golden section stops once its two interior values agree, so B sits
-    # up to a tol-sized shortfall below the peak.  The peak is flat in x (the
-    # objective's second derivative there is about -2.07e-3), so a value
-    # short by d leaves x* up to sqrt(2 d / 2.07e-3) away: 4.4e-3 for
-    # d = 2e-8, the shortfall of sup/2 allowed by the 1e-8 pin above.
-    x_star = float(re.search(r"x\* = (\S+)", rep.detail).group(1))
-    assert abs(x_star - B_X_STAR) <= 4.4e-3
     diff = float(re.search(r"off the closed form by at most (\S+)",
                            rep.detail).group(1))
     assert diff <= 1e-8
     assert math.log(2.0) < rep.computed < 2.0 * math.log(2.0)
     assert rep.computed < 1.5
+
+
+def test_compute_b_meets_30_digit_value():
+    # the golden section stops on bracket width alone; stopping once its two
+    # interior values agreed left B 3.8e-9 short on the flat peak
+    assert abs(compute_B(1e-8).computed - B_30_DIGITS) <= 1e-12
+
+
+def test_compute_b_finds_x_star():
+    # the same stop reported x* = 6.24914, 2.7e-3 off the peak
+    rep = compute_B(1e-8)
+    x_star = float(re.search(r"x\* = (\S+)", rep.detail).group(1))
+    assert abs(x_star - B_X_STAR) <= 1e-5
+
+
+@pytest.mark.parametrize("objective", [bloch_a_objective, bloch_b_objective],
+                         ids=["A", "B"])
+def test_growth_objectives_map_arrays_like_scalars(objective):
+    # an array of radii is one integration whose every value has the bits of
+    # the scalar call at that radius
+    rs = unit_grid(64)[1]
+    g = objective(1e-10)
+    values = g(rs)
+    assert values.shape == rs.shape
+    assert values.tolist() == [g(r) for r in rs.tolist()]
 
 
 def test_norm_bloch_to_blochlog_report():
