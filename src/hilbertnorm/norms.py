@@ -58,8 +58,11 @@ def _weight_at(r, log_weighted):
 def _mean_objective(f, p, log_weighted, inner_tol):
     """Radii -> M_p(r, f) / weight(r), array in and array out, choosing the
     cheapest sound route. A series takes all radii in one FFT pass per
-    trapezoid level (p finite) or in one circle-maximum pass (p = inf);
-    every other route loops its scalar mean."""
+    trapezoid level (p finite) or in one circle-maximum pass (p = inf), and
+    the Hardy extremal in one lockstep i_c integration; the other catalog
+    routes loop their scalar mean. A catalog mean's p-th root and weight
+    are taken per radius in scalar arithmetic, as the one-radius objective
+    rounds them (np.log over an array rounds differently)."""
     if isinstance(f, CoefficientSeries):
         def means(rs):
             if p == math.inf:
@@ -70,29 +73,29 @@ def _mean_objective(f, p, log_weighted, inner_tol):
             return means
         return lambda rs: means(rs) / log_weight(rs)
 
-    if isinstance(f, TestFunction):
-        if p == math.inf:
-            # nonnegative coefficients: circle max sits on the positive axis
-            def mean(r):
-                return abs(cat_eval(f, r))
-        elif f.kind is Kind.CONSTANT:
-            def mean(r):
-                return 1.0
-        elif f.kind is Kind.HARDY_ALPHA_EXTREMAL:
-            c = p * f.param - 1.0
-
-            def mean(r):
-                return i_c(c, r, inner_tol) ** (1.0 / p)
-        else:
-            def mean(r):
-                return circle_mean(lambda z: cat_eval(f, z), r, p, inner_tol)
-    else:
+    if not isinstance(f, TestFunction):
         raise TypeError("expected a TestFunction or CoefficientSeries")
+    if p == math.inf or f.kind is Kind.CONSTANT:
+        # nonnegative coefficients: circle max sits on the positive axis
+        # (and a constant's every mean is its modulus)
+        def means(rs):
+            return [abs(cat_eval(f, r)) for r in rs]
+    elif f.kind is Kind.HARDY_ALPHA_EXTREMAL:
+        c = p * f.param - 1.0
 
-    def objective(r):
-        return mean(r) / _weight_at(r, log_weighted)
+        def means(rs):
+            return [m ** (1.0 / p) for m in i_c(c, rs, inner_tol).tolist()]
+    else:
+        def means(rs):
+            return [circle_mean(lambda z: cat_eval(f, z), r, p, inner_tol)
+                    for r in rs]
 
-    return lambda rs: np.array([objective(float(r)) for r in rs])
+    def objective(rs):
+        rs = np.asarray(rs, dtype=float).tolist()
+        return np.array([m / _weight_at(r, log_weighted)
+                         for m, r in zip(means(rs), rs)])
+
+    return objective
 
 
 # Trapezoid rules of the swept series means run in blocks of at most this
@@ -290,25 +293,32 @@ def bloch_norm(f, alpha, log_weighted, tol):
 
 
 def i_c(c, r, tol):
-    """Circular mean of |1 - r e^{i theta}|^{-(1+c)}.
+    """Circular mean of |1 - r e^{i theta}|^{-(1+c)}: a float for a scalar
+    r, an ndarray for a 1-d array r, whose radii r > 0 are the members of
+    one lockstep integration over [0, pi] (r = 0 gives exactly 1).
 
     The modulus is built from |1 - re^{i theta}|^2 = (1-r)^2 +
     4 r sin^2(theta/2), which stays fully accurate when r is within a few
     ulps of 1 (forming the circle point itself would not)."""
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise ValueError("i_c requires 0 <= r < 1")
-    if r == 0.0:
-        return 1.0
+    rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1 or not np.all((0.0 <= rs) & (rs < 1.0)):
+        raise ValueError("i_c requires 0 <= r < 1, a scalar or a 1-d array")
+    inside = rs.reshape(-1) > 0.0
+    live = rs.reshape(-1)[inside].tolist()
+    # (1-r)^2 and 4r per member as the scalar call rounds them, as columns
+    omr2 = np.array([[(1.0 - x) ** 2] for x in live])
+    four_r = np.array([[4.0 * x] for x in live])
     expo = -0.5 * (1.0 + float(c))
-    omr2 = (1.0 - r) ** 2
 
-    def integrand(theta):
+    def integrand(k, theta):
         s = np.sin(0.5 * theta)
-        return (omr2 + 4.0 * r * s * s) ** expo
+        return (omr2[k] + four_r[k] * s * s) ** expo
 
-    res = integrate(integrand, 0.0, math.pi, tol)
-    return float(np.real(res.value)) / math.pi
+    out = np.ones(rs.size)
+    if live:
+        out[inside] = integrate(integrand, 0.0, np.full(len(live), math.pi),
+                                tol).value / math.pi
+    return float(out[0]) if rs.ndim == 0 else out
 
 
 def hardy_inequality_gap(s, tol):

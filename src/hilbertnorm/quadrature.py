@@ -115,11 +115,13 @@ class SingularitySpec:
 
 
 class QuadratureError(Exception):
-    """Raised on non-convergence; carries the best result obtained so far."""
+    """Raised on non-convergence; carries the best result obtained so far
+    and, from the heap engine, the index of the member that failed."""
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, member=None):
         super().__init__(message)
         self.result = result
+        self.member = member
 
 
 def _rule(f, members, lo, hi):
@@ -170,13 +172,15 @@ def _heap(f, a, b, tol, panel_cap):
     each member keeps its own heap, seq counter, totals, freeze of panels at
     float resolution and stop test. The first member past panel_cap panels,
     or whose refined panel turns non-finite, raises QuadratureError carrying
-    that member's partial QuadResult."""
+    that member's partial QuadResult and its index. The result holds
+    per-member arrays of value, error and evaluations."""
     n = a.size
     name = (lambda k: "") if n == 1 else (lambda k: f"member {k}: ")
     values, errors, bad = _rule(f, np.arange(n), a, b)
     if bad is not None:
         raise QuadratureError(
-            f"{name(bad)}integrand not finite on panel [{a[bad]:g}, {b[bad]:g}]")
+            f"{name(bad)}integrand not finite on panel [{a[bad]:g}, {b[bad]:g}]",
+            member=bad)
     # per member, a heap of (-error, seq, a, b, value, error); seq breaks
     # ties reproducibly
     heaps = [[(-e, 0, lo, hi, v, e)]
@@ -198,7 +202,7 @@ def _heap(f, a, b, tol, panel_cap):
                 raise QuadratureError(
                     f"{name(k)}no convergence after {len(heap)} panels (error "
                     f"{errors[k]:.3e}, needed {tol * max(1.0, abs(values[k])):.3e})",
-                    QuadResult(*_collect(heap), evaluations[k]))
+                    QuadResult(*_collect(heap), evaluations[k]), k)
             panel = heapq.heappop(heap)
             pm = 0.5 * (panel[2] + panel[3])
             if panel[2] < pm < panel[3]:
@@ -217,7 +221,7 @@ def _heap(f, a, b, tol, panel_cap):
             k, panel, _ = split[bad // 2]
             raise QuadratureError(
                 f"{name(k)}integrand not finite on panel [{lo[bad]:g}, {hi[bad]:g}]",
-                QuadResult(*_collect(heaps[k] + [panel]), evaluations[k]))
+                QuadResult(*_collect(heaps[k] + [panel]), evaluations[k]), k)
         for j, (k, panel, pm) in enumerate(split):
             v1, v2, e1, e2 = vals[2 * j], vals[2 * j + 1], errs[2 * j], errs[2 * j + 1]
             heap = heaps[k]
@@ -228,7 +232,7 @@ def _heap(f, a, b, tol, panel_cap):
             values[k] += (v1 + v2) - panel[4]
             errors[k] += (e1 + e2) - panel[5]
     value, error = zip(*results)
-    return QuadResult(np.array(value), np.array(error), sum(evaluations))
+    return QuadResult(np.array(value), np.array(error), np.array(evaluations))
 
 
 def _pointwise(f):
@@ -297,7 +301,8 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
     arrays) with the declared singularities of spec, as integrate_singular
     describes; engine(g, lo, hi, tol, panel_cap) integrates one piece and
     returns its QuadResult and a failure message (False when it
-    converged)."""
+    converged), or raises QuadratureError for a member, re-raised here
+    with that member's share of the earlier pieces added."""
     if not (a < b).all():
         raise ValueError("integration requires a < b")
     if not tol > 0.0:
@@ -315,18 +320,27 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
         pieces = [(_transformed(f, lo, hi, e, side), np.zeros(a.size),
                    np.ones(a.size), tol / len(ends))
                   for lo, hi, e, side in ends]
-    value = 0.0
-    err = 0.0
+    value = err = 0.0
     evaluations = 0
     for g, lo, hi, piece_tol in pieces:
-        r, failure = engine(g, lo, hi, piece_tol, panel_cap)
+        try:
+            r, failure = engine(g, lo, hi, piece_tol, panel_cap)
+        except QuadratureError as exc:
+            if exc.result is None:
+                raise
+            k, part = exc.member, exc.result
+            v, e, n = (t[k].item() if np.ndim(t) else t
+                       for t in (value, err, evaluations))
+            raise QuadratureError(str(exc), QuadResult(
+                v + part.value, e + part.error_estimate, n + part.evaluations,
+                flags), k) from None
         value = value + r.value
         err = err + r.error_estimate
         evaluations += r.evaluations
         if failure:
             raise QuadratureError(
-                failure, QuadResult(value, err, evaluations, flags))
-    return QuadResult(value, err, evaluations, flags)
+                failure, QuadResult(value, err, int(np.sum(evaluations)), flags))
+    return QuadResult(value, err, int(np.sum(evaluations)), flags)
 
 
 def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):

@@ -676,7 +676,9 @@ def h1_lower_bound(alpha, tol):
     the boundary-singular extremal (_h1_numerator_mean), divided by the log
     weight; its profile integral declares the near-singular end t = 0 with
     the majorant exponent min(alpha-1, -1/2) (_h1_profile_integral).  The
-    denominator is the Hardy norm of the extremal itself.  As
+    denominator is the swept Hardy norm of the extremal itself, printed
+    next to the boundary mean Gamma(1-alpha)/Gamma(1-alpha/2)^2 it falls
+    short of as alpha -> 1.  As
     alpha -> 1 the floor approaches pi, which is asserted at alpha = 0.99.
     The detail counts the numerator search's objective calls and integrand
     values."""
@@ -697,6 +699,7 @@ def h1_lower_bound(alpha, tol):
     sup = supremum_unit(objective, max(tol, 1e-6), n_grid=64, x_max=25.0)
     numerator = sup.value
     denominator = hardy_norm(fn, 1.0, False, tol)
+    boundary_mean = gamma(1.0 - alpha) / gamma(1.0 - alpha / 2.0) ** 2
     ratio = numerator / denominator
     ratio_tol = max(tol, 1e-6)
 
@@ -709,7 +712,8 @@ def h1_lower_bound(alpha, tol):
                    f"the limiting value as the weight exponent approaches 1")
     detail = (
         f"numerator supremum {numerator:.9g} ({sup.boundary} at "
-        f"r = {sup.arg:.6g}), denominator {denominator:.9g}, ratio "
+        f"r = {sup.arg:.6g}), denominator {denominator:.9g} (boundary mean "
+        f"Gamma(1-a)/Gamma(1-a/2)^2 = {boundary_mean:.9g}), ratio "
         f"{ratio:.9g} >= floor - tol with floor {floor:.9g}{pi_note}; "
         f"numerator search: {spent['objective']} objective calls, "
         f"{spent['values']} circle-mean integrand values"
@@ -828,8 +832,7 @@ def modulus_band_grid(ic_tol):
     band of that cell (see modulus_mean_bands)."""
     rows = []
     for c in _BAND_CS:
-        for r in _BAND_RS:
-            value = i_c(c, r, ic_tol)
+        for r, value in zip(_BAND_RS, i_c(c, np.array(_BAND_RS), ic_tol).tolist()):
             if c < 0.0:
                 band = (value, 1.0, gamma(-c) / gamma((1.0 - c) / 2.0) ** 2)
             elif c > 0.0:

@@ -455,6 +455,61 @@ def test_i_c_domain():
         i_c(0.5, -0.1, 1e-9)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("c", [-0.7, 0.0, 0.98])
+def test_i_c_array_equals_scalar_loop_bit_for_bit(c, tol):
+    # every grid radius, r = 0 first and the saturated radii last, as one
+    # lockstep integration against one scalar call per radius
+    rs = unit_grid()[1]
+    assert rs[0] == 0.0
+    got = i_c(c, rs, tol)
+    assert isinstance(got, np.ndarray) and got.shape == rs.shape
+    want = np.array([i_c(c, float(r), tol) for r in rs])
+    assert got[0] == 1.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_i_c_scalar_and_array_types():
+    assert isinstance(i_c(0.5, 0.9, 1e-10), float)
+    assert isinstance(i_c(0.5, np.float64(0.9), 1e-10), float)
+    assert i_c(0.5, np.array([]), 1e-10).shape == (0,)
+    assert np.array_equal(i_c(0.5, np.zeros(3), 1e-10), np.ones(3))
+
+
+# The parent of the lockstep i_c sweep, hardy_norm_details(extremal, p, w,
+# 1e-8), field for field: (alpha, p, log_weighted) -> SupResult.
+_EXTREMAL_SUPS = {
+    (0.5, 1.0, False): SupResult(1.1803405949975931, 0.9999999999999999,
+                                 AT_BOUNDARY_LIMIT, 1.6645185230146353e-09),
+    (0.5, 1.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.13505675974214526),
+    (0.5, 2.0, False): SupResult(3.5150524332573605, 0.9999999999999999,
+                                 AT_BOUNDARY_LIMIT, 0.0315257707505503),
+    (0.5, 2.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.13474934725216148),
+    (0.99, 1.0, False): SupResult(10.382493964961146, 0.9999999999999999,
+                                  AT_BOUNDARY_LIMIT, 0.15226757066307073),
+    (0.99, 1.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.13415895684047907),
+    (0.99, 2.0, False): SupResult(46803737.96216247, 0.9999999999999999,
+                                  AT_BOUNDARY_LIMIT, 13478301.862316694),
+    (0.99, 2.0, True): SupResult(628460.7867233896, 0.9999999999999999,
+                                 AT_BOUNDARY_LIMIT, 172493.29292910162),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_EXTREMAL_SUPS))
+def test_extremal_sweep_keeps_its_sup_result(key):
+    alpha, p, log_weighted = key
+    fn = TestFunction(Kind.HARDY_ALPHA_EXTREMAL, alpha)
+    assert hardy_norm_details(fn, p, log_weighted, 1e-8) == _EXTREMAL_SUPS[key]
+
+
+def test_i_c_array_domain():
+    for bad in ([0.5, 1.0], [0.0, -0.1, 0.5], [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            i_c(0.5, np.array(bad), 1e-9)
+    with pytest.raises(ValueError):
+        i_c(0.5, np.full((2, 2), 0.5), 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # coefficient inequality
 

@@ -391,6 +391,46 @@ def test_family_panel_cap_counts_both_pieces():
     assert partial.value[0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_singular_failure_on_second_piece_counts_the_first():
+    # the right piece fails; its partial result is that of the right piece
+    # integrated alone at half the tolerance, plus the converged left share
+    # int_0^(1/2) ((1-t)^-1.5 + 1) dt = 2 (sqrt 2 - 1) + 1/2
+    def f(t):
+        return 1.0 / (1.0 - t) ** 1.5 + 1.0
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_singular(f, 0.0, 1.0, SingularitySpec(-0.5, -0.5), 1e-10,
+                           panel_cap=64)
+    with pytest.raises(QuadratureError) as right:
+        integrate_singular(f, 0.5, 1.0, SingularitySpec(None, -0.5), 5e-11,
+                           panel_cap=64)
+    partial, alone = info.value.result, right.value.result
+    assert partial.singular_flags == (True, True)
+    assert alone.singular_flags == (False, True)
+    assert str(info.value) == str(right.value)
+    assert partial.value - alone.value == pytest.approx(
+        2.0 * (math.sqrt(2.0) - 1.0) + 0.5, abs=1e-6)
+    assert partial.error_estimate >= alone.error_estimate
+    assert partial.evaluations > alone.evaluations
+
+
+def test_singular_failure_of_one_member_counts_its_first_piece():
+    # member 0 ((1-t)^-1, log-divergent) fails on the right piece; member 1
+    # ((1-t)^-0.5) converges; the partial result is member 0's alone
+    def family(members, t):
+        return 1.0 / (1.0 - t) ** (1.0 - 0.5 * members[:, None])
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_singular(family, np.zeros(2), np.ones(2),
+                           SingularitySpec(-0.5, -0.5), 1e-10, panel_cap=64)
+    assert info.value.member == 0
+    partial = info.value.result
+    assert partial.singular_flags == (True, True)
+    assert np.ndim(partial.value) == 0
+    # the left share alone is log 2 = 0.69...; the right piece adds more
+    assert partial.value > math.log(2.0)
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         integrate_family(np.cos, 1.0, 0.0, SingularitySpec(), 1e-8)

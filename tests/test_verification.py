@@ -367,12 +367,20 @@ def test_h1_lower_bound_report(verify_run):
 
 def test_h1_lower_bound_099_values_budget(verify_run):
     # the ratio is not pinned: the denominator's swept H^1 norm is low at
-    # alpha = 0.99 (ROADMAP item 1).  The numerator's profile integral
-    # declares its near-singular t = 0 end as a -1/2 majorant; declared as
-    # alpha - 1 = -0.01 it spent 20,152,890 values, against 7,191,090.
+    # alpha = 0.99 (ROADMAP item 2), and the detail shows it next to the
+    # boundary mean Gamma(1-a)/Gamma(1-a/2)^2 it should reach.  The
+    # numerator's profile integral declares its near-singular t = 0 end as
+    # a -1/2 majorant; declared as alpha - 1 = -0.01 it spent 20,152,890
+    # values, against 7,191,090.
     rep = _report(verify_run, "h1-lower-bound-0.99")
     assert rep.passed
     assert "(AtZero at r = 0)" in rep.detail
+    shown = re.search(r"denominator ([\d.]+) \(boundary mean "
+                      r"Gamma\(1-a\)/Gamma\(1-a/2\)\^2 = ([\d.]+)\)", rep.detail)
+    reference = math.gamma(0.01) / math.gamma(1.0 - 0.99 / 2.0) ** 2
+    assert float(shown.group(2)) == pytest.approx(reference, rel=1e-8)
+    # the means M_1(r) rise to the boundary mean, so no sweep exceeds it
+    assert 0.0 < float(shown.group(1)) <= reference
     values = re.search(r"(\d+) circle-mean integrand values", rep.detail)
     assert 0 < int(values.group(1)) <= 10_000_000
 
