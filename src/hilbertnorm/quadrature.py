@@ -2,7 +2,8 @@
 
 One embedded Gauss-Kronrod 7/15 pair drives everything: plain adaptive
 bisection for smooth integrands, a power-substitution front end for declared
-endpoint singularities, a rational map for half-line integrals, and
+endpoint singularities, a sinh substitution for a declared near singularity
+just outside the left end, a rational map for half-line integrals, and
 trapezoid-with-doubling circle means. Integrand callables are vectorized:
 they receive an ndarray of abscissae and must return an ndarray of values
 (real or complex) of the same shape.
@@ -104,14 +105,30 @@ class QuadResult:
 class SingularitySpec:
     """Declared endpoint power behavior: integrand ~ (x-a)^left_exponent near
     a and (b-x)^right_exponent near b. Exponents must exceed -1; None means
-    the endpoint is regular."""
+    the endpoint is regular.
+
+    left_distance declares instead a near singularity at distance delta > 0
+    outside the left end, an integrand like (delta^2 + (x-a)^2)^(e/2) times
+    a smooth factor, for any e: a spike of width delta at a that the sinh
+    substitution x = a + delta sinh(u) spreads over the whole piece
+    (Johnston & Elliott, IJNME 62, 2005). It excludes left_exponent. The
+    integrand sees x rounded to float, so x - a keeps only the digits of
+    delta that |a| leaves: delta should be far above eps * |a|."""
     left_exponent: Optional[float] = None
     right_exponent: Optional[float] = None
+    left_distance: Optional[float] = None
 
     def __post_init__(self):
         for e in (self.left_exponent, self.right_exponent):
             if e is not None and not (float(e) > -1.0):
                 raise ValueError(f"endpoint exponent {e} must be > -1")
+        if self.left_distance is not None:
+            if not 0.0 < float(self.left_distance) < math.inf:
+                raise ValueError(
+                    f"near-singularity distance {self.left_distance} must be "
+                    "positive and finite")
+            if self.left_exponent is not None:
+                raise ValueError("left_distance and left_exponent exclude each other")
 
 
 class QuadratureError(Exception):
@@ -296,6 +313,31 @@ def _transformed(f, a, b, exponent, side):
     return g
 
 
+def _sinh_mapped(f, a, b, distance):
+    """Sinh substitution for a near singularity at distance delta outside
+    the left end: x = a + delta sinh(s U) on s in [0, 1], with U =
+    asinh((b-a)/delta) and Jacobian delta U cosh(s U). It turns
+    (delta^2 + (x-a)^2)^(e/2) dx into delta^(1+e) U cosh(s U)^(1+e) ds,
+    smooth in s, and spaces the abscissae geometrically from width delta
+    out to b-a.
+
+    a, b, f(k, x) and the returned g(k, s) are as in _transformed."""
+    # per member in scalar arithmetic, as the one-member call rounds it
+    rates = [math.asinh(s / distance) for s in (b - a).tolist()]
+    if not all(map(math.isfinite, rates)):
+        raise ValueError(
+            f"near-singularity distance {distance:g} is too small for the interval")
+    rate = np.array([[u] for u in rates])
+    jac = np.array([[distance * u] for u in rates])
+    start = a[:, None]
+
+    def g(k, s):
+        t = rate[k] * s
+        return jac[k] * np.cosh(t) * np.asarray(f(k, start[k] + distance * np.sinh(t)))
+
+    return g
+
+
 def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
     """Integrate f(k, x) over the member intervals [a[k], b[k]] (1-d
     arrays) with the declared singularities of spec, as integrate_singular
@@ -309,16 +351,17 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
         raise ValueError("tol must be positive")
     if not isinstance(spec, SingularitySpec):
         spec = SingularitySpec(*spec)
-    left, right = spec.left_exponent, spec.right_exponent
-    flags = (left is not None, right is not None)
+    left, right, near = spec.left_exponent, spec.right_exponent, spec.left_distance
+    flags = (left is not None or near is not None, right is not None)
     pieces = [(f, a, b, tol)]
     if any(flags):
         # split at the midpoint only when both endpoints are declared
         m = 0.5 * (a + b) if all(flags) else (b if flags[0] else a)
         ends = [(a, m, left, "left"), (m, b, right, "right")]
         ends = [end for end, flag in zip(ends, flags) if flag]
-        pieces = [(_transformed(f, lo, hi, e, side), np.zeros(a.size),
-                   np.ones(a.size), tol / len(ends))
+        pieces = [(_sinh_mapped(f, lo, hi, near) if side == "left" and near is not None
+                   else _transformed(f, lo, hi, e, side),
+                   np.zeros(a.size), np.ones(a.size), tol / len(ends))
                   for lo, hi, e, side in ends]
     value = err = 0.0
     evaluations = 0
@@ -346,9 +389,10 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
 def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
     """Integrate f over [a, b] with declared endpoint power singularities.
 
-    Each declared endpoint gets the neutralizing power substitution; with
-    both endpoints declared the interval is split at its midpoint and each
-    half gets its own transform at half the tolerance. Declared exponents
+    Each declared endpoint gets the neutralizing power substitution, and a
+    declared near singularity outside the left end the sinh substitution;
+    with both endpoints declared the interval is split at its midpoint and
+    each half gets its own transform at half the tolerance. Declared exponents
     may be conservative majorants (e.g. -0.5 for a logarithmic blowup).
     Array bounds give one integral per member as in integrate, every member
     with the same declared exponents."""

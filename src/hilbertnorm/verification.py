@@ -648,8 +648,11 @@ def _h1_numerator_mean(alpha, r):
     values it spent: (mean, values).
 
     It is computed through the factorization |Hf(z)| = |1-z|^(-alpha) |K(z)|
-    (_h1_profile_integral), so the boundary spike is integrated by the
-    declared-exponent transform rather than resolved pointwise.  Both
+    (_h1_profile_integral).  For r < 1 the factor |1-z|^(-alpha) is no
+    endpoint singularity but a spike at theta = 0 of width
+    delta = (1-r)/sqrt(r): |1-z|^2 is about r (delta^2 + theta^2).  It is
+    declared as a near singularity at that distance, whose sinh
+    substitution integrates it as a smooth function at every r.  Both
     integrals run on integrate_family: each level of the angular integral
     is one call, integrating K at all its new angles on one shared mesh."""
     omr = 1.0 - r
@@ -664,7 +667,7 @@ def _h1_numerator_mean(alpha, r):
 
     res = integrate_family(
         theta_integrand, 0.0, math.pi,
-        SingularitySpec(-alpha, None), 1e-7)
+        SingularitySpec(left_distance=omr / math.sqrt(r)), 1e-7)
     return float(res.value) / math.pi, spent + res.evaluations
 
 
@@ -674,8 +677,10 @@ def h1_lower_bound(alpha, tol):
 
     The numerator is the supremum over radii of the circle mean of |Hf| for
     the boundary-singular extremal (_h1_numerator_mean), divided by the log
-    weight; its profile integral declares the near-singular end t = 0 with
-    the majorant exponent min(alpha-1, -1/2) (_h1_profile_integral).  The
+    weight; the angular integral maps the spike of |1-z|^(-alpha) at
+    theta = 0 by the sinh substitution of a declared near singularity, and
+    the profile integral declares its near-singular end t = 0 with the
+    majorant exponent min(alpha-1, -1/2) (_h1_profile_integral).  The
     denominator is the swept Hardy norm of the extremal itself, printed
     next to the boundary mean Gamma(1-alpha)/Gamma(1-alpha/2)^2 it falls
     short of as alpha -> 1.  As

@@ -544,6 +544,85 @@ def test_lockstep_bounds_validation():
         integrate(lambda k, x: x[:, :3], np.zeros(2), np.ones(2), 1e-8)
 
 
+# ---------------------------------------------------------------------------
+# near singularity outside the left end (sinh substitution)
+# ---------------------------------------------------------------------------
+
+_DISTANCES = tuple(10.0 ** np.arange(-12, 2))
+
+
+def _near_rows(d):
+    """1/sqrt(d^2 + x^2) and d/(d^2 + x^2), with their integrals over
+    [0, b]: asinh(b/d) and atan(b/d)."""
+    rows = (lambda x: 1.0 / np.sqrt(d * d + x * x), lambda x: d / (d * d + x * x))
+    return rows, (lambda b: np.arcsinh(b / d), lambda b: np.arctan(b / d))
+
+
+@pytest.mark.parametrize("d", _DISTANCES)
+def test_near_singularity_closed_forms(d):
+    tol = 1e-12
+    spec = SingularitySpec(left_distance=d)
+    rows, integrals = _near_rows(d)
+    fam = integrate_family(lambda x: np.stack([row(x) for row in rows]),
+                           0.0, 1.0, spec, tol)
+    assert fam.singular_flags == (True, False)
+    b = np.array([0.25, 1.0, 4.0])
+    for j, (row, integral) in enumerate(zip(rows, integrals)):
+        one = integrate_singular(row, 0.0, 1.0, spec, tol)
+        assert one.singular_flags == (True, False)
+        batch = integrate_singular(lambda members, x: row(x), 0.0, b, spec, tol)
+        for got, want in ((one.value, integral(1.0)), (fam.value[j], integral(1.0)),
+                          *zip(batch.value, integral(b))):
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (d, j, got, want)
+
+
+def test_near_singularity_members_equal_their_one_member_calls():
+    # a spike at distance 1e-9 outside the left end 0, times a member's own
+    # oscillation, on a member's own interval [0, b]; the left end is 0
+    # because the integrand sees x = a + delta sinh(u) rounded, so x - a
+    # keeps only the digits of delta that |a| leaves
+    a, b, w = _seeded_members()
+    b = b - a
+    d = 1e-9
+    spec = SingularitySpec(left_distance=d)
+
+    def row(wk, x):
+        return np.exp(1j * wk * x) / np.sqrt(d * d + x * x)
+
+    batch = integrate_singular(
+        lambda members, x: row(w[members, None], x), 0.0, b, spec, 1e-11)
+    assert batch.singular_flags == (True, False)
+    total = 0
+    for k, (bk, wk) in enumerate(zip(b, w)):
+        one = integrate_singular(lambda x: row(wk, x), 0.0, bk, spec, 1e-11)
+        assert batch.value[k] == one.value
+        assert batch.error_estimate[k] == one.error_estimate
+        total += one.evaluations
+    assert batch.evaluations == total
+
+
+def test_near_singularity_with_declared_right_end():
+    # the interval is split at its midpoint: sinh map on the left half,
+    # power substitution on the right half
+    d = 1e-8
+    spec = SingularitySpec(right_exponent=-0.5, left_distance=d)
+    res = integrate_singular(lambda x: d / (d * d + x * x) + (1.0 - x) ** -0.5,
+                             0.0, 1.0, spec, 1e-12)
+    assert res.singular_flags == (True, True)
+    assert res.value == pytest.approx(math.atan(1.0 / d) + 2.0, rel=1e-12)
+
+
+def test_near_singularity_validation():
+    for d in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="distance"):
+            SingularitySpec(left_distance=d)
+    with pytest.raises(ValueError, match="exclude"):
+        SingularitySpec(left_exponent=-0.5, left_distance=1e-3)
+    # a distance so small that (b - a)/delta overflows
+    with pytest.raises(ValueError, match="too small"):
+        integrate_singular(np.cos, 0.0, 1.0, SingularitySpec(left_distance=5e-324), 1e-8)
+
+
 def test_halfline_error_names_the_failing_half():
     # f = 1/x is not O(x^-2): the refinement reaches u = 1, where the mapped
     # integrand is not finite; both halves of that split panel share one
