@@ -223,6 +223,62 @@ def test_series_means_meet_tol_near_boundary():
             assert abs(value - want) <= tol * max(1.0, want), (a.size, r)
 
 
+def _first_rule(a):
+    """The point count the series trapezoid rules start from."""
+    return 1 << max(6, (2 * a.size - 1).bit_length())
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_midpoint_step_matches_the_direct_rule(p):
+    # a doubling averages the old n-point mean with the n-point rule on the
+    # rows turned by pi/n: within a few ulps of the direct 2n-point rule
+    eps = np.finfo(float).eps
+    rs = np.array([0.0, 0.5, 0.9, 1.0])
+    for a in _random_polynomials(111, 12):
+        rows = a * rs[:, None] ** np.arange(a.size)
+        n = _first_rule(a)
+        while n <= 1 << 14:
+            old = norms._trapezoid_means(rows, n, p)
+            got = norms._trapezoid_means(rows, n, p, old)
+            want = np.mean(np.abs(np.fft.fft(rows, 2 * n, axis=1)) ** p, axis=1)
+            assert np.all(np.abs(got - want) <= 8 * eps * want), (a.size, n)
+            n *= 2
+
+
+def test_series_doublings_transform_only_the_new_points(monkeypatch):
+    # each doubling is one FFT of the level's n points, never of 2n: the
+    # lengths run n0, n0, 2 n0, 4 n0, ...
+    lengths = []
+    fft = np.fft.fft
+
+    def recording(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return fft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(norms.np.fft, "fft", recording)
+    a = np.array([1.0, 0.9, 0.5j, -0.3])
+    n0 = _first_rule(a)
+    for mean in (lambda: norms._series_means(a, np.array([0.99]), 1.0, 1e-12),
+                 lambda: norms._boundary_norm(a, 1.0, 1e-12)):
+        lengths.clear()
+        mean()
+        assert len(lengths) >= 3
+        assert lengths == [n0] + [n0 << k for k in range(len(lengths) - 1)]
+
+
+def test_series_means_p2_match_parseval():
+    # at p = 2 every rule is exact: only rounding separates the means from
+    # sqrt(sum |a_k|^2 r^2k), out to the saturated radius and the boundary
+    rs = np.array([0.0, 0.5, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
+    for a in _random_polynomials(112, 24):
+        got = norms._series_means(a, rs, 2.0, 1e-13)
+        want = np.sqrt(rs[:, None] ** (2 * np.arange(a.size)) @ np.abs(a) ** 2)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        boundary = norms._boundary_norm(a, 2.0, 1e-13).value
+        assert boundary == pytest.approx(
+            math.sqrt(float(np.sum(np.abs(a) ** 2))), rel=1e-13, abs=0.0)
+
+
 def test_series_maxima_reach_the_dense_grid_maximum():
     # the circle maxima refine the 4096-angle grid: each must reach the
     # maximum over 2^16 angles, out to the saturated radius
