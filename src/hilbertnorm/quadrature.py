@@ -111,7 +111,8 @@ class SingularitySpec:
     outside the left end, an integrand like (delta^2 + (x-a)^2)^(e/2) times
     a smooth factor, for any e: a spike of width delta at a that the sinh
     substitution x = a + delta sinh(u) spreads over the whole piece
-    (Johnston & Elliott, IJNME 62, 2005). It excludes left_exponent. The
+    (Johnston & Elliott, IJNME 62, 2005). It excludes left_exponent. A 1-d
+    array gives each member of a lockstep integration its own distance. The
     integrand sees x rounded to float, so x - a keeps only the digits of
     delta that |a| leaves: delta should be far above eps * |a|."""
     left_exponent: Optional[float] = None
@@ -123,10 +124,11 @@ class SingularitySpec:
             if e is not None and not (float(e) > -1.0):
                 raise ValueError(f"endpoint exponent {e} must be > -1")
         if self.left_distance is not None:
-            if not 0.0 < float(self.left_distance) < math.inf:
+            dist = np.asarray(self.left_distance, dtype=float)
+            if dist.ndim > 1 or not np.all((0.0 < dist) & (dist < math.inf)):
                 raise ValueError(
                     f"near-singularity distance {self.left_distance} must be "
-                    "positive and finite")
+                    "positive and finite, a scalar or a 1-d array")
             if self.left_exponent is not None:
                 raise ValueError("left_distance and left_exponent exclude each other")
 
@@ -321,19 +323,23 @@ def _sinh_mapped(f, a, b, distance):
     smooth in s, and spaces the abscissae geometrically from width delta
     out to b-a.
 
-    a, b, f(k, x) and the returned g(k, s) are as in _transformed."""
+    a, b, f(k, x) and the returned g(k, s) are as in _transformed; distance
+    is a scalar or one entry per member."""
     # per member in scalar arithmetic, as the one-member call rounds it
-    rates = [math.asinh(s / distance) for s in (b - a).tolist()]
-    if not all(map(math.isfinite, rates)):
-        raise ValueError(
-            f"near-singularity distance {distance:g} is too small for the interval")
+    dists = np.broadcast_to(np.asarray(distance, dtype=float), a.shape).tolist()
+    rates = [math.asinh(s / d) for s, d in zip((b - a).tolist(), dists)]
+    for d, u in zip(dists, rates):
+        if not math.isfinite(u):
+            raise ValueError(
+                f"near-singularity distance {d:g} is too small for the interval")
     rate = np.array([[u] for u in rates])
-    jac = np.array([[distance * u] for u in rates])
+    jac = np.array([[d * u] for d, u in zip(dists, rates)])
+    scale = np.array([[d] for d in dists])
     start = a[:, None]
 
     def g(k, s):
         t = rate[k] * s
-        return jac[k] * np.cosh(t) * np.asarray(f(k, start[k] + distance * np.sinh(t)))
+        return jac[k] * np.cosh(t) * np.asarray(f(k, start[k] + scale[k] * np.sinh(t)))
 
     return g
 
@@ -395,7 +401,8 @@ def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
     each half gets its own transform at half the tolerance. Declared exponents
     may be conservative majorants (e.g. -0.5 for a logarithmic blowup).
     Array bounds give one integral per member as in integrate, every member
-    with the same declared exponents."""
+    with the same declared exponents and a near-singularity distance of its
+    own or a shared one."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.ndim > 1:
         raise ValueError("integration bounds must be scalars or 1-d arrays")

@@ -612,10 +612,51 @@ def test_near_singularity_with_declared_right_end():
     assert res.value == pytest.approx(math.atan(1.0 / d) + 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("right", [None, -0.5])
+def test_near_singularity_array_distances_equal_their_one_member_calls(right):
+    # each member its own spike distance, alone and with a declared right
+    # end: a member's value, error and evaluations are those of its
+    # one-member call with the scalar distance, bit for bit
+    a, b, w = _seeded_members()
+    b = b - a
+    d = 10.0 ** np.linspace(-11.0, -1.0, b.size)
+
+    def row(dk, wk, bk, x):
+        y = np.exp(1j * wk * x) / np.sqrt(dk * dk + x * x)
+        return y if right is None else y * (bk - x) ** right
+
+    batch = integrate_singular(
+        lambda k, x: row(d[k, None], w[k, None], b[k, None], x), 0.0, b,
+        SingularitySpec(right_exponent=right, left_distance=d), 1e-11)
+    assert batch.singular_flags == (True, right is not None)
+    total = 0
+    for k, (dk, wk, bk) in enumerate(zip(d, w, b)):
+        one = integrate_singular(
+            lambda x: row(dk, wk, bk, x), 0.0, bk,
+            SingularitySpec(right_exponent=right, left_distance=float(dk)), 1e-11)
+        members = integrate_singular(
+            lambda k, x: row(dk, wk, bk, x), 0.0, np.array([bk]),
+            SingularitySpec(right_exponent=right, left_distance=np.array([dk])), 1e-11)
+        assert batch.value[k] == one.value == members.value[0]
+        assert batch.error_estimate[k] == one.error_estimate
+        assert members.evaluations == one.evaluations
+        total += one.evaluations
+    assert batch.evaluations == total
+
+
 def test_near_singularity_validation():
     for d in (0.0, -1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="distance"):
             SingularitySpec(left_distance=d)
+        with pytest.raises(ValueError, match="distance"):
+            SingularitySpec(left_distance=np.array([1e-3, d, 1.0]))
+    with pytest.raises(ValueError, match="1-d array"):
+        SingularitySpec(left_distance=np.full((2, 2), 1e-3))
+    # one member whose (b - a)/delta overflows
+    with pytest.raises(ValueError, match="distance 4.94066e-324 is too small"):
+        integrate_singular(lambda k, x: np.cos(x), 0.0, np.ones(3),
+                           SingularitySpec(left_distance=np.array([1e-3, 5e-324, 1.0])),
+                           1e-8)
     with pytest.raises(ValueError, match="exclude"):
         SingularitySpec(left_exponent=-0.5, left_distance=1e-3)
     # a distance so small that (b - a)/delta overflows

@@ -19,7 +19,11 @@ against mpmath's hyp2f1 at 30 digits, independent of every integrator in
 the package.  The h1 numerator is held to the same image: its profile
 integral K(z) = 2F1(1 - a, 1 - a; 2 - a; z)/(1 - a) up to |1 - z| = 1e-11,
 and its circle mean M_1(r, Hf) against mpmath.quad of |hyp2f1| over the
-angle, split at (1 - r) 10^k so the spike at theta = 0 is resolved.
+angle, split at (1 - r) 10^k so the spike at theta = 0 is resolved.  The
+closed form the h1 search runs on, Hf(z) = z^(a-1) (1-z)^(-a) B_z(1-a, a),
+is held to mpmath's incomplete beta betainc on both sides of its switch
+from continued fraction to reflection series, and its circle means to the
+same hyp2f1 reference.
 """
 
 import math
@@ -46,6 +50,8 @@ from hilbertnorm.quadrature import (  # noqa: E402
 from hilbertnorm.verification import (  # noqa: E402
     _BAND_CS,
     _BAND_RS,
+    _h1_closed_means,
+    _h1_image_closed,
     _h1_numerator_mean,
     _h1_profile_integral,
 )
@@ -198,9 +204,13 @@ def test_h1_profile_integral_matches_hypergeometric():
 def test_h1_numerator_mean_matches_hypergeometric(a):
     # at a = 0.5 the spike of width about 1 - r at theta = 0 carries a share
     # of about sqrt(1 - r) of the mean, so radii this near the boundary
-    # test that it is resolved
+    # test that it is resolved; the closed-form means the search runs on
+    # are held to the same reference at the radii of their cross-check
+    radii = (0.3, 0.99, 1.0 - 1e-6)
+    closed, closed_values = _h1_closed_means(a, np.array(radii))
+    assert closed_values > 0
     near = (1.0 - 1.2e-8, 1.0 - 2.4e-9) if a == 0.5 else ()
-    for r in (0.3, 0.99, 1.0 - 1e-6) + near:
+    for r in radii + near:
         got, values = _h1_numerator_mean(a, r)
         assert values > 0
         # 15 digits keep each reference under a second and still resolve
@@ -213,3 +223,31 @@ def test_h1_numerator_mean_matches_hypergeometric(a):
                 lambda th: abs(mpmath.hyp2f1(1, 1, 2 - am, rm * mpmath.expj(th))),
                 [0] + breaks + [mpmath.pi]) / ((1 - am) * mpmath.pi))
         assert abs(got - want) <= 1e-10 * want, (a, r)
+        if r in radii:
+            assert abs(closed[radii.index(r)] - want) <= 1e-10 * want, (a, r)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+def test_h1_image_closed_matches_incomplete_beta(a):
+    # radii out to 1 - 1e-11, angles from 0 to pi, and both sides of
+    # |1 - z| = 1/2, where the continued fraction hands over to the
+    # reflection series
+    zs = []
+    for r in (0.05, 0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-11):
+        thetas = [0.0, 1e-9, 1e-4, 0.3, 1.0, 2.0, math.pi]
+        c = (1.0 + r * r - 0.25) / (2.0 * r)
+        if abs(c) <= 1.0:
+            switch = math.acos(c)
+            thetas += [switch * (1.0 - 1e-9), switch * (1.0 + 1e-9),
+                       switch - 0.01, switch + 0.01]
+        zs.extend(r * np.exp(1j * np.array(thetas)))
+    zs = np.array(zs)
+    assert (abs(1.0 - zs) > 0.5).any() and (abs(1.0 - zs) <= 0.5).any()
+    got = _h1_image_closed(a, zs)
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        for z, g in zip(zs, got):
+            zm = mpmath.mpc(z)
+            want = complex(zm ** (am - 1) * (1 - zm) ** (-am)
+                           * mpmath.betainc(1 - am, am, 0, zm))
+            assert abs(g - want) <= 1e-14 * abs(want), (a, z, g, want)

@@ -362,21 +362,23 @@ def test_h1_lower_bound_report(verify_run):
     counts = re.search(
         r"(\d+) objective calls, (\d+) circle-mean integrand values", rep.detail)
     assert int(counts.group(1)) >= 64
-    # the sinh substitution of the angular spike spends 1,904,940 values;
-    # the power substitution of an endpoint exponent -1/2 spent 3,467,370
-    assert 0 < int(counts.group(2)) <= 2_500_000
+    # on the incomplete-beta closed form, all grid radii in one lockstep
+    # integration, the search spends 7,695 values; the quadrature route,
+    # a profile integral at every angle, spent 1,904,940 with the sinh
+    # substitution of the angular spike and 3,467,370 with the power
+    # substitution of an endpoint exponent -1/2
+    assert 0 < int(counts.group(2)) <= 50_000
 
 
 def test_h1_lower_bound_099_values_budget(verify_run):
     # the ratio is not pinned: the denominator's swept H^1 norm is low at
-    # alpha = 0.99 (ROADMAP item 2), and the detail shows it next to the
+    # alpha = 0.99 (ROADMAP item 1), and the detail shows it next to the
     # boundary mean Gamma(1-a)/Gamma(1-a/2)^2 it should reach.  The
-    # numerator's profile integral declares its near-singular t = 0 end as
-    # a -1/2 majorant; declared as alpha - 1 = -0.01 it spent 20,152,890
-    # values, against 7,191,090.  Its angular spike at theta = 0, declared
-    # as a near singularity at distance (1-r)/sqrt(r), spends 2,420,100;
-    # as the endpoint exponent -alpha, with theta = pi s^100, it spent
-    # 7,496,010.
+    # numerator search runs on the incomplete-beta closed form and spends
+    # 8,895 values.  The quadrature route, now the cross-check, spent
+    # 2,420,100 on the search with the angular spike declared as a near
+    # singularity at distance (1-r)/sqrt(r), and 7,496,010 with it declared
+    # as the endpoint exponent -alpha, with theta = pi s^100.
     rep = _report(verify_run, "h1-lower-bound-0.99")
     assert rep.passed
     assert "(AtZero at r = 0)" in rep.detail
@@ -387,7 +389,26 @@ def test_h1_lower_bound_099_values_budget(verify_run):
     # the means M_1(r) rise to the boundary mean, so no sweep exceeds it
     assert 0.0 < float(shown.group(1)) <= reference
     values = re.search(r"(\d+) circle-mean integrand values", rep.detail)
-    assert 0 < int(values.group(1)) <= 3_000_000
+    assert 0 < int(values.group(1)) <= 50_000
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.99])
+def test_h1_lower_bound_fails_when_the_cross_check_disagrees(monkeypatch, alpha):
+    # the quadrature route cross-checks the closed-form means the search
+    # runs on; a difference of 1e-5 relative fails the check, though the
+    # ratio still clears its floor
+    real = verification._h1_numerator_mean
+
+    def off(a, r):
+        mean, values = real(a, r)
+        return mean * (1.0 + 1e-5), values
+
+    monkeypatch.setattr(verification, "_h1_numerator_mean", off)
+    rep = verification.h1_lower_bound(alpha, 1e-8)
+    assert not rep.passed
+    assert rep.computed >= rep.target[0]
+    shown = re.search(r"quadrature route to ([\d.e+-]+) relative", rep.detail)
+    assert float(shown.group(1)) == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_gamma_identities_report():
