@@ -45,7 +45,6 @@ from .quadrature import (
     SingularitySpec,
     circle_mean,
     integrate,
-    integrate_family,
     integrate_halfline,
     integrate_singular,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import Kind, TestFunction, CoefficientSeries, eval as cat_eval, \
     _expm1_complex
-from .quadrature import SingularitySpec, integrate_family, integrate_singular
+from .quadrature import SingularitySpec, integrate_singular
 
 __all__ = [
     "apply_matrix",
@@ -88,6 +88,14 @@ def _require_points(z):
     return points
 
 
+def _pole_distance(z):
+    """Distance from t = 0 to the pole t = -(1-z)/z of 1/((1-z) + zt), at
+    the points of the 1-d array z, capped at 1: |1-z| / max(|z|, |1-z|).
+    The cap gives z = 0, whose kernel has no pole, a finite distance."""
+    omz = np.abs(1.0 - z)
+    return omz / np.maximum(np.abs(z), omz)
+
+
 def _operator_integral(fn, z, tol, kernel):
     """int_0^1 kernel(t, 1 - tz) dt at one point z or a 1-d array of them:
     every point is one member of a lockstep integration, with the value of
@@ -130,18 +138,19 @@ def derivative_at_pathshifted(fn, z, tol):
     only through the explicit (1-t) factor that the singular quadrature
     transform neutralizes exactly.
 
-    z may also be a 1-d array: every point is integrated in one
-    integrate_family call on a shared mesh, and a scalar z is the one-point
-    family. The mesh declares t = 0 by the majorant -1/2: d_t(z) is
-    near-singular there at distance |1-z|, which the level engine does not
-    resolve undeclared (t/d_t(z) is bounded)."""
+    z may also be a 1-d array, every point one member of a lockstep
+    integration with the value of its own scalar call, as in
+    _operator_integral. The pole of 1/d_t(z) at t = -(1-z)/z is declared
+    as a near singularity outside t = 0 (_pole_distance): d_t(z) is small
+    there when z is near 1."""
     points = _require_points(z)
-    z = points.reshape(-1)[:, None]
-    omz = 1.0 - z
+    zk = points.reshape(-1, 1)
+    omzk = 1.0 - zk
     kind = fn.kind
     al = fn.param
 
-    def integrand(t):
+    def integrand(k, t):
+        z, omz = zk[k], omzk[k]
         d = omz + t * z
         base = t / (d * omz)
         if kind is Kind.CONSTANT:
@@ -155,6 +164,8 @@ def derivative_at_pathshifted(fn, z, tol):
         w = (1.0 - al) * (np.log(w1) + np.log(w2))
         return base * _expm1_complex(w) / (2.0 * (al - 1.0))
 
-    spec = SingularitySpec(-0.5, _endpoint_spec(fn).right_exponent)
-    value = integrate_family(integrand, 0.0, 1.0, spec, tol).value
+    n = points.size
+    spec = SingularitySpec(right_exponent=_endpoint_spec(fn).right_exponent,
+                           left_distance=_pole_distance(points.reshape(-1)))
+    value = integrate_singular(integrand, np.zeros(n), np.ones(n), spec, tol).value
     return value if points.ndim else complex(value[0])

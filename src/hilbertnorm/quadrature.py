@@ -8,18 +8,13 @@ trapezoid-with-doubling circle means. Integrand callables are vectorized:
 they receive an ndarray of abscissae and must return an ndarray of values
 (real or complex) of the same shape.
 
-Two engines refine the panels. The heap engine (integrate and the functions
-built on it) refines each integral by splitting its worst panel, QUADPACK's
-qag strategy. It refines many independent members in lockstep: each round
-splits the worst panel of every member still above its budget and evaluates
-all their halves in one integrand call, while each member keeps its own
-heap and stop test. A scalar integral is the one-member case, and each
-member's mesh and value are those of its one-member call, bit for bit. The
-level-by-level engine (integrate_family) integrates a family, an integrand
-returning shape (..., m) for m abscissae, on one shared mesh: each level
-splits every panel over its share of the error budget. The two stay
-separate because the curves and tables print the heap engine's results to
-17 digits, and the shared mesh would change their last digits.
+One heap engine refines the panels: it refines each integral by splitting
+its worst panel, QUADPACK's qag strategy. It refines many independent
+members in lockstep: each round splits the worst panel of every member
+still above its budget and evaluates all their halves in one integrand
+call, while each member keeps its own heap and stop test. A scalar integral
+is the one-member case, and each member's mesh and value are those of its
+one-member call, bit for bit.
 """
 
 import heapq
@@ -38,7 +33,6 @@ __all__ = [
     "integrate",
     "integrate_singular",
     "integrate_halfline",
-    "integrate_family",
     "circle_mean",
 ]
 
@@ -77,7 +71,6 @@ _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
-_WKG = np.stack([_WGK, _WG], axis=1)
 # the two rules as weights of shape (2, 1, 15), for rows of panels
 _WKG_ROWS = np.stack([_WGK, _WG])[:, None, :]
 
@@ -93,8 +86,7 @@ _CIRCLE_MAX_GRID = 4096
 @dataclass(frozen=True)
 class QuadResult:
     """Integration result: value, error estimate, evaluation count, and
-    which endpoints were treated as singular. integrate_family gives value
-    and error_estimate as arrays of its family shape."""
+    which endpoints were treated as singular."""
     value: complex
     error_estimate: float
     evaluations: int
@@ -114,7 +106,9 @@ class SingularitySpec:
     (Johnston & Elliott, IJNME 62, 2005). It excludes left_exponent. A 1-d
     array gives each member of a lockstep integration its own distance. The
     integrand sees x rounded to float, so x - a keeps only the digits of
-    delta that |a| leaves: delta should be far above eps * |a|."""
+    delta that |a| leaves: delta should be far above eps * |a|. The
+    distance is stored as a float or a tuple of floats, so that specs
+    compare and hash by value."""
     left_exponent: Optional[float] = None
     right_exponent: Optional[float] = None
     left_distance: Optional[float] = None
@@ -131,11 +125,13 @@ class SingularitySpec:
                     "positive and finite, a scalar or a 1-d array")
             if self.left_exponent is not None:
                 raise ValueError("left_distance and left_exponent exclude each other")
+            object.__setattr__(self, "left_distance",
+                               tuple(dist.tolist()) if dist.ndim else float(dist))
 
 
 class QuadratureError(Exception):
     """Raised on non-convergence; carries the best result obtained so far
-    and, from the heap engine, the index of the member that failed."""
+    and the index of the member that failed."""
 
     def __init__(self, message, result=None, member=None):
         super().__init__(message)
@@ -293,13 +289,11 @@ def _transformed(f, a, b, exponent, side):
     correct to rounding.
 
     a and b are arrays of member intervals; f(k, x) and the returned g(k, s)
-    evaluate the members k, an index into them (an index array of rows, or
-    0 for the one interval of a family)."""
+    evaluate the members k, an index array of rows."""
     e = 0.0 if exponent is None else float(exponent)
     q = 1.0 / (1.0 + e)
     # per member in scalar arithmetic, as the one-member call rounds it
     coef = np.array([[q * s ** (1.0 + e)] for s in (b - a).tolist()])
-    # member columns, so that both kinds of k select rows
     span = (b - a)[:, None]
     edge, inner, sign = (b, a, -1.0) if side == "right" else (a, b, 1.0)
     off = np.nextafter(edge, inner)[:, None]
@@ -344,13 +338,24 @@ def _sinh_mapped(f, a, b, distance):
     return g
 
 
-def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
-    """Integrate f(k, x) over the member intervals [a[k], b[k]] (1-d
-    arrays) with the declared singularities of spec, as integrate_singular
-    describes; engine(g, lo, hi, tol, panel_cap) integrates one piece and
-    returns its QuadResult and a failure message (False when it
-    converged), or raises QuadratureError for a member, re-raised here
-    with that member's share of the earlier pieces added."""
+def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
+    """Integrate f over [a, b] with declared endpoint power singularities.
+
+    Each declared endpoint gets the neutralizing power substitution, and a
+    declared near singularity outside the left end the sinh substitution;
+    with both endpoints declared the interval is split at its midpoint and
+    each half gets its own transform at half the tolerance. Declared exponents
+    may be conservative majorants (e.g. -0.5 for a logarithmic blowup).
+    Array bounds give one integral per member as in integrate, every member
+    with the same declared exponents and a near-singularity distance of its
+    own or a shared one. A member failing on the second piece raises
+    QuadratureError with its share of the first piece added."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim > 1:
+        raise ValueError("integration bounds must be scalars or 1-d arrays")
+    one = a.ndim == 0
+    f = _pointwise(f) if one else f
+    a, b = a.reshape(-1), b.reshape(-1)
     if not (a < b).all():
         raise ValueError("integration requires a < b")
     if not tol > 0.0:
@@ -369,11 +374,10 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
                    else _transformed(f, lo, hi, e, side),
                    np.zeros(a.size), np.ones(a.size), tol / len(ends))
                   for lo, hi, e, side in ends]
-    value = err = 0.0
-    evaluations = 0
+    value = err = evaluations = 0
     for g, lo, hi, piece_tol in pieces:
         try:
-            r, failure = engine(g, lo, hi, piece_tol, panel_cap)
+            r = _heap(g, lo, hi, piece_tol, panel_cap)
         except QuadratureError as exc:
             if exc.result is None:
                 raise
@@ -385,35 +389,10 @@ def _by_pieces(engine, f, a, b, spec, tol, panel_cap):
                 flags), k) from None
         value = value + r.value
         err = err + r.error_estimate
-        evaluations += r.evaluations
-        if failure:
-            raise QuadratureError(
-                failure, QuadResult(value, err, int(np.sum(evaluations)), flags))
-    return QuadResult(value, err, int(np.sum(evaluations)), flags)
-
-
-def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
-    """Integrate f over [a, b] with declared endpoint power singularities.
-
-    Each declared endpoint gets the neutralizing power substitution, and a
-    declared near singularity outside the left end the sinh substitution;
-    with both endpoints declared the interval is split at its midpoint and
-    each half gets its own transform at half the tolerance. Declared exponents
-    may be conservative majorants (e.g. -0.5 for a logarithmic blowup).
-    Array bounds give one integral per member as in integrate, every member
-    with the same declared exponents and a near-singularity distance of its
-    own or a shared one."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if a.ndim > 1:
-        raise ValueError("integration bounds must be scalars or 1-d arrays")
-    one = a.ndim == 0
-    res = _by_pieces(lambda *piece: (_heap(*piece), False),
-                     _pointwise(f) if one else f, a.reshape(-1), b.reshape(-1),
-                     spec, tol, panel_cap)
+        evaluations = evaluations + r.evaluations
     if not one:
-        return res
-    return QuadResult(res.value[0].item(), float(res.error_estimate[0]),
-                      res.evaluations, res.singular_flags)
+        return QuadResult(value, err, int(np.sum(evaluations)), flags)
+    return QuadResult(value[0].item(), float(err[0]), int(evaluations[0]), flags)
 
 
 def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
@@ -447,98 +426,6 @@ def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
             f"integrand not finite for x in [{a + hit.min() / (1.0 - hit.min()):g}, "
             "inf]: integrate_halfline needs f(x) = O(x^-2) as x -> infinity",
             exc.result) from None
-
-
-def _panels(g, lo, hi):
-    """GK15 on every panel [lo[i], hi[i]] of a family integrand in one call.
-
-    g maps abscissae of shape (m,) to values of shape (..., m). Returns the
-    K15 values and the error estimates (sharpened as in _rule), each of
-    shape (members, panels), and the family shape (...)."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
-    y = np.asarray(g(x.ravel()))
-    if y.ndim == 0 or y.shape[-1] != x.size:
-        raise QuadratureError(
-            f"family integrand returned shape {y.shape} for input shape {(x.size,)}")
-    family = y.shape[:-1]
-    y = y.reshape((-1,) + x.shape)
-    resabs = half * (np.abs(y) @ _WGK)
-    # the Kronrod weights are positive, so resabs is finite iff y is
-    if not np.all(np.isfinite(resabs)):
-        raise QuadratureError(
-            f"family integrand not finite on [{lo.min():g}, {hi.max():g}]")
-    kg = y @ _WKG
-    resasc = half * (np.abs(y - 0.5 * kg[..., :1]) @ _WGK)
-    k15 = half * kg[..., 0]
-    err = np.abs(k15 - half * kg[..., 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sharp = resasc * np.minimum(1.0, 200.0 * err / resasc) ** 1.5
-    err = np.maximum(np.where(resasc > 0.0, sharp, err), 50.0 * _EPS * resabs)
-    return k15, err, family
-
-
-def _levels(g, a, b, tol, panel_cap):
-    """Level-by-level adaptive GK15 of a family integrand over [a, b].
-
-    Every level evaluates all new panels in one call. A panel is split when,
-    for some member whose total error exceeds tol * max(1, |value|), the
-    panel's error exceeds its length share of that budget; panels at float
-    resolution are frozen and leave the convergence test, as in integrate.
-    Returns a QuadResult with value and error of the family shape, and a
-    failure message past panel_cap panels (False when converged). Starting
-    from four panels rather than one saves levels that split every panel."""
-    edges = np.linspace(a, b, 5)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs, family = _panels(g, lo, hi)
-    evaluations = vals.size * 15
-    frozen_val = frozen_err = 0.0
-    while True:
-        value = frozen_val + vals.sum(axis=1)
-        live_err = errs.sum(axis=1)
-        budget = tol * np.maximum(1.0, np.abs(value))
-        need = live_err > budget
-        split = np.any(errs[need] > budget[need, None] * ((hi - lo) / (b - a)), axis=0)
-        if not split.any() or lo.size + split.sum() > panel_cap:
-            failure = need.any() and (
-                f"no convergence after {lo.size} panels "
-                f"(worst error {np.max(live_err / budget):.3e} x its budget)")
-            return QuadResult(value.reshape(family),
-                              (frozen_err + live_err).reshape(family),
-                              evaluations), failure
-        mid = 0.5 * (lo + hi)
-        stuck = split & ((mid <= lo) | (mid >= hi))
-        if stuck.any():
-            frozen_val = frozen_val + vals[:, stuck].sum(axis=1)
-            frozen_err = frozen_err + errs[:, stuck].sum(axis=1)
-            split &= ~stuck
-        keep = ~(split | stuck)
-        new_lo = np.concatenate([lo[split], mid[split]])
-        new_hi = np.concatenate([mid[split], hi[split]])
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals, errs = vals[:, keep], errs[:, keep]
-        if new_lo.size:
-            new_vals, new_errs, _ = _panels(g, new_lo, new_hi)
-            evaluations += new_vals.size * 15
-            vals = np.concatenate([vals, new_vals], axis=1)
-            errs = np.concatenate([errs, new_errs], axis=1)
-
-
-def integrate_family(f, a, b, spec, tol, panel_cap=1 << 10):
-    """Integrate a family of integrands on one shared mesh over [a, b].
-
-    f maps abscissae of shape (m,) to values of shape (..., m), one member
-    per index of the family shape (...); spec declares endpoint power
-    singularities shared by all members, handled as in integrate_singular.
-    Returns a QuadResult whose value and error_estimate have the family
-    shape, each member within tol * max(1, |value|). Past panel_cap panels
-    on a piece (lower than integrate's cap: every member fills every panel)
-    it raises QuadratureError carrying that partial QuadResult."""
-    return _by_pieces(
-        lambda g, lo, hi, *rest: _levels(lambda x: g(0, x), lo[0], hi[0], *rest),
-        lambda _, x: f(x), np.array([float(a)]), np.array([float(b)]), spec,
-        tol, panel_cap)
 
 
 def _circle_points(r, theta):

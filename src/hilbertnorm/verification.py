@@ -28,6 +28,7 @@ from .catalog import (
     taylor_coeffs,
 )
 from .hilbertop import (
+    _pole_distance,
     apply_integral,
     apply_matrix,
     derivative_at,
@@ -38,7 +39,6 @@ from .quadrature import (
     QuadratureError,
     SingularitySpec,
     integrate,
-    integrate_family,
     integrate_halfline,
     integrate_singular,
 )
@@ -619,58 +619,51 @@ _H1_T_TOL = 1e-9
 
 def _h1_profile_integral(alpha, z):
     """K(z) = int_0^1 ((1-z) + z t)^(alpha-1) (1-t)^(-alpha) dt at each point
-    of the 1-d array z in the unit disk, as one integrate_family result.
+    of the 1-d array z in the unit disk, as one integrate_singular result:
+    every point is one member of a lockstep integration.
 
     At t = 0 the factor d^(alpha-1), d = (1-z) + z t, is singular only in
-    the limit |1-z| -> 0: for |z| < 1 it is a near singularity at distance
-    about |1-z|.  It is declared with the majorant exponent
-    min(alpha-1, -1/2), whose substitution leaves s^1 on an integrand that
-    is regular at t = 0 and a positive power of s as |1-z| -> 0.  The
-    exponent alpha-1 itself would leave s^((1-alpha)/alpha), which the
-    panels bisect toward s = 0 when alpha is near 1."""
-    omz = 1.0 - z
+    the limit |1-z| -> 0: its zero t = -(1-z)/z lies outside [0, 1], at
+    about |1-z| from t = 0 when z is near 1.  It is declared as a near
+    singularity at that distance (hilbertop._pole_distance), whose sinh
+    substitution spreads it over the piece for every alpha."""
+    zk = z[:, None]
+    omz = 1.0 - zk
 
-    def profile(t):
-        d = omz[:, None] + np.outer(z, t)
+    def profile(k, t):
+        d = omz[k] + zk[k] * t
         # log|d| + i arg(d) is the principal log (Re d > 0) at a third of
         # the cost of the complex log ufunc
         log_d = np.log(np.abs(d)) + 1j * np.angle(d)
         return np.exp((alpha - 1.0) * log_d - alpha * np.log1p(-t))
 
-    return integrate_family(
-        profile, 0.0, 1.0, SingularitySpec(min(alpha - 1.0, -0.5), -alpha),
+    return integrate_singular(
+        profile, np.zeros(z.size), np.ones(z.size),
+        SingularitySpec(right_exponent=-alpha, left_distance=_pole_distance(z)),
         _H1_T_TOL)
 
 
 def _h1_numerator_mean(alpha, r):
-    """Circle mean (1/pi) int_0^pi |Hf(r e^(i theta))| dtheta of the image
-    of the Hardy extremal (1-z)^(-alpha), 0 < r < 1, with the integrand
-    values it spent: (mean, values).
+    """Circle means (1/pi) int_0^pi |Hf(r e^(i theta))| dtheta of the image
+    of the Hardy extremal (1-z)^(-alpha) at the radii of the 1-d array r,
+    0 < r < 1, with the integrand values they spent: (means, values).
 
     It is computed through the factorization |Hf(z)| = |1-z|^(-alpha) |K(z)|
-    (_h1_profile_integral).  For r < 1 the factor |1-z|^(-alpha) is no
-    endpoint singularity but a spike at theta = 0 of width
-    delta = (1-r)/sqrt(r): |1-z|^2 is about r (delta^2 + theta^2).  It is
-    declared as a near singularity at that distance, whose sinh
-    substitution integrates it as a smooth function at every r.  Both
-    integrals run on integrate_family: each level of the angular integral
-    is one call, integrating K at all its new angles on one shared mesh.
-    This quadrature route is the cross-check of the closed-form means
-    (_h1_closed_means) that h1_lower_bound searches on."""
-    omr = 1.0 - r
+    (_h1_profile_integral), on the angular integration of _h1_circle_means:
+    every radius is one member, and each round integrates K at all the new
+    angles of every member in one lockstep call.  This quadrature route is
+    the cross-check of the closed-form means (_h1_closed_means) that
+    h1_lower_bound searches on."""
     spent = 0
 
-    def theta_integrand(thetas):
+    def image(z, omz):
         nonlocal spent
-        k = _h1_profile_integral(alpha, r * np.exp(1j * thetas))
+        k = _h1_profile_integral(alpha, z.ravel())
         spent += k.evaluations
-        q2 = omr * omr + 4.0 * r * np.sin(0.5 * thetas) ** 2
-        return q2 ** (-0.5 * alpha) * np.abs(k.value)
+        return np.abs(omz) ** -alpha * np.abs(k.value).reshape(z.shape)
 
-    res = integrate_family(
-        theta_integrand, 0.0, math.pi,
-        SingularitySpec(left_distance=omr / math.sqrt(r)), 1e-7)
-    return float(res.value) / math.pi, spent + res.evaluations
+    means, values = _h1_circle_means(r, image)
+    return means, spent + values
 
 
 # Depth of the backward continued fraction and length of the reflection
@@ -720,25 +713,36 @@ def _h1_image_closed(alpha, z, omz=None):
     return out
 
 
-def _h1_closed_means(alpha, r):
-    """Circle means (1/pi) int_0^pi |Hf(r e^(i theta))| dtheta of the image
-    of the Hardy extremal at the radii of the 1-d array r, 0 < r < 1, on
-    the closed form _h1_image_closed: every radius is a member of one
-    lockstep integration, its spike at theta = 0 declared as a near
-    singularity at its own distance (1-r)/sqrt(r), as in
-    _h1_numerator_mean.  Returns (means, integrand values)."""
+def _h1_circle_means(r, image):
+    """Circle means (1/pi) int_0^pi image(z, 1-z) dtheta at the radii of the
+    1-d array r, 0 < r < 1, with the integrand values spent: every radius
+    is a member of one lockstep integration.  image(z, omz) gives |Hf| at
+    the points z = r e^(i theta), with omz = 1-z free of cancellation.
+    Near the boundary |Hf| ~ |1-z|^(-alpha) is a spike at theta = 0 of
+    width delta = (1-r)/sqrt(r): |1-z|^2 is about r (delta^2 + theta^2).
+    It is declared as a near singularity at that distance, its own for
+    each radius, whose sinh substitution integrates it as a smooth function
+    at every r."""
     r = np.asarray(r, dtype=float)
     rk, omr = r[:, None], (1.0 - r)[:, None]
 
     def integrand(k, theta):
         # 1 - r cos(theta) = (1-r) + 2 r sin^2(theta/2), free of cancellation
         omz = omr[k] + 2.0 * rk[k] * np.sin(0.5 * theta) ** 2 - 1j * rk[k] * np.sin(theta)
-        return np.abs(_h1_image_closed(alpha, rk[k] * np.exp(1j * theta), omz))
+        return image(rk[k] * np.exp(1j * theta), omz)
 
     dist = np.array([(1.0 - x) / math.sqrt(x) for x in r.tolist()])
     res = integrate_singular(integrand, np.zeros(r.size), np.full(r.size, math.pi),
                              SingularitySpec(left_distance=dist), 1e-7)
     return res.value / math.pi, res.evaluations
+
+
+def _h1_closed_means(alpha, r):
+    """Circle means of the image of the Hardy extremal at the radii of the
+    1-d array r, 0 < r < 1, on the closed form _h1_image_closed
+    (_h1_circle_means).  Returns (means, integrand values)."""
+    return _h1_circle_means(
+        r, lambda z, omz: np.abs(_h1_image_closed(alpha, z, omz)))
 
 
 def h1_lower_bound(alpha, tol):
@@ -779,8 +783,8 @@ def h1_lower_bound(alpha, tol):
                         vectorized=True)
     numerator = sup.value
     closed, _ = _h1_closed_means(alpha, np.array(_H1_CROSS_RADII))
-    cross = max(abs(_h1_numerator_mean(alpha, r)[0] - c) / c
-                for r, c in zip(_H1_CROSS_RADII, closed.tolist()))
+    means, _ = _h1_numerator_mean(alpha, np.array(_H1_CROSS_RADII))
+    cross = float(np.max(np.abs(means - closed) / closed))
     denominator = hardy_norm(fn, 1.0, False, tol)
     boundary_mean = gamma(1.0 - alpha) / gamma(1.0 - alpha / 2.0) ** 2
     ratio = numerator / denominator

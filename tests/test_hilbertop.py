@@ -171,7 +171,7 @@ def test_pathshifted_derivative_agrees_with_direct(fn, z):
 
 
 # ---------------------------------------------------------------------------
-# path-shifted derivative on an array of points (one shared-mesh call)
+# path-shifted derivative on an array of points (one lockstep call)
 
 
 def _grid_radii():
@@ -186,6 +186,17 @@ def test_pathshifted_array_constant_matches_closed_form():
     exact = 1.0 / (r * (1.0 - r)) + np.log1p(-r) / (r * r)
     assert got.shape == r.shape
     assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact))
+
+
+def test_pathshifted_scalar_constant_meets_tol():
+    # each point alone meets the tolerance it was given against the closed
+    # form, also next to r = 1, where d_t(r) has its pole at distance
+    # (1-r)/r from t = 0
+    tol = 1e-10
+    for r in _grid_radii().tolist():
+        got = derivative_at_pathshifted(TestFunction(Kind.CONSTANT), r, tol)
+        exact = 1.0 / (r * (1.0 - r)) + np.log1p(-r) / (r * r)
+        assert abs(got - exact) <= tol * max(1.0, abs(exact)), r
 
 
 def test_pathshifted_array_half_log_matches_closed_form():
@@ -216,8 +227,9 @@ def test_pathshifted_array_agrees_with_scalar_direct(fn):
     TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5),
     TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.5),
 ], ids=["constant", "halflog", "hardy-0.5", "bloch-1.5", "bloch-0.5"])
-@pytest.mark.parametrize("operator", [apply_integral, derivative_at],
-                         ids=["integral", "derivative"])
+@pytest.mark.parametrize("operator", [apply_integral, derivative_at,
+                                      derivative_at_pathshifted],
+                         ids=["integral", "derivative", "pathshifted"])
 def test_operator_array_equals_scalar_calls(fn, operator):
     # an array of points is one lockstep integration, each point with the
     # bits of its own scalar call

@@ -12,7 +12,6 @@ from hilbertnorm.quadrature import (
     SingularitySpec,
     circle_mean,
     integrate,
-    integrate_family,
     integrate_halfline,
     integrate_singular,
 )
@@ -243,7 +242,7 @@ def test_integration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# family integrator
+# a family of integrals, one lockstep member each
 # ---------------------------------------------------------------------------
 
 _SPECS = (
@@ -255,44 +254,46 @@ _SPECS = (
 
 
 def _power_family(spec, cs):
-    """Rows x^a (1-x)^b / (1 + c x) for each c, with the declared (a, b)."""
+    """Members x^a (1-x)^b / (1 + c x), one for each c, with the declared
+    (a, b); and the same integrands one at a time."""
     a = spec.left_exponent or 0.0
     b = spec.right_exponent or 0.0
+    c = np.array(cs)
 
-    def row(c):
-        return lambda x: x ** a * (1.0 - x) ** b / (1.0 + c * x)
+    def family(members, x):
+        return x ** a * (1.0 - x) ** b / (1.0 + c[members, None] * x)
 
-    def family(x):
-        return np.stack([row(c)(x) for c in cs])
-
-    return family, [row(c) for c in cs]
+    return family, [lambda x, ck=ck: x ** a * (1.0 - x) ** b / (1.0 + ck * x)
+                    for ck in cs]
 
 
 @pytest.mark.parametrize("spec", _SPECS)
 def test_family_rows_match_scalar_integrator(spec):
+    # every declared form, endpoints alone and together, in lockstep
     tol = 1e-10
     cs = (0.0, 0.5, 3.0, 20.0)
     family, rows = _power_family(spec, cs)
-    res = integrate_family(family, 0.0, 1.0, spec, tol)
+    res = integrate_singular(family, np.zeros(len(cs)), 1.0, spec, tol)
     assert res.value.shape == (len(cs),)
     assert res.error_estimate.shape == (len(cs),)
     assert res.singular_flags == (spec.left_exponent is not None,
                                   spec.right_exponent is not None)
-    for got, row in zip(res.value, rows):
-        want = integrate_singular(row, 0.0, 1.0, spec, tol).value
-        assert abs(got - want) <= 2.0 * tol * max(1.0, abs(want))
+    for got, err, row in zip(res.value, res.error_estimate, rows):
+        one = integrate_singular(row, 0.0, 1.0, spec, tol)
+        assert got == one.value and err == one.error_estimate
 
 
 def test_family_beta_rows():
-    # rows x^(a+k-1) (1-x)^(b-1) integrate to B(a+k, b)
+    # members x^(a+k-1) (1-x)^(b-1) integrate to B(a+k, b); the declared
+    # left exponent a-1 is a majorant of every member's
     a, b = 0.3, 0.45
     ks = np.arange(5)
 
-    def family(x):
-        return x[None, :] ** (a + ks[:, None] - 1.0) * (1.0 - x) ** (b - 1.0)
+    def family(members, x):
+        return x ** (a + ks[members, None] - 1.0) * (1.0 - x) ** (b - 1.0)
 
-    res = integrate_family(
-        family, 0.0, 1.0, SingularitySpec(a - 1.0, b - 1.0), 1e-11)
+    res = integrate_singular(family, np.zeros(ks.size), 1.0,
+                             SingularitySpec(a - 1.0, b - 1.0), 1e-11)
     for k, got in zip(ks, res.value):
         want = math.exp(math.lgamma(a + k) + math.lgamma(b)
                         - math.lgamma(a + k + b))
@@ -301,94 +302,42 @@ def test_family_beta_rows():
 
 
 def test_family_complex_rows_and_shape():
-    # rows e^(i k x) over [0, 2], arranged as a (2, 3) family
-    ks = np.arange(1.0, 7.0).reshape(2, 3)
+    # members e^(i k x) over [0, 2]
+    ks = np.arange(1.0, 7.0)
 
-    def family(x):
-        return np.exp(1j * ks[..., None] * x)
+    def family(members, x):
+        return np.exp(1j * ks[members, None] * x)
 
-    res = integrate_family(family, 0.0, 2.0, SingularitySpec(), 1e-11)
-    assert res.value.shape == (2, 3)
+    res = integrate(family, np.zeros(ks.size), 2.0, 1e-11)
+    assert res.value.shape == ks.shape and res.value.dtype == complex
     want = (np.exp(2j * ks) - 1.0) / (1j * ks)
     assert np.max(np.abs(res.value - want)) <= 1e-10
 
 
-def test_family_scalar_output_is_a_one_member_family():
-    res = integrate_family(np.cos, 0.0, 1.0, SingularitySpec(), 1e-12)
-    assert res.value.shape == ()
-    assert float(res.value) == pytest.approx(math.sin(1.0), abs=1e-13)
-
-
 def test_family_members_converge_independently():
-    # a gentle row must not hide a row that needs a much finer mesh
-    def family(x):
-        return np.stack([np.ones_like(x), np.sin(60.0 * x) ** 2])
+    # a gentle member must not hide a member that needs a much finer mesh
+    def family(members, x):
+        return np.where(members[:, None] == 0, 1.0, np.sin(60.0 * x) ** 2)
 
-    res = integrate_family(family, 0.0, 1.0, SingularitySpec(), 1e-10)
+    res = integrate(family, np.zeros(2), 1.0, 1e-10)
     assert res.value[0] == pytest.approx(1.0, abs=1e-13)
     assert res.value[1] == pytest.approx(
         0.5 - math.sin(120.0) / 240.0, abs=1e-9)
 
 
-def test_family_wrong_shape_raises():
-    with pytest.raises(QuadratureError):
-        integrate_family(lambda x: np.ones(x.size + 1), 0.0, 1.0,
-                         SingularitySpec(), 1e-8)
-    with pytest.raises(QuadratureError):
-        integrate_family(lambda x: np.ones((x.size, 2)), 0.0, 1.0,
-                         SingularitySpec(), 1e-8)
-    with pytest.raises(QuadratureError):
-        integrate_family(lambda x: 1.0, 0.0, 1.0, SingularitySpec(), 1e-8)
-
-
-def test_family_not_finite_raises():
-    with pytest.raises(QuadratureError):
-        integrate_family(lambda x: np.stack([x, np.where(x > 0.5, np.inf, x)]),
-                         0.0, 1.0,
-                         SingularitySpec(), 1e-8)
-
-
 def test_family_freezes_panels_at_float_resolution():
-    # four panels one ulp wide cannot be bisected; a row that is rough at
-    # that scale freezes them instead of looping
+    # an interval four ulps wide: its panels soon cannot be bisected, and a
+    # member that is rough at that scale freezes them instead of looping
     a = 1.0
     b = a + 4.0 * np.spacing(a)
 
-    def family(x):
-        return np.stack([np.ones_like(x), 1e8 * np.sin(1e17 * x)])
+    def family(members, x):
+        return np.where(members[:, None] == 0, 1.0, 1e8 * np.sin(1e17 * x))
 
-    res = integrate_family(family, a, b, SingularitySpec(), 1e-12)
+    res = integrate(family, np.full(2, a), b, 1e-12)
     assert res.value[0] == pytest.approx(b - a, rel=1e-12)
     # the frozen error stays in the estimate but left the convergence test
     assert res.error_estimate[1] > 1e-12
-
-
-def test_family_panel_cap_raises_with_partial_result():
-    def family(x):
-        return np.stack([np.ones_like(x), 1.0 / x])
-
-    with pytest.raises(QuadratureError) as info:
-        integrate_family(family, 0.0, 1.0, SingularitySpec(), 1e-10,
-                         panel_cap=64)
-    partial = info.value.result
-    assert isinstance(partial, QuadResult)
-    assert partial.value.shape == (2,)
-    assert partial.error_estimate.shape == (2,)
-    assert partial.evaluations > 0
-    assert partial.value[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_family_panel_cap_counts_both_pieces():
-    # a failure on the second piece still reports the first piece's share
-    def family(x):
-        return np.stack([np.ones_like(x), 1.0 / (1.0 - x) ** 1.5])
-
-    with pytest.raises(QuadratureError) as info:
-        integrate_family(family, 0.0, 1.0, SingularitySpec(-0.5, -0.5), 1e-10,
-                         panel_cap=64)
-    partial = info.value.result
-    assert partial.singular_flags == (True, True)
-    assert partial.value[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_singular_failure_on_second_piece_counts_the_first():
@@ -432,18 +381,24 @@ def test_singular_failure_of_one_member_counts_its_first_piece():
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
-        integrate_family(np.cos, 1.0, 0.0, SingularitySpec(), 1e-8)
-    with pytest.raises(ValueError):
-        integrate_family(np.cos, 0.0, 1.0, SingularitySpec(), 0.0)
+    # one member with a > b, or no tolerance, rejects the whole family
+    def family(members, x):
+        return np.cos(x)
+
+    with pytest.raises(ValueError, match="a < b"):
+        integrate_singular(family, np.zeros(3), np.array([1.0, -1.0, 1.0]),
+                           SingularitySpec(), 1e-8)
+    with pytest.raises(ValueError, match="tol"):
+        integrate_singular(family, np.zeros(3), 1.0, SingularitySpec(), 0.0)
 
 
 def test_family_is_deterministic():
-    def family(x):
-        return np.stack([np.exp(-x) * np.sin(3.0 * x), np.cos(7.0 * x)])
+    def family(members, x):
+        return np.where(members[:, None] == 0, np.exp(-x) * np.sin(3.0 * x),
+                        np.cos(7.0 * x))
 
-    first = integrate_family(family, 0.0, 5.0, SingularitySpec(), 1e-11)
-    second = integrate_family(family, 0.0, 5.0, SingularitySpec(), 1e-11)
+    first = integrate(family, np.zeros(2), 5.0, 1e-11)
+    second = integrate(family, np.zeros(2), 5.0, 1e-11)
     assert np.array_equal(first.value, second.value)
     assert np.array_equal(first.error_estimate, second.error_estimate)
     assert first.evaluations == second.evaluations
@@ -563,16 +518,12 @@ def test_near_singularity_closed_forms(d):
     tol = 1e-12
     spec = SingularitySpec(left_distance=d)
     rows, integrals = _near_rows(d)
-    fam = integrate_family(lambda x: np.stack([row(x) for row in rows]),
-                           0.0, 1.0, spec, tol)
-    assert fam.singular_flags == (True, False)
     b = np.array([0.25, 1.0, 4.0])
     for j, (row, integral) in enumerate(zip(rows, integrals)):
         one = integrate_singular(row, 0.0, 1.0, spec, tol)
         assert one.singular_flags == (True, False)
         batch = integrate_singular(lambda members, x: row(x), 0.0, b, spec, tol)
-        for got, want in ((one.value, integral(1.0)), (fam.value[j], integral(1.0)),
-                          *zip(batch.value, integral(b))):
+        for got, want in ((one.value, integral(1.0)), *zip(batch.value, integral(b))):
             assert abs(got - want) <= tol * max(1.0, abs(want)), (d, j, got, want)
 
 
@@ -662,6 +613,20 @@ def test_near_singularity_validation():
     # a distance so small that (b - a)/delta overflows
     with pytest.raises(ValueError, match="too small"):
         integrate_singular(np.cos, 0.0, 1.0, SingularitySpec(left_distance=5e-324), 1e-8)
+
+
+def test_singularity_spec_compares_and_hashes_by_value():
+    # an array distance is kept as a tuple of floats, a scalar as a float
+    d = np.array([1e-3, 0.5])
+    spec = SingularitySpec(right_exponent=-0.5, left_distance=d)
+    assert spec.left_distance == (1e-3, 0.5)
+    same = SingularitySpec(right_exponent=-0.5, left_distance=[1e-3, 0.5])
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != SingularitySpec(right_exponent=-0.5, left_distance=d[::-1])
+    assert spec != SingularitySpec(right_exponent=-0.5, left_distance=1e-3)
+    scalar = SingularitySpec(left_distance=np.float64(0.5))
+    assert type(scalar.left_distance) is float
+    assert len({spec, same, scalar, SingularitySpec(left_distance=0.5)}) == 2
 
 
 def test_halfline_error_names_the_failing_half():

@@ -3,11 +3,11 @@
 Smooth integrands: integrate on a finite interval, and integrate_halfline on
 integrands that decay at least like x^-2, the rate its rational map needs.
 
-Singular integrands: rows x^a (1-x)^b g(x) with declared endpoint exponents a, b in (-0.95, 1)
-and smooth factors g are integrated on one shared mesh by the family
-engine, and one row at a time by the scalar engine (integrate_singular),
-and compared with mpmath's tanh-sinh quadrature at 30 significant digits.
-Tanh-sinh alone loses most digits for exponents near -1, so the reference
+Singular integrands: rows x^a (1-x)^b g(x) with declared endpoint
+exponents a, b in (-0.95, 1) and smooth factors g are integrated as the
+members of one lockstep integration and one row at a time
+(integrate_singular), and compared with mpmath's tanh-sinh quadrature at
+30 significant digits.  Tanh-sinh alone loses most digits for exponents near -1, so the reference
 splits [0, 1] at 1/2 and removes each endpoint power by the exact
 substitution x = u^(1/(1+a)) in 30-digit arithmetic, leaving mpmath smooth
 integrands.
@@ -43,7 +43,6 @@ from hilbertnorm.quadrature import (  # noqa: E402
     QuadratureError,
     SingularitySpec,
     integrate,
-    integrate_family,
     integrate_halfline,
     integrate_singular,
 )
@@ -79,9 +78,9 @@ def _reference(a, b, c, k):
 
 
 def _family(a, b, c, k):
-    def family(x):
+    def family(members, x):
         base = x ** a * (1.0 - x) ** b * np.cos(k * x)
-        return base / (1.0 + c[:, None] * x)
+        return base / (1.0 + c[members, None] * x)
     return family
 
 
@@ -103,8 +102,10 @@ def _on_examples(test):
 
 @_on_examples
 def test_family_matches_mpmath(a, b, cs, k):
+    # one lockstep member per factor c, on array bounds
     c = np.array(cs)
-    res = integrate_family(_family(a, b, c, k), 0.0, 1.0, SingularitySpec(a, b), TOL)
+    res = integrate_singular(_family(a, b, c, k), np.zeros(c.size), np.ones(c.size),
+                             SingularitySpec(a, b), TOL)
     _check(res.value, a, b, cs, k)
 
 
@@ -112,7 +113,7 @@ def test_family_matches_mpmath(a, b, cs, k):
 def test_singular_matches_mpmath(a, b, cs, k):
     # the scalar heap engine, one member at a time
     c = np.array(cs)
-    values = [integrate_singular(lambda x: _family(a, b, c[i:i + 1], k)(x)[0],
+    values = [integrate_singular(lambda x: _family(a, b, c, k)(i, x),
                                  0.0, 1.0, SingularitySpec(a, b), TOL).value
               for i in range(c.size)]
     _check(values, a, b, cs, k)
@@ -185,19 +186,17 @@ def test_hardy_extremal_image_matches_hypergeometric(a):
 
 def test_h1_profile_integral_matches_hypergeometric():
     # |1 - z| from 1e-11 to 1 on three rays out of z = 1, inside the disk,
-    # one point per call: a family of one refines its mesh for that point only
+    # every point a member of one call
     a = 0.99
     am = mpmath.mpf(a)
-    for d in 10.0 ** np.arange(-11, 1):
-        for phi in (0.0, 1.0, 1.5):
-            z = 1.0 - d * np.exp(1j * phi)
-            if abs(z) >= 1.0:
-                continue
-            got = _h1_profile_integral(a, np.array([z])).value[0]
-            with mpmath.workdps(30):
-                want = complex(mpmath.hyp2f1(1 - am, 1 - am, 2 - am, mpmath.mpc(z))
-                               / (1 - am))
-            assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
+    rays = np.exp(1j * np.array([0.0, 1.0, 1.5]))
+    zs = (1.0 - np.outer(10.0 ** np.arange(-11, 1), rays)).ravel()
+    zs = zs[np.abs(zs) < 1.0]
+    for z, got in zip(zs, _h1_profile_integral(a, zs).value):
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyp2f1(1 - am, 1 - am, 2 - am, mpmath.mpc(z))
+                           / (1 - am))
+        assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
 
 
 @pytest.mark.parametrize("a", [0.5, 0.99])
@@ -210,9 +209,9 @@ def test_h1_numerator_mean_matches_hypergeometric(a):
     closed, closed_values = _h1_closed_means(a, np.array(radii))
     assert closed_values > 0
     near = (1.0 - 1.2e-8, 1.0 - 2.4e-9) if a == 0.5 else ()
-    for r in radii + near:
-        got, values = _h1_numerator_mean(a, r)
-        assert values > 0
+    means, values = _h1_numerator_mean(a, np.array(radii + near))
+    assert values > 0
+    for r, got in zip(radii + near, means.tolist()):
         # 15 digits keep each reference under a second and still resolve
         # 1e-10; the breakpoints put the spike of width 1 - r in its own piece
         with mpmath.workdps(15):

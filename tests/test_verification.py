@@ -330,20 +330,23 @@ def test_norm_bloch_to_blochlog_report():
     lambda: norm_bloch_to_blochlog(1e-8),
     lambda: alpha_lower_bound(1.5, 1e-8),
 ], ids=["bloch-to-blochlog-norm", "alpha-lower-bound-1.5"])
-def test_log_bloch_witness_is_one_family_sweep(monkeypatch, check):
-    # the witness grid goes through the derivative's array route; only the
-    # scalar |Hf(0)| and derivative_at calls stay on integrate_singular (a
-    # sweep of scalar calls made about 500 and 270)
-    calls = []
+def test_log_bloch_witness_is_one_lockstep_sweep(monkeypatch, check):
+    # the witness grid goes through the derivative's array route, one
+    # lockstep call with a member per grid radius; golden steps, |Hf(0)|
+    # and derivative_at are one-member calls and are not counted, so a
+    # sweep of scalar calls makes no call that counts
+    sweeps = []
     real = hilbertop.integrate_singular
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(f, a, *args, **kwargs):
+        if np.size(a) > 1:
+            sweeps.append(np.size(a))
+        return real(f, a, *args, **kwargs)
 
     monkeypatch.setattr(hilbertop, "integrate_singular", counted)
     assert check().passed
-    assert len(calls) <= 10
+    assert 1 <= len(sweeps) <= 2
+    assert min(sweeps) >= 200
 
 
 def test_hinf_norm_report():
