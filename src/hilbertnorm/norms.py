@@ -23,8 +23,9 @@ import numpy as np
 from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
                       eval_series, derivative_series)
 from .quadrature import (_CIRCLE_MAX_GRID, _TRAPEZOID_MAX_POINTS,
-                         QuadratureError, _angular_mean, _circle_max,
-                         _circle_points, circle_mean, integrate)
+                         QuadratureError, SingularitySpec, _angular_mean,
+                         _circle_max, _circle_points, integrate,
+                         integrate_singular)
 from .specfun import log_weight
 from .supsearch import (SupResult, supremum_unit, unit_grid, AT_ZERO,
                         AT_BOUNDARY_LIMIT)
@@ -55,14 +56,77 @@ def _weight_at(r, log_weighted):
     return float(log_weight(r)) if log_weighted else 1.0
 
 
+def _spiked_means(r, power, top, tol):
+    """Means (1/top) int_0^top power(r, theta) dtheta at the radii of the
+    1-d array r, 0 < r < 1, with the integrand values spent: (means,
+    values). Every radius is a member of one lockstep integration;
+    power(r, theta) gets the radii of its rows as a column.
+
+    The integrand is taken to be a spike at theta = 0 of width delta =
+    (1-r)/sqrt(r), such as a power of |1 - r e^{i theta}|, whose square
+    (1-r)^2 + 4 r sin^2(theta/2) is about r (delta^2 + theta^2). It is
+    declared as a near singularity at that distance, its own for each
+    radius, whose sinh substitution integrates it as a smooth function at
+    every r."""
+    r = np.asarray(r, dtype=float)
+    rk = r[:, None]
+    dist = np.array([(1.0 - x) / math.sqrt(x) for x in r.tolist()])
+    res = integrate_singular(lambda k, theta: power(rk[k], theta),
+                             np.zeros(r.size), np.full(r.size, top),
+                             SingularitySpec(left_distance=dist), tol)
+    return res.value / top, res.evaluations
+
+
+def _catalog_means(f, p, tol):
+    """Radii -> M_p(r, f) for a non-constant catalog function, p finite: the
+    radii r > 0 are one _spiked_means call, and r = 0 gives |f(0)|.
+
+    Every kind is singular only at z = 1, and half-log and the Bloch
+    extremal also at z = -1. The Hardy extremal's mean is over [0, pi], on
+    the modulus |1 - z|^2 = (1-r)^2 + 4 r sin^2(theta/2) free of
+    cancellation (as in i_c). Half-log and the Bloch extremal have real
+    coefficients and are odd or even, so |f| is symmetric under theta ->
+    -theta and theta -> pi - theta: their mean is over [0, pi/2], with the
+    spike at z = -1 folded onto the one at theta = 0. The p-th roots are
+    taken per radius in scalar arithmetic."""
+    if f.kind is Kind.HARDY_ALPHA_EXTREMAL:
+        top, expo = math.pi, -0.5 * p * f.param
+
+        def power(r, theta):
+            s = np.sin(0.5 * theta)
+            return ((1.0 - r) ** 2 + 4.0 * r * s * s) ** expo
+    else:
+        top = 0.5 * math.pi
+
+        def power(r, theta):
+            return np.abs(cat_eval(f, _circle_points(r, theta))) ** p
+
+    at_zero = abs(cat_eval(f, 0.0))
+
+    def means(rs):
+        out = [at_zero] * len(rs)
+        inside = [i for i, r in enumerate(rs) if r > 0.0]
+        if inside:
+            pth, _ = _spiked_means(np.array([rs[i] for i in inside]), power,
+                                   top, tol)
+            for i, m in zip(inside, pth.tolist()):
+                out[i] = m ** (1.0 / p)
+        return out
+
+    return means
+
+
 def _mean_objective(f, p, log_weighted, inner_tol):
     """Radii -> M_p(r, f) / weight(r), array in and array out, choosing the
     cheapest sound route. A series takes all radii in one FFT pass per
-    trapezoid level (p finite) or in one circle-maximum pass (p = inf), and
-    the Hardy extremal in one lockstep i_c integration; the other catalog
-    routes loop their scalar mean. A catalog mean's p-th root and weight
-    are taken per radius in scalar arithmetic, as the one-radius objective
-    rounds them (np.log over an array rounds differently)."""
+    trapezoid level (p finite) or in one circle-maximum pass (p = inf); a
+    non-constant catalog function with p finite takes them in one lockstep
+    integration with the spike at theta = 0 declared (_catalog_means); a
+    catalog maximum (p = inf) and a constant's every mean are |f(r)|, as
+    the catalog's nonnegative coefficients put the maximum on the positive
+    axis. A catalog mean's weight is taken per radius in scalar arithmetic,
+    as the one-radius objective rounds it (np.log over an array rounds
+    differently)."""
     if isinstance(f, CoefficientSeries):
         def means(rs):
             if p == math.inf:
@@ -76,19 +140,10 @@ def _mean_objective(f, p, log_weighted, inner_tol):
     if not isinstance(f, TestFunction):
         raise TypeError("expected a TestFunction or CoefficientSeries")
     if p == math.inf or f.kind is Kind.CONSTANT:
-        # nonnegative coefficients: circle max sits on the positive axis
-        # (and a constant's every mean is its modulus)
         def means(rs):
             return [abs(cat_eval(f, r)) for r in rs]
-    elif f.kind is Kind.HARDY_ALPHA_EXTREMAL:
-        c = p * f.param - 1.0
-
-        def means(rs):
-            return [m ** (1.0 / p) for m in i_c(c, rs, inner_tol).tolist()]
     else:
-        def means(rs):
-            return [circle_mean(lambda z: cat_eval(f, z), r, p, inner_tol)
-                    for r in rs]
+        means = _catalog_means(f, p, inner_tol)
 
     def objective(rs):
         rs = np.asarray(rs, dtype=float).tolist()
@@ -132,7 +187,8 @@ def _series_means(coeffs, rs, p, inner_tol):
     live; a radius stops after two consecutive doublings that each move its
     mean of |f|^p by at most inner_tol * max(1, mean). Radii still live
     after the level at max(2^14, 4 n0) points, which leaves the rule room
-    for three levels, take circle_mean's adaptive angular fallback."""
+    for three levels, take adaptive quadrature in the angle
+    (quadrature._angular_mean)."""
     rs = np.asarray(rs, dtype=float)
     rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
@@ -230,7 +286,9 @@ def hardy_norm(f, p, log_weighted, tol):
     convexity theorem), so the norm is the boundary mean M_p(1, f), computed
     by a doubling FFT trapezoid rule instead of the radial sweep; it raises
     QuadratureError if that rule has not converged at 2^20 points. Every
-    other input is swept."""
+    other input is swept over the grid radii; for a non-constant catalog
+    function with p finite, the means at all of them are one lockstep
+    integration that declares the function's boundary spike (_catalog_means)."""
     return hardy_norm_details(f, p, log_weighted, tol).value
 
 

@@ -34,7 +34,8 @@ from .hilbertop import (
     derivative_at,
     derivative_at_pathshifted,
 )
-from .norms import bloch_norm, hardy_inequality_gap, hardy_norm, i_c
+from .norms import (_spiked_means, bloch_norm, hardy_inequality_gap,
+                    hardy_norm, i_c)
 from .quadrature import (
     QuadratureError,
     SingularitySpec,
@@ -715,26 +716,17 @@ def _h1_image_closed(alpha, z, omz=None):
 
 def _h1_circle_means(r, image):
     """Circle means (1/pi) int_0^pi image(z, 1-z) dtheta at the radii of the
-    1-d array r, 0 < r < 1, with the integrand values spent: every radius
-    is a member of one lockstep integration.  image(z, omz) gives |Hf| at
-    the points z = r e^(i theta), with omz = 1-z free of cancellation.
-    Near the boundary |Hf| ~ |1-z|^(-alpha) is a spike at theta = 0 of
-    width delta = (1-r)/sqrt(r): |1-z|^2 is about r (delta^2 + theta^2).
-    It is declared as a near singularity at that distance, its own for
-    each radius, whose sinh substitution integrates it as a smooth function
-    at every r."""
-    r = np.asarray(r, dtype=float)
-    rk, omr = r[:, None], (1.0 - r)[:, None]
-
-    def integrand(k, theta):
+    1-d array r, 0 < r < 1, with the integrand values spent, every radius a
+    member of one lockstep integration (norms._spiked_means at tol 1e-7).
+    image(z, omz) gives |Hf| at the points z = r e^(i theta), with omz =
+    1-z free of cancellation.  Near the boundary |Hf| ~ |1-z|^(-alpha) is
+    the spike at theta = 0 that _spiked_means declares."""
+    def power(rk, theta):
         # 1 - r cos(theta) = (1-r) + 2 r sin^2(theta/2), free of cancellation
-        omz = omr[k] + 2.0 * rk[k] * np.sin(0.5 * theta) ** 2 - 1j * rk[k] * np.sin(theta)
-        return image(rk[k] * np.exp(1j * theta), omz)
+        omz = (1.0 - rk) + 2.0 * rk * np.sin(0.5 * theta) ** 2 - 1j * rk * np.sin(theta)
+        return image(rk * np.exp(1j * theta), omz)
 
-    dist = np.array([(1.0 - x) / math.sqrt(x) for x in r.tolist()])
-    res = integrate_singular(integrand, np.zeros(r.size), np.full(r.size, math.pi),
-                             SingularitySpec(left_distance=dist), 1e-7)
-    return res.value / math.pi, res.evaluations
+    return _spiked_means(r, power, math.pi, 1e-7)
 
 
 def _h1_closed_means(alpha, r):

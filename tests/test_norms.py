@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -326,15 +327,16 @@ def test_hardy_norm_swept_long_series(monkeypatch):
 @pytest.mark.parametrize("f,p,log_weighted", [
     (TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.5), 1.0, True),
     (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.5), 1.0, False),
+    (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5), 2.0, True),
     (TestFunction(Kind.HALF_LOG), math.inf, True),
     (TestFunction(Kind.CONSTANT), 2.0, False),
     (CoefficientSeries(np.array([0.5, -1.0 + 0.25j, 0.3j]), 3, None),
      math.inf, True),
 ])
 def test_hardy_norm_scalar_routes_match_scalar_sweep(f, p, log_weighted):
-    # routes without an array mean loop their scalar one: the vectorized
-    # search returns what the scalar search over the same means returns
-    # (on a 64-point grid, which keeps the circle-mean routes cheap)
+    # the vectorized search returns what the scalar search over the same
+    # means returns: a lockstep member's mean is bit for bit its one-member
+    # mean (on a 64-point grid, which keeps the scalar searches cheap)
     tol = 1e-4
     objective = _mean_objective(f, p, log_weighted, max(0.1 * tol, 1e-13))
     scalar = supremum_unit(lambda r: float(objective(np.array([r]))[0]), tol,
@@ -532,20 +534,23 @@ def test_i_c_scalar_and_array_types():
     assert np.array_equal(i_c(0.5, np.zeros(3), 1e-10), np.ones(3))
 
 
-# The parent of the lockstep i_c sweep, hardy_norm_details(extremal, p, w,
-# 1e-8), field for field: (alpha, p, log_weighted) -> SupResult.
+# hardy_norm_details(extremal, p, w, 1e-8), field for field: (alpha, p,
+# log_weighted) -> SupResult. Pinned on the sinh-mapped lockstep means of
+# _catalog_means; the i_c sweep before them gave the same classes and args,
+# with (0.5, 1, False) 1.1803405949975931 (1.1e-14 off the hypergeometric
+# reference, now 5.1e-15) and (0.99, 2, False) one ulp higher.
 _EXTREMAL_SUPS = {
-    (0.5, 1.0, False): SupResult(1.1803405949975931, 0.9999999999999999,
-                                 AT_BOUNDARY_LIMIT, 1.6645185230146353e-09),
+    (0.5, 1.0, False): SupResult(1.1803405949976122, 0.9999999999999999,
+                                 AT_BOUNDARY_LIMIT, 1.664513638033327e-09),
     (0.5, 1.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.13505675974214526),
     (0.5, 2.0, False): SupResult(3.5150524332573605, 0.9999999999999999,
-                                 AT_BOUNDARY_LIMIT, 0.0315257707505503),
-    (0.5, 2.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.13474934725216148),
+                                 AT_BOUNDARY_LIMIT, 0.03152577075054985),
+    (0.5, 2.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.1347493472521616),
     (0.99, 1.0, False): SupResult(10.382493964961146, 0.9999999999999999,
                                   AT_BOUNDARY_LIMIT, 0.15226757066307073),
     (0.99, 1.0, True): SupResult(1.0, 0.0, AT_ZERO, 0.13415895684047907),
-    (0.99, 2.0, False): SupResult(46803737.96216247, 0.9999999999999999,
-                                  AT_BOUNDARY_LIMIT, 13478301.862316694),
+    (0.99, 2.0, False): SupResult(46803737.962162465, 0.9999999999999999,
+                                  AT_BOUNDARY_LIMIT, 13478301.862316687),
     (0.99, 2.0, True): SupResult(628460.7867233896, 0.9999999999999999,
                                  AT_BOUNDARY_LIMIT, 172493.29292910162),
 }
@@ -555,7 +560,71 @@ _EXTREMAL_SUPS = {
 def test_extremal_sweep_keeps_its_sup_result(key):
     alpha, p, log_weighted = key
     fn = TestFunction(Kind.HARDY_ALPHA_EXTREMAL, alpha)
-    assert hardy_norm_details(fn, p, log_weighted, 1e-8) == _EXTREMAL_SUPS[key]
+    res = hardy_norm_details(fn, p, log_weighted, 1e-8)
+    assert res == _EXTREMAL_SUPS[key]
+    if res.boundary == AT_BOUNDARY_LIMIT:
+        # M_p(r)^p = 2F1(pa/2, pa/2; 1; r^2) at the reported radius
+        with mpmath.workdps(30):
+            r = mpmath.mpf(res.arg)
+            ref = mpmath.hyp2f1(p * alpha / 2, p * alpha / 2, 1, r * r) ** (1 / p)
+            if log_weighted:
+                ref /= 1 - 2 * mpmath.log1p(-r)
+            assert abs(res.value - ref) <= 1e-13 * ref
+
+
+# Catalog means on the spiked lockstep route (_catalog_means): each kind
+# against a closed form of M_2 by Parseval, the Hardy extremal against i_c.
+# CI runs the tests named "spiked" under -W error.
+_SPIKED_RADII = (0.05, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6)
+
+
+def _half_log_m2(r):
+    # sum_{k odd} r^(2k)/k^2 = (Li2(r^2) - Li2(-r^2))/2
+    return mpmath.sqrt((mpmath.polylog(2, r * r) - mpmath.polylog(2, -r * r)) / 2)
+
+
+def _bloch_extremal_m2(r):
+    # alpha = 3/2: f = (1-z^2)^(-1/2) - 1, whose squared coefficients sum to
+    # (2/pi) K(r^4) - 1 (K of parameter m, as mpmath takes it)
+    return mpmath.sqrt(2 / mpmath.pi * mpmath.ellipk(r ** 4) - 1)
+
+
+@pytest.mark.parametrize("fn,ref,radii", [
+    (TestFunction(Kind.HALF_LOG), _half_log_m2,
+     _SPIKED_RADII + (float(np.nextafter(1.0, 0.0)),)),
+    (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5), _bloch_extremal_m2,
+     _SPIKED_RADII),
+])
+def test_spiked_means_match_parseval(fn, ref, radii):
+    got = norms._catalog_means(fn, 2.0, 1e-13)([0.0] + list(radii))
+    assert got[0] == 0.0
+    with mpmath.workdps(30):
+        for r, m in zip(radii, got[1:]):
+            want = ref(mpmath.mpf(r))
+            assert abs(m - want) <= 1e-12 * want, r
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 1.0), (0.99, 1.0), (0.99, 2.0)])
+def test_spiked_means_hardy_extremal_match_i_c(alpha, p):
+    # the swept means against the independent i_c route, on every grid
+    # radius out to 1 - 1e-6
+    rs = unit_grid()[1]
+    rs = rs[rs <= 1.0 - 1e-6]
+    got = np.array(norms._catalog_means(
+        TestFunction(Kind.HARDY_ALPHA_EXTREMAL, alpha), p, 1e-12)(rs.tolist()))
+    want = i_c(p * alpha - 1.0, rs, 1e-12) ** (1.0 / p)
+    assert got[0] == 1.0
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_spiked_means_bloch_extremal_h2_log_norm():
+    # sup_r sqrt((2/pi) K(r^4) - 1) / (1 - 2 log(1-r)), maximized by mpmath:
+    # 0.0969290981324184 at r* = 0.956763284632805. The per-radius trapezoid
+    # means this replaced raised QuadratureError here.
+    res = hardy_norm_details(TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5), 2.0,
+                             True, 1e-4)
+    assert res.boundary == "Interior"
+    assert abs(res.value - 0.0969290981324184) <= 1e-4 * 0.0969290981324184
 
 
 def test_i_c_array_domain():
