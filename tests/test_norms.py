@@ -327,11 +327,11 @@ def test_hardy_norm_swept_long_series(monkeypatch):
 @pytest.mark.parametrize("f,p,log_weighted", [
     (TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.5), 1.0, True),
     (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.5), 1.0, False),
-    (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5), 2.0, True),
     (TestFunction(Kind.HALF_LOG), math.inf, True),
     (TestFunction(Kind.CONSTANT), 2.0, False),
     (CoefficientSeries(np.array([0.5, -1.0 + 0.25j, 0.3j]), 3, None),
      math.inf, True),
+    (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5), 2.0, True),
 ])
 def test_hardy_norm_scalar_routes_match_scalar_sweep(f, p, log_weighted):
     # the vectorized search returns what the scalar search over the same
