@@ -9,8 +9,10 @@ the grid, raises a divergence signal carrying the witness values when the
 objective blows up along the tail, classifies the first point within the tie
 band of the maximum (ties break toward the smallest argument) as AtZero,
 Interior or AtBoundaryLimit, and refines its bracket by golden section in x.
-Removable singularities at the domain edges are the caller's job: pass the
-limit value and the searcher uses it verbatim; it never extrapolates to
+An array objective refines it speculatively: each call evaluates every point
+the next three golden steps can reach, with the same result as one point per
+step. Removable singularities at the domain edges are the caller's job: pass
+the limit value and the searcher uses it verbatim; it never extrapolates to
 points it did not evaluate.
 """
 
@@ -60,32 +62,77 @@ class DivergenceError(Exception):
         self.witness = witness or []
 
 
-def _golden_max(fun, lo, hi):
+def _golden_max(fun, lo, hi, lookahead=1):
     """Golden-section maximization on every bracket [lo[i], hi[i]] in
     lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
-    index arrays i, one call per iteration over the brackets still live; a
-    bracket stops once it is 1e-12 relative narrow (never on its two
-    interior values agreeing: they can agree while they straddle the peak).
+    index arrays i: first at the two interior points of every bracket, in
+    one call, then once per `lookahead` golden steps of the brackets still
+    live. A step's point follows from the comparison of the bracket's two
+    interior values, so the next `lookahead` steps can reach at most
+    2^lookahead - 1 points, all known before any of their values: the first
+    step's point, then two points for each outcome of each comparison. The
+    call evaluates all of them, and the steps are then taken one at a time
+    on those values with the arithmetic of a one-point step, so the result
+    is bit for bit the same for every lookahead. A bracket stops once it is
+    1e-12 relative narrow (never on its two interior values agreeing: they
+    can agree while they straddle the peak), or after 160 steps.
     Returns the arrays (x_best, f_best)."""
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
     live = np.arange(lo.size)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = (np.array(fun(x, live), dtype=float) for x in (c, d))
-    for _ in range(_GOLDEN_MAX_ITER):
-        if not live.size:
+    fc, fd = np.split(np.asarray(fun(np.concatenate([c, d]),
+                                     np.concatenate([live, live])),
+                                 dtype=float), 2)
+    x_best, f_best = np.empty(lo.size), np.empty(lo.size)
+
+    def finish(ids, c, d, fc, fd):
+        at_c = fc >= fd
+        x_best[ids], f_best[ids] = np.where(at_c, c, d), np.where(at_c, fc, fd)
+
+    steps = 0
+    while live.size:
+        depth = min(lookahead, _GOLDEN_MAX_ITER - steps)
+        # the brackets the next depth steps can reach, level by level: the
+        # first step goes the way the known values say, each later one both
+        # ways (children 2k and 2k + 1 of node k step left and right)
+        left = first = fc >= fd
+        owner, levels = live, []
+        for level in range(depth):
+            if level:
+                lo, c, d, hi, owner = (np.repeat(v, 2)
+                                       for v in (lo, c, d, hi, owner))
+                left = np.arange(lo.size) % 2 == 0
+            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+            width = hi - lo
+            step = _INVPHI * width
+            x = np.where(left, hi - step, lo + step)
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            done = width <= 1e-12 * np.maximum(1.0, np.abs(c))
+            levels.append((x, owner, c, d, done))
+        fx = np.asarray(fun(np.concatenate([v[0] for v in levels]),
+                            np.concatenate([v[1] for v in levels])),
+                        dtype=float)
+        # take the steps one at a time on those values: node idx of a level
+        # is entry idx of its arrays and of its slice of fx
+        left, idx, start = first, np.arange(live.size), 0
+        for level, (x, _, c, d, done) in enumerate(levels):
+            if level:
+                left = fc >= fd
+                idx = 2 * idx + ~left
+            f = fx[start + idx]
+            start += x.size
+            fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+            stop = done[idx]
+            if np.count_nonzero(stop):
+                finish(live[stop], c[idx[stop]], d[idx[stop]], fc[stop],
+                       fd[stop])
+                idx, fc, fd, live = (v[~stop] for v in (idx, fc, fd, live))
+        lo, c, d, hi = lo[idx], c[idx], d[idx], hi[idx]
+        steps += depth
+        if steps == _GOLDEN_MAX_ITER:
+            finish(live, c, d, fc, fd)
             break
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        hi[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        lo[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        c[lt] = hi[lt] - _INVPHI * (hi[lt] - lo[lt])
-        d[rt] = lo[rt] + _INVPHI * (hi[rt] - lo[rt])
-        fx = np.asarray(fun(np.where(left, c[live], d[live]), live), dtype=float)
-        fc[lt], fd[rt] = fx[left], fx[~left]
-        done = hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live]))
-        live = live[~done]
-    at_c = fc >= fd
-    return np.where(at_c, c, d), np.where(at_c, fc, fd)
+    return x_best, f_best
 
 
 def _check_divergence(xs, vals, x_span_tail):
@@ -133,24 +180,32 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
     maximum by more than the tie band, is the supremum at arg = infinity;
     tail_span is the x-distance the divergence test looks back over. With
     vectorized, g maps an ndarray of arguments to an ndarray of values: the
-    grid is one call, and golden refinement calls it on one-element arrays."""
+    grid is one call, and golden refinement calls it on the bracket's two
+    interior points and then on the up to 7 points that each next three
+    golden steps can reach; a scalar g takes one point per call and step."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
     def at(arg):
         if arg == 0.0 and limit_at_zero is not None:
             return float(limit_at_zero)
-        if vectorized:
-            return float(g(np.array([arg]))[0])
         return float(g(arg))
 
-    if vectorized:
+    def at_all(args):
         vals = np.array(g(args), dtype=float)
         if vals.shape != args.shape:
             raise ValueError(f"objective returned shape {vals.shape} for "
                              f"{args.shape} arguments")
         if limit_at_zero is not None:
             vals[args == 0.0] = float(limit_at_zero)
+        return vals
+
+    def refine(x, _):
+        pts = [to_arg(v) for v in x.tolist()]
+        return at_all(np.array(pts)) if vectorized else [at(a) for a in pts]
+
+    if vectorized:
+        vals = at_all(args)
     else:
         vals = np.full(len(args), math.nan)
         for i, arg in enumerate(args):
@@ -180,8 +235,8 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
                          float(abs(vals[-1] - vals[-2])))
 
     x_star, v_star = (float(v[0]) for v in _golden_max(
-        lambda x, _: [at(to_arg(float(x[0])))], xs[max(ibest - 1, 0)],
-        xs[min(ibest + 1, last)]))
+        refine, xs[max(ibest - 1, 0)], xs[min(ibest + 1, last)],
+        3 if vectorized else 1))
     if ibest == 0 and v_star <= vals[0] + tie_tol:
         return SupResult(vmax, 0.0, AT_ZERO,
                          float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)
@@ -200,7 +255,8 @@ def supremum_unit(g, tol, limit_at_zero=None, n_grid=512, x_max=40.0, *,
     golden-refines the winning bracket in x, and classifies the maximizer.
     limit_at_zero, when given, replaces the r = 0 evaluation. With
     vectorized, g takes an ndarray of radii and returns an ndarray of values
-    of the same shape, and the whole grid is evaluated in one call.
+    of the same shape, the whole grid is evaluated in one call, and golden
+    refinement evaluates up to 7 radii per call, three golden steps' worth.
     """
     xs, rs = unit_grid(n_grid, x_max)
     return _search(g, tol, xs, rs, lambda x: min(-math.expm1(-x), _R_MAX),

@@ -752,16 +752,18 @@ def h1_lower_bound(alpha, tol):
     extremal itself, printed next to the boundary mean
     Gamma(1-alpha)/Gamma(1-alpha/2)^2 it falls short of as alpha -> 1.  As
     alpha -> 1 the floor approaches pi, which is asserted at alpha = 0.99.
-    The detail counts the numerator search's objective calls (radii) and
-    integrand values, and prints the cross-check's difference."""
+    The detail counts the numerator search's objective calls, the radii
+    they evaluated and their integrand values, and prints the cross-check's
+    difference."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("floor comparison requires alpha in (0, 1)")
     floor = gamma((2.0 - alpha) / 2.0) ** 2 / gamma(2.0 - alpha)
     fn = TestFunction(Kind.HARDY_ALPHA_EXTREMAL, alpha)
-    spent = {"objective": 0, "values": 0}
+    spent = {"calls": 0, "radii": 0, "values": 0}
 
     def objective(r):
-        spent["objective"] += r.size
+        spent["calls"] += 1
+        spent["radii"] += r.size
         out = np.empty(r.size)
         inside = r > 0.0
         out[~inside] = abs(apply_integral(fn, 0.0, _H1_T_TOL)) / log_weight(0.0)
@@ -794,10 +796,10 @@ def h1_lower_bound(alpha, tol):
         f"r = {sup.arg:.6g}), denominator {denominator:.9g} (boundary mean "
         f"Gamma(1-a)/Gamma(1-a/2)^2 = {boundary_mean:.9g}), ratio "
         f"{ratio:.9g} >= floor - tol with floor {floor:.9g}{pi_note}; "
-        f"numerator search: {spent['objective']} objective calls, "
-        f"{spent['values']} circle-mean integrand values; closed-form means "
-        f"match the quadrature route to {cross:.2e} relative (<= 1e-7) at "
-        f"r = 0.3, 0.99, 1 - 1e-6"
+        f"numerator search: {spent['calls']} objective calls over "
+        f"{spent['radii']} radii, {spent['values']} circle-mean integrand "
+        f"values; closed-form means match the quadrature route to "
+        f"{cross:.2e} relative (<= 1e-7) at r = 0.3, 0.99, 1 - 1e-6"
     )
     return CheckReport(
         f"h1-lower-bound-{alpha:g}", ratio, (floor, math.inf),

@@ -16,6 +16,8 @@ from hilbertnorm.supsearch import (
     supremum_halfline,
     supremum_unit,
     unit_grid,
+    _INVPHI,
+    _golden_max,
 )
 
 
@@ -133,6 +135,11 @@ def test_vectorized_twin_gives_identical_result(case):
 
 
 def test_vectorized_grid_is_one_call():
+    # the scalar search evaluates one point per call: after the grid, the
+    # two interior points of the bracket and one point per golden step
+    points = []
+    supremum_unit(lambda r: points.append(r) or r * (1.0 - r), 1e-10)
+    steps = len(points) - unit_grid()[1].size - 2
     calls = []
 
     def g(rs):
@@ -140,8 +147,86 @@ def test_vectorized_grid_is_one_call():
         return rs * (1.0 - rs)
 
     supremum_unit(g, 1e-10, vectorized=True)
+    # the grid, then both interior points, then one call of at most
+    # 2^3 - 1 points for every three golden steps
     assert calls[0] == unit_grid()[1].size
-    assert set(calls[1:]) == {1}
+    assert calls[1] == 2
+    assert max(calls[2:]) <= 7
+    assert len(calls) - 1 <= math.ceil(steps / 3) + 1
+
+
+def _plain_golden_max(fun, lo, hi):
+    """Golden section with one objective call per step on every live
+    bracket: the reference _golden_max reproduces bit for bit at every
+    lookahead. Returns (x_best, f_best, steps)."""
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
+    live = np.arange(lo.size)
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = (np.array(fun(x, live), dtype=float) for x in (c, d))
+    steps = 0
+    while live.size and steps < 160:
+        steps += 1
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        hi[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        lo[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        c[lt] = hi[lt] - _INVPHI * (hi[lt] - lo[lt])
+        d[rt] = lo[rt] + _INVPHI * (hi[rt] - lo[rt])
+        fx = np.asarray(fun(np.where(left, c[live], d[live]), live), dtype=float)
+        fc[lt], fd[rt] = fx[left], fx[~left]
+        done = hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live]))
+        live = live[~done]
+    at_c = fc >= fd
+    return np.where(at_c, c, d), np.where(at_c, fc, fd), steps
+
+
+_PEAKS = np.array([0.3, 2e-4, 40.0, -1.0])
+
+# (objective fun(x, i), lo, hi) of golden-section searches
+GOLDEN_CASES = {
+    "interior-peak": (lambda x, i: -(x - 0.3) ** 2, 0.0, 1.0),
+    "monotone-to-zero": (lambda x, i: np.exp(-x), 0.0, 1.0),
+    "plateau-ties": (lambda x, i: np.minimum(x, 0.25), 0.0, 1.0),
+    "flat": (lambda x, i: np.ones_like(x), 0.0, 1.0),
+    "brackets-stop-apart": (lambda x, i: -(x - _PEAKS[i]) ** 2,
+                            [0.0, 0.0, 5.0, -3.0], [1.0, 1e-3, 100.0, 2.0]),
+    "step-cap": (lambda x, i: -x, 0.0, 1e30),
+}
+
+
+@pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead):
+    fun, lo, hi = GOLDEN_CASES[case]
+    plain = []
+
+    def recorded(x, i):
+        plain.extend(zip(i.tolist(), x.tolist()))
+        return fun(x, i)
+
+    x_ref, f_ref, steps = _plain_golden_max(recorded, lo, hi)
+    calls, points = [], set()
+
+    def counted(x, i):
+        calls.append(np.bincount(i).max())
+        points.update(zip(i.tolist(), x.tolist()))
+        return fun(x, i)
+
+    x_best, f_best = _golden_max(counted, lo, hi, lookahead)
+    assert np.array_equal(x_best, x_ref) and np.array_equal(f_best, f_ref)
+    # every point of the plain steps, bit for bit, among those evaluated
+    assert points.issuperset(plain)
+    # both interior points in one call, then one call per lookahead steps,
+    # each with at most 2^lookahead - 1 points of a bracket
+    assert calls[0] == 2
+    assert max(calls[1:]) <= 2 ** lookahead - 1
+    assert len(calls) - 1 == math.ceil(steps / lookahead)
+    if case == "step-cap":
+        assert steps == 160
+    if case == "brackets-stop-apart":
+        alone = {_plain_golden_max(lambda x, i: fun(x, i + k), lo[k], hi[k])[2]
+                 for k in range(len(lo))}
+        assert len(alone) == len(lo)
 
 
 def test_vectorized_rejects_nonfinite_grid_value():
