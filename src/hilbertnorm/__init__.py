@@ -43,7 +43,6 @@ from .quadrature import (
     QuadratureError,
     QuadResult,
     SingularitySpec,
-    circle_mean,
     integrate,
     integrate_halfline,
     integrate_singular,
@@ -55,6 +54,7 @@ from .supsearch import (
     INTERIOR,
     DivergenceError,
     SupResult,
+    pointwise,
     supremum_halfline,
     supremum_unit,
 )

@@ -95,7 +95,7 @@ class CoefficientSeries:
 
 def _require_in_disk(z):
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):  # NaN fails it too
         raise ValueError("argument must satisfy |z| < 1")
     return z
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .quadrature import QuadratureError
-from .supsearch import DivergenceError, halfline_grid, unit_grid
+from .supsearch import DivergenceError, halfline_grid, pointwise, unit_grid
 from .verification import (
     BLOCH_LOG_NORM,
     CHECK_NAMES,
@@ -193,11 +193,6 @@ def _alpha_points(config, points):
     return tuple(lo + i * step for i in range(points))
 
 
-def _each_point(objective):
-    """The grid map of an objective of one abscissa."""
-    return lambda xs: [objective(x) for x in xs.tolist()]
-
-
 # name -> (columns, grid(config, points), objective factory(config)); the
 # objective maps the grid, an ndarray of abscissae, to the remaining columns
 # of each row (the growth-space objectives in one integration).
@@ -207,13 +202,13 @@ CURVES = {
     "bloch-B-objective": (("r", "value"), _unit_radii, lambda config:
                           bloch_b_objective(inner_tolerance(config.tolerance))),
     "h1-sup-objective": (("x", "value"), _halfline_points,
-                         lambda config: _each_point(h1_sup_objective)),
+                         lambda config: h1_sup_objective),
     "hinf-sup-objective": (("x", "value"), _halfline_points,
-                           lambda config: _each_point(hinf_sup_objective)),
+                           lambda config: hinf_sup_objective),
     "hinf-objective": (("r", "value"), _unit_radii,
-                       lambda config: _each_point(hinf_objective)),
+                       lambda config: hinf_objective),
     "alpha-bounds": (("alpha", "lower", "upper"), _alpha_points,
-                     lambda config: _each_point(alpha_bound_values)),
+                     lambda config: pointwise(alpha_bound_values)),
 }
 
 

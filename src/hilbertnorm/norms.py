@@ -22,13 +22,12 @@ import numpy as np
 
 from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
                       eval_series, derivative_series)
-from .quadrature import (_CIRCLE_MAX_GRID, _TRAPEZOID_MAX_POINTS,
-                         QuadratureError, SingularitySpec, _angular_mean,
+from .quadrature import (QuadratureError, SingularitySpec, _angular_mean,
                          _circle_max, _circle_points, integrate,
                          integrate_singular)
 from .specfun import log_weight
-from .supsearch import (SupResult, supremum_unit, unit_grid, AT_ZERO,
-                        AT_BOUNDARY_LIMIT)
+from .supsearch import (SupResult, pointwise, supremum_unit, unit_grid,
+                        AT_ZERO, AT_BOUNDARY_LIMIT)
 
 __all__ = [
     "hardy_norm",
@@ -156,6 +155,10 @@ def _mean_objective(f, p, log_weighted, inner_tol):
 # Trapezoid rules of the swept series means run in blocks of at most this
 # many points, so the FFT work arrays stay near 1 MB.
 _BLOCK_POINTS = 1 << 16
+# Largest trapezoid rule of a swept series mean before the angular
+# fallback, and the angular grid of a series circle maximum.
+_TRAPEZOID_MAX_POINTS = 1 << 14
+_CIRCLE_MAX_GRID = 4096
 
 
 def _trapezoid_means(rows, n, p, means=None):
@@ -274,7 +277,7 @@ def hardy_norm_details(f, p, log_weighted, tol):
             and not log_weighted and p != math.inf):
         return _boundary_norm(f.coeffs, p, inner_tol)
     objective = _mean_objective(f, p, log_weighted, inner_tol)
-    return supremum_unit(objective, tol, vectorized=True)
+    return supremum_unit(objective, tol)
 
 
 def hardy_norm(f, p, log_weighted, tol):
@@ -293,8 +296,9 @@ def hardy_norm(f, p, log_weighted, tol):
 
 
 def _bloch_objective(deriv, alpha, log_weighted):
-    """Radius -> (1-r^2)^alpha |f'| / weight(r), with |f'| given as
-    deriv(r, 1-r^2)."""
+    """Radii -> (1-r^2)^alpha |f'| / weight(r), with |f'| given as
+    deriv(r, 1-r^2), radius by radius in scalar arithmetic."""
+    @pointwise
     def objective(r):
         om2 = (1.0 - r) * (1.0 + r)
         return om2 ** alpha * deriv(r, om2) / _weight_at(r, log_weighted)
@@ -342,7 +346,7 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
     # No radial certificate: the circle maximum of |f'| at every radius.
     maxima = _mean_objective(d, math.inf, log_weighted, _inner_tol(tol))
     return supremum_unit(lambda rs: ((1.0 - rs) * (1.0 + rs)) ** alpha * maxima(rs),
-                         tol, vectorized=True)
+                         tol)
 
 
 def bloch_seminorm(f, alpha, log_weighted, tol):

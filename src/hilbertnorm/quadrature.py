@@ -3,10 +3,12 @@
 One embedded Gauss-Kronrod 7/15 pair drives everything: plain adaptive
 bisection for smooth integrands, a power-substitution front end for declared
 endpoint singularities, a sinh substitution for a declared near singularity
-just outside the left end, a rational map for half-line integrals, and
-trapezoid-with-doubling circle means. Integrand callables are vectorized:
-they receive an ndarray of abscissae and must return an ndarray of values
-(real or complex) of the same shape.
+just outside the left end, and a rational map for half-line integrals. The
+circle helpers behind the norms live here too: the adaptive angular mean
+that backs the trapezoid means of a series, and the circle maxima of any
+number of circles in one lockstep golden-section search. Integrand
+callables take arrays: they receive an ndarray of abscissae and must
+return an ndarray of values (real or complex) of the same shape.
 
 One heap engine refines the panels: it refines each integral by splitting
 its worst panel, QUADPACK's qag strategy. It refines many independent
@@ -33,7 +35,6 @@ __all__ = [
     "integrate",
     "integrate_singular",
     "integrate_halfline",
-    "circle_mean",
 ]
 
 _EPS = np.finfo(float).eps
@@ -77,10 +78,6 @@ _WKG_ROWS = np.stack([_WGK, _WG])[:, None, :]
 _DEFAULT_PANEL_CAP = 1 << 16
 # Below this resabs the 50*eps*resabs error floor would underflow.
 _RESABS_FLOOR = np.finfo(float).tiny / (50.0 * _EPS)
-# Largest trapezoid rule of a finite-p circle mean before the angular
-# fallback, and the angular grid of a circle maximum.
-_TRAPEZOID_MAX_POINTS = 1 << 14
-_CIRCLE_MAX_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -441,52 +438,6 @@ def _circle_points(r, theta):
     if np.any(bad):
         pts = np.where(bad, pts * ((1.0 - 4.0 * _EPS) / np.where(bad, mags, 1.0)), pts)
     return pts
-
-
-def circle_mean(f, r, p, tol):
-    """Integral p-mean of |f| on the circle of radius r.
-
-    Finite p: periodic trapezoid rule with doubling from 64 points until two
-    consecutive doublings each move the mean of |f|^p by at most
-    tol * max(1, mean) (a single agreement can be a chance crossing of two
-    error terms), falling back to adaptive quadrature in the angle if
-    doubling has not converged by 2^14 points. p = infinity: maximum of |f|
-    over a 4096-point grid, refined by golden section around the top three
-    local maxima (the one-circle case of _circle_max) down to brackets
-    1e-12 relative narrow, whatever tol. f receives ndarray of points
-    z = r e^{i theta}."""
-    r = float(r)
-    if not (0.0 <= r < 1.0):
-        raise ValueError("circle_mean requires 0 <= r < 1")
-    if p != math.inf and not p >= 1.0:
-        raise ValueError("circle_mean requires p >= 1 or p = inf")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
-    if p == math.inf:
-        theta = 2.0 * np.pi * np.arange(_CIRCLE_MAX_GRID) / _CIRCLE_MAX_GRID
-        vals = np.abs(np.asarray(f(_circle_points(r, theta))))
-        return float(_circle_max(
-            [vals[None, :]],
-            lambda _, t: np.abs(np.asarray(f(_circle_points(r, t)))))[0])
-
-    p = float(p)
-    n = 64
-    theta = 2.0 * np.pi * np.arange(n) / n
-    vals = np.abs(np.asarray(f(_circle_points(r, theta)))) ** p
-    mean = float(np.mean(vals))
-    agreed = 0
-    while n < _TRAPEZOID_MAX_POINTS:
-        shifted = theta + np.pi / n
-        new = np.abs(np.asarray(f(_circle_points(r, shifted)))) ** p
-        mean_new = 0.5 * (mean + float(np.mean(new)))
-        n *= 2
-        theta = np.sort(np.concatenate([theta, shifted]))
-        agreed = agreed + 1 if abs(mean_new - mean) <= tol * max(1.0, abs(mean_new)) else 0
-        mean = mean_new
-        if agreed == 2:
-            return mean ** (1.0 / p)
-    return _angular_mean(f, r, p, tol)
 
 
 def _angular_mean(f, r, p, tol):

@@ -22,7 +22,7 @@ def log_weight(r):
     Accepts a float or ndarray; strictly increasing, equal to 1 at r = 0.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
+    if not np.all((0.0 <= r) & (r < 1.0)):  # NaN fails it too
         raise ValueError("log_weight requires 0 <= r < 1")
     out = 1.0 - 2.0 * np.log1p(-r)
     return float(out) if out.ndim == 0 else out

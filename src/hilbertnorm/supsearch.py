@@ -9,13 +9,16 @@ the grid, raises a divergence signal carrying the witness values when the
 objective blows up along the tail, classifies the first point within the tie
 band of the maximum (ties break toward the smallest argument) as AtZero,
 Interior or AtBoundaryLimit, and refines its bracket by golden section in x.
-An array objective refines it speculatively: each call evaluates every point
-the next three golden steps can reach, with the same result as one point per
-step. Removable singularities at the domain edges are the caller's job: pass
-the limit value and the searcher uses it verbatim; it never extrapolates to
-points it did not evaluate.
+Objectives map an ndarray of arguments to an ndarray of values: the grid is
+one call, and refinement is speculative, each call evaluating every point
+the next three golden steps can reach, with the same result as one point
+per step. A removable singularity at 0 is the objective's job: the
+objective returns its value at 0, and the searcher never extrapolates to
+points it did not evaluate. pointwise lifts a scalar closed form to such an
+objective in its own scalar arithmetic.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ __all__ = [
     "AT_BOUNDARY_LIMIT",
     "supremum_unit",
     "supremum_halfline",
+    "pointwise",
 ]
 
 INTERIOR = "Interior"
@@ -171,47 +175,41 @@ def halfline_grid(n_grid=512, x_max=60.0):
                            np.geomspace(10.0, x_max, 129)[1:]])
 
 
-def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
-            tail_span, *, vectorized=False):
+def pointwise(f):
+    """The array map of the scalar function f: a 1-d array of arguments maps
+    to the array of f at each of them, taken as Python floats, so f keeps
+    its scalar arithmetic (np.log, np.expm1 and ** over an array round some
+    values differently from the scalar calls); a scalar argument gives f's
+    own value."""
+    @functools.wraps(f)
+    def lifted(x):
+        if np.ndim(x) == 0:
+            return f(x)
+        return np.array([f(v) for v in np.asarray(x, dtype=float).tolist()])
+    return lifted
+
+
+def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     """Supremum of g over the grid args = to_arg(xs), the body of both
-    public searches. Classifies the first point within the tie band of the
-    grid maximum and golden-refines its bracket in x. limit_at_zero replaces
-    the evaluation at x = 0; limit_at_infinity, when it beats the grid
-    maximum by more than the tie band, is the supremum at arg = infinity;
-    tail_span is the x-distance the divergence test looks back over. With
-    vectorized, g maps an ndarray of arguments to an ndarray of values: the
-    grid is one call, and golden refinement calls it on the bracket's two
-    interior points and then on the up to 7 points that each next three
-    golden steps can reach; a scalar g takes one point per call and step."""
+    public searches. g maps an ndarray of arguments to an ndarray of values
+    of the same shape. The grid is one call; the first point within the tie
+    band of the grid maximum is classified, and its bracket is golden-refined
+    in x, one call on the bracket's two interior points and then one on the
+    up to 7 points that each next three golden steps can reach.
+    limit_at_infinity, when it beats the grid maximum by more than the tie
+    band, is the supremum at arg = infinity; tail_span is the x-distance the
+    divergence test looks back over."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    def at(arg):
-        if arg == 0.0 and limit_at_zero is not None:
-            return float(limit_at_zero)
-        return float(g(arg))
-
-    def at_all(args):
-        vals = np.array(g(args), dtype=float)
+    def evaluate(args):
+        vals = np.asarray(g(args), dtype=float)
         if vals.shape != args.shape:
             raise ValueError(f"objective returned shape {vals.shape} for "
                              f"{args.shape} arguments")
-        if limit_at_zero is not None:
-            vals[args == 0.0] = float(limit_at_zero)
         return vals
 
-    def refine(x, _):
-        pts = [to_arg(v) for v in x.tolist()]
-        return at_all(np.array(pts)) if vectorized else [at(a) for a in pts]
-
-    if vectorized:
-        vals = at_all(args)
-    else:
-        vals = np.full(len(args), math.nan)
-        for i, arg in enumerate(args):
-            vals[i] = at(float(arg))
-            if not math.isfinite(vals[i]):
-                break
+    vals = evaluate(args)
     bad = np.nonzero(~np.isfinite(vals))[0]
     if bad.size:
         raise ValueError(f"objective not finite at {args[bad[0]]!r}")
@@ -235,8 +233,8 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
                          float(abs(vals[-1] - vals[-2])))
 
     x_star, v_star = (float(v[0]) for v in _golden_max(
-        refine, xs[max(ibest - 1, 0)], xs[min(ibest + 1, last)],
-        3 if vectorized else 1))
+        lambda x, _: evaluate(np.array([to_arg(v) for v in x.tolist()])),
+        xs[max(ibest - 1, 0)], xs[min(ibest + 1, last)], 3))
     if ibest == 0 and v_star <= vals[0] + tie_tol:
         return SupResult(vmax, 0.0, AT_ZERO,
                          float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)
@@ -246,30 +244,28 @@ def _search(g, tol, xs, args, to_arg, limit_at_zero, limit_at_infinity,
                      float(abs(v_star - vmax) + tol * max(1.0, value)))
 
 
-def supremum_unit(g, tol, limit_at_zero=None, n_grid=512, x_max=40.0, *,
-                  vectorized=False):
+def supremum_unit(g, tol, n_grid=512, x_max=40.0):
     """Supremum of g over r in [0, 1).
 
-    Evaluates g on r = 1 - e^{-x} for x uniform on [0, x_max] (the grid
-    saturates at the largest double below 1 and is deduplicated there),
-    golden-refines the winning bracket in x, and classifies the maximizer.
-    limit_at_zero, when given, replaces the r = 0 evaluation. With
-    vectorized, g takes an ndarray of radii and returns an ndarray of values
-    of the same shape, the whole grid is evaluated in one call, and golden
-    refinement evaluates up to 7 radii per call, three golden steps' worth.
-    """
+    g maps an ndarray of radii to an ndarray of values of the same shape,
+    its value at r = 0 included. Evaluates g on r = 1 - e^{-x} for x uniform
+    on [0, x_max] in one call (the grid saturates at the largest double
+    below 1 and is deduplicated there), golden-refines the winning bracket
+    in x, up to 7 radii per call, and classifies the maximizer."""
     xs, rs = unit_grid(n_grid, x_max)
     return _search(g, tol, xs, rs, lambda x: min(-math.expm1(-x), _R_MAX),
-                   limit_at_zero, None, math.log(10.0), vectorized=vectorized)
+                   None, math.log(10.0))
 
 
-def supremum_halfline(g, tol, limit_at_zero=None, limit_at_infinity=None,
-                      n_grid=512, x_max=60.0):
+def supremum_halfline(g, tol, limit_at_infinity=None, n_grid=512,
+                      x_max=60.0):
     """Supremum of g over x in [0, infinity).
 
-    Uniform grid on [0, 10] plus a log-spaced tail to x_max; caller-supplied
-    limits at 0 and infinity enter the comparison as ordinary candidates
-    (ties break toward the smallest argument, with infinity largest)."""
+    g maps an ndarray of abscissae to an ndarray of values, as in
+    supremum_unit. Uniform grid on [0, 10] plus a log-spaced tail to x_max;
+    a caller-supplied limit at infinity enters the comparison as an
+    ordinary candidate (ties break toward the smallest argument, with
+    infinity largest)."""
     xs = halfline_grid(n_grid, x_max)
-    return _search(g, tol, xs, xs, float, limit_at_zero, limit_at_infinity,
+    return _search(g, tol, xs, xs, float, limit_at_infinity,
                    x_max - x_max / 10.0)

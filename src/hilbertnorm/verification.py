@@ -44,7 +44,8 @@ from .quadrature import (
     integrate_singular,
 )
 from .specfun import beta, dilog, gamma, log_weight, reflection_residual
-from .supsearch import AT_ZERO, DivergenceError, supremum_halfline, supremum_unit
+from .supsearch import (AT_ZERO, DivergenceError, pointwise, supremum_halfline,
+                        supremum_unit)
 
 _LOG2 = math.log(2.0)
 
@@ -149,7 +150,10 @@ def _half_log_average_closed(r):
     I = -(log c - log r) log a - (log a)^2/2 + Li2(a/c) - Li2(1/c),
     t2 = -log a (1/r + a log a / r^2) and t3 = 1/r - a Li2(r)/r^2.
     The terms cancel like 1/r^2 toward r = 0, so digits go as eps/r^2
-    there; the radii a search visits start at r ~ 0.08."""
+    there; the radii a search visits start at r ~ 0.08. At r = 0 it is the
+    limit int_0^1 t log((1+t)/(1-t)) dt = 1."""
+    if r == 0.0:
+        return 1.0
     a = 1.0 - r
     c = 1.0 + r
     log_a = math.log(a)
@@ -177,6 +181,7 @@ def bloch_b_objective(inner_tol):
     return lambda r: (1.0 + r) * _half_log_average(r, inner_tol) / log_weight(r)
 
 
+@pointwise
 def h1_sup_objective(x):
     """x e^x / ((e^x - 1)(1 + x)), evaluated stably; limits 1 at both ends."""
     if x == 0.0:
@@ -184,6 +189,7 @@ def h1_sup_objective(x):
     return x / (-math.expm1(-x) * (1.0 + x))
 
 
+@pointwise
 def hinf_sup_objective(x):
     """x e^x / ((e^x - 1)(2x + 1)), evaluated stably; limits (1, 1/2)."""
     if x == 0.0:
@@ -191,6 +197,7 @@ def hinf_sup_objective(x):
     return x / (-math.expm1(-x) * (2.0 * x + 1.0))
 
 
+@pointwise
 def hinf_objective(r):
     """(1/r) log(1/(1-r)) / weight(r) with the removable value 1 at r = 0."""
     if r == 0.0:
@@ -239,7 +246,7 @@ def _image_log_bloch(fn, alpha, tol, inner_tol):
                 / log_weight(r))
 
     h0 = abs(apply_integral(fn, 0.0, inner_tol))
-    sup = supremum_unit(objective, tol, n_grid=256, vectorized=True)
+    sup = supremum_unit(objective, tol, n_grid=256)
     return h0 + sup.value, sup
 
 
@@ -256,9 +263,8 @@ def compute_A(tol):
     average is cross-checked against the closed form at r = 0.25, 0.5,
     0.75 and 0.9, and against 2 - 2 log 2 at r = 1/2."""
     it = inner_tolerance(tol)
-    sup = supremum_unit(
-        lambda r: (1.0 + r) * _kernel_average_closed(r) / log_weight(r), tol,
-        limit_at_zero=0.5)
+    sup = supremum_unit(pointwise(
+        lambda r: (1.0 + r) * _kernel_average_closed(r) / log_weight(r)), tol)
     computed = 1.0 + sup.value
 
     radii = (0.25, 0.5, 0.75, 0.9)
@@ -298,9 +304,8 @@ def compute_B(tol, a_report=None):
     and the inner integral at r = 1/2 is dominated by a half-line integral
     with the closed-form value (4/3) log 4, checked for equality."""
     it = inner_tolerance(tol)
-    sup = supremum_unit(
-        lambda r: (1.0 + r) * _half_log_average_closed(r) / log_weight(r), tol,
-        limit_at_zero=1.0)
+    sup = supremum_unit(pointwise(
+        lambda r: (1.0 + r) * _half_log_average_closed(r) / log_weight(r)), tol)
     computed = _LOG2 + 0.5 * sup.value
     x_star = -math.log1p(-sup.arg)
 
@@ -452,7 +457,7 @@ def alpha_upper_bound(alpha):
     u_beta = beta(2.0 - alpha, alpha) / (alpha - 1.0) + 1.0 / (2.0 - alpha)
 
     sup = supremum_unit(
-        lambda r: (1.0 + r) ** alpha / log_weight(r), 1e-8, limit_at_zero=1.0)
+        pointwise(lambda r: (1.0 + r) ** alpha / log_weight(r)), 1e-8)
 
     passed = (
         abs(u_sin - u_beta) <= tol * max(1.0, abs(u_beta))
@@ -599,8 +604,7 @@ def h1_upper_bound_internals(tol, seed=1729):
         min_margin = min(min_margin, margin)
         hardy_ok = hardy_ok and lhs <= rhs + gap_tol * max(1.0, rhs)
 
-    sup = supremum_halfline(
-        h1_sup_objective, tol, limit_at_zero=1.0, limit_at_infinity=1.0)
+    sup = supremum_halfline(h1_sup_objective, tol, limit_at_infinity=1.0)
     sup_ok = abs(sup.value - 1.0) <= tol and sup.boundary == AT_ZERO
 
     computed = H1_LOG_UPPER * sup.value
@@ -650,7 +654,7 @@ def _h1_numerator_mean(alpha, r):
     0 < r < 1, with the integrand values they spent: (means, values).
 
     It is computed through the factorization |Hf(z)| = |1-z|^(-alpha) |K(z)|
-    (_h1_profile_integral), on the angular integration of _h1_circle_means:
+    (_h1_profile_integral), on the angular integration of _h1_image_means:
     every radius is one member, and each round integrates K at all the new
     angles of every member in one lockstep call.  This quadrature route is
     the cross-check of the closed-form means (_h1_closed_means) that
@@ -663,7 +667,7 @@ def _h1_numerator_mean(alpha, r):
         spent += k.evaluations
         return np.abs(omz) ** -alpha * np.abs(k.value).reshape(z.shape)
 
-    means, values = _h1_circle_means(r, image)
+    means, values = _h1_image_means(r, image)
     return means, spent + values
 
 
@@ -714,7 +718,7 @@ def _h1_image_closed(alpha, z, omz=None):
     return out
 
 
-def _h1_circle_means(r, image):
+def _h1_image_means(r, image):
     """Circle means (1/pi) int_0^pi image(z, 1-z) dtheta at the radii of the
     1-d array r, 0 < r < 1, with the integrand values spent, every radius a
     member of one lockstep integration (norms._spiked_means at tol 1e-7).
@@ -732,8 +736,8 @@ def _h1_circle_means(r, image):
 def _h1_closed_means(alpha, r):
     """Circle means of the image of the Hardy extremal at the radii of the
     1-d array r, 0 < r < 1, on the closed form _h1_image_closed
-    (_h1_circle_means).  Returns (means, integrand values)."""
-    return _h1_circle_means(
+    (_h1_image_means).  Returns (means, integrand values)."""
+    return _h1_image_means(
         r, lambda z, omz: np.abs(_h1_image_closed(alpha, z, omz)))
 
 
@@ -773,8 +777,7 @@ def h1_lower_bound(alpha, tol):
             out[inside] = means / log_weight(r[inside])
         return out
 
-    sup = supremum_unit(objective, max(tol, 1e-6), n_grid=64, x_max=25.0,
-                        vectorized=True)
+    sup = supremum_unit(objective, max(tol, 1e-6), n_grid=64, x_max=25.0)
     numerator = sup.value
     closed, _ = _h1_closed_means(alpha, np.array(_H1_CROSS_RADII))
     means, _ = _h1_numerator_mean(alpha, np.array(_H1_CROSS_RADII))
@@ -814,10 +817,9 @@ def hinf_norm(tol):
     the same supremum with far-field limit 1/2, cross-checked numerically;
     and the matrix action on the constant input reproduces the harmonic
     coefficients 1/(n+1) exactly."""
-    sup = supremum_unit(hinf_objective, tol, limit_at_zero=1.0)
+    sup = supremum_unit(hinf_objective, tol)
 
-    sup6 = supremum_halfline(
-        hinf_sup_objective, tol, limit_at_zero=1.0, limit_at_infinity=0.5)
+    sup6 = supremum_halfline(hinf_sup_objective, tol, limit_at_infinity=0.5)
     far = hinf_sup_objective(1e9)
     far_ok = abs(far - 0.5) <= 1e-8
 

@@ -20,7 +20,7 @@ import pytest
 from hilbertnorm.catalog import CoefficientSeries
 from hilbertnorm.norms import hardy_norm
 from hilbertnorm.specfun import gamma, log_weight
-from hilbertnorm.supsearch import supremum_unit
+from hilbertnorm.supsearch import pointwise, supremum_unit
 from hilbertnorm.verification import (
     alpha_bound_values,
     compute_A,
@@ -211,7 +211,7 @@ def test_criterion_12_property_suite_and_runtime(suite):
         def g(r):
             return a * math.sin(c * r) + b * r * (1.0 - r)
 
-        res = supremum_unit(g, 1e-9)
+        res = supremum_unit(pointwise(g), 1e-9)
         probes = rng.uniform(0.0, 1.0 - 1e-9, size=200)
         best = max(g(float(r)) for r in probes)
         assert res.value >= best - 1e-6 * max(1.0, abs(best))

@@ -84,6 +84,20 @@ def test_eval_rejects_outside_disk():
             cat_eval(fn, z)
 
 
+def test_eval_rejects_nan():
+    fn = TestFunction(Kind.HALF_LOG)
+    for z in (math.nan, complex(0.5, math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            cat_eval(fn, z)
+
+
+def test_eval_series_rejects_nan():
+    s = taylor_coeffs(TestFunction(Kind.HALF_LOG), 8)
+    for z in (math.nan, complex(math.nan, 0.5), np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            eval_series(s, z)
+
+
 def test_radial_domination():
     # all four kinds have nonnegative Taylor coefficients, so the modulus on
     # any circle is maximized on the positive real axis

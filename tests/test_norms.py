@@ -29,6 +29,7 @@ from hilbertnorm.supsearch import (
     AT_BOUNDARY_LIMIT,
     AT_ZERO,
     SupResult,
+    pointwise,
     supremum_unit,
     unit_grid,
 )
@@ -124,8 +125,7 @@ def test_hardy_norm_exact_agrees_with_sweep():
     # classify its plateau near r = 1 as interior)
     for a in _random_polynomials(107, 4, max_degree=16):
         s = CoefficientSeries(a, a.size, 0.0)
-        swept = supremum_unit(_mean_objective(s, 1.0, False, 1e-7), 1e-6,
-                              vectorized=True)
+        swept = supremum_unit(_mean_objective(s, 1.0, False, 1e-7), 1e-6)
         fast = hardy_norm_details(s, 1.0, False, 1e-6)
         assert fast.value == pytest.approx(swept.value, rel=1e-6)
 
@@ -156,8 +156,7 @@ def test_hardy_norm_other_inputs_keep_the_sweep(p, log_weighted, tail_bound):
     s = CoefficientSeries(a, a.size, tail_bound)
     tol = 1e-4
     expected = supremum_unit(
-        _mean_objective(s, p, log_weighted, max(0.1 * tol, 1e-13)), tol,
-        vectorized=True)
+        _mean_objective(s, p, log_weighted, max(0.1 * tol, 1e-13)), tol)
     assert hardy_norm_details(s, p, log_weighted, tol) == expected
 
 
@@ -334,14 +333,15 @@ def test_hardy_norm_swept_long_series(monkeypatch):
     (TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5), 2.0, True),
 ])
 def test_hardy_norm_scalar_routes_match_scalar_sweep(f, p, log_weighted):
-    # the vectorized search returns what the scalar search over the same
-    # means returns: a lockstep member's mean is bit for bit its one-member
-    # mean (on a 64-point grid, which keeps the scalar searches cheap)
+    # the search over the lockstep means returns what the search over the
+    # one-member means returns: a lockstep member's mean is bit for bit its
+    # one-member mean (on a 64-point grid, which keeps the one-member
+    # objective, one call per radius, cheap)
     tol = 1e-4
     objective = _mean_objective(f, p, log_weighted, max(0.1 * tol, 1e-13))
-    scalar = supremum_unit(lambda r: float(objective(np.array([r]))[0]), tol,
-                           n_grid=64)
-    assert supremum_unit(objective, tol, n_grid=64, vectorized=True) == scalar
+    one_member = pointwise(lambda r: float(objective(np.array([r]))[0]))
+    assert (supremum_unit(objective, tol, n_grid=64)
+            == supremum_unit(one_member, tol, n_grid=64))
 
 
 def test_hardy_norm_validation():

@@ -1,4 +1,5 @@
-"""Adaptive quadrature: plain, endpoint-singular, half-line, and circle means."""
+"""Adaptive quadrature: plain, endpoint-singular and half-line integrals, and
+the circle means and maxima of polynomials that run on its circle helpers."""
 
 import math
 import re
@@ -6,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from hilbertnorm.norms import _series_maxima, _series_means
 from hilbertnorm.quadrature import (
     QuadratureError,
     QuadResult,
     SingularitySpec,
-    circle_mean,
     integrate,
     integrate_halfline,
     integrate_singular,
@@ -106,29 +107,39 @@ def test_halfline_power_tail():
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
+def _circle_mean(coeffs, r, p, tol):
+    """M_p(r, f) of the polynomial with these coefficients through the norms'
+    series routes: the doubling trapezoid means for p finite (with the
+    angular fallback, quadrature._angular_mean), the circle maxima for
+    p = inf (quadrature._circle_max), which take no tol."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if p == math.inf:
+        return float(_series_maxima(coeffs, [r])[0])
+    return float(_series_means(coeffs, [r], p, tol)[0])
+
+
 def test_circle_mean_constant_any_p():
     for p in (1.0, 2.0, 3.5, math.inf):
-        assert circle_mean(lambda z: np.ones_like(z), 0.5, p, 1e-10) == (
-            pytest.approx(1.0, abs=1e-12))
+        assert _circle_mean([1.0], 0.5, p, 1e-10) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circle_mean_identity_function():
     # |f(z)| = |z| = r on the circle, so every mean equals r
     for p in (1.0, 2.0, math.inf):
-        assert circle_mean(lambda z: z, 0.7, p, 1e-10) == (
+        assert _circle_mean([0.0, 1.0], 0.7, p, 1e-10) == (
             pytest.approx(0.7, abs=1e-10))
 
 
 def test_circle_mean_quadratic_mean_closed_form():
     # M_2(r, 1+z)^2 = 1 + r^2
     r = 0.6
-    got = circle_mean(lambda z: 1.0 + z, r, 2.0, 1e-11)
+    got = _circle_mean([1.0, 1.0], r, 2.0, 1e-11)
     assert got == pytest.approx(math.sqrt(1.0 + r * r), rel=1e-9)
 
 
 def test_circle_mean_sup_norm():
     r = 0.8
-    got = circle_mean(lambda z: 1.0 + z, r, math.inf, 1e-10)
+    got = _circle_mean([1.0, 1.0], r, math.inf, 1e-10)
     assert got == pytest.approx(1.0 + r, rel=1e-9)
 
 
@@ -147,26 +158,16 @@ def _dense_circle_max(coeffs, r):
 
 
 def test_circle_mean_sup_norm_of_polynomials_respects_tol():
-    # The refinement stops on bracket width alone, so it meets the tightest
-    # tol against the dense reference at every tol, at the same cost.
+    # The refinement stops on bracket width alone, 1e-12 relative, so the
+    # maximum meets the dense reference to 1e-12 with no tol to pass.
     rng = np.random.default_rng(2718)
     for _ in range(12):
         degree = int(rng.integers(1, 33))
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         r = float(rng.uniform(0.3, 0.999))
         want = _dense_circle_max(coeffs, r)
-        calls = {}
-        for tol in (1e-4, 1e-8, 1e-12):
-            count = [0]
-
-            def f(z):
-                count[0] += 1
-                return np.polynomial.polynomial.polyval(z, coeffs)
-
-            got = circle_mean(f, r, math.inf, tol)
-            assert abs(got - want) <= 1e-12 * max(1.0, want)
-            calls[tol] = count[0]
-        assert calls[1e-4] == calls[1e-8] == calls[1e-12]
+        got = _circle_mean(coeffs, r, math.inf, None)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 def test_circle_mean_sup_norm_symmetric_straddle():
@@ -178,8 +179,7 @@ def test_circle_mean_sup_norm_symmetric_straddle():
     r = 0.7
     n = 1 << 20
     fft_max = float(np.max(np.abs(np.fft.ifft(coeffs * r ** np.arange(15), n)))) * n
-    got = circle_mean(lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-                      r, math.inf, 1e-9)
+    got = _circle_mean(coeffs, r, math.inf, None)
     assert abs(got - fft_max) <= 1e-9 * fft_max
     assert got == pytest.approx(_dense_circle_max(coeffs, r), rel=1e-13)
 
@@ -195,19 +195,14 @@ def test_circle_mean_meets_tol_near_boundary():
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         want = float(np.mean(np.abs(
             np.fft.fft(coeffs * r ** np.arange(coeffs.size), 1 << 16))))
-        got = circle_mean(
-            lambda z: np.polynomial.polynomial.polyval(z, coeffs), r, 1.0, tol)
+        got = _circle_mean(coeffs, r, 1.0, tol)
         assert abs(got - want) <= tol * max(1.0, want), degree
 
 
 def test_circle_mean_nondecreasing_in_radius():
     rng = np.random.default_rng(2718)
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-
-    def f(z):
-        return np.polynomial.polynomial.polyval(z, coeffs)
-
-    means = [circle_mean(f, r, 1.0, 1e-9) for r in (0.2, 0.5, 0.8, 0.95)]
+    means = _series_means(coeffs, [0.2, 0.5, 0.8, 0.95], 1.0, 1e-9)
     for lo, hi in zip(means, means[1:]):
         assert hi >= lo - 1e-8
 
@@ -215,19 +210,8 @@ def test_circle_mean_nondecreasing_in_radius():
 def test_circle_mean_near_saturated_radius():
     # radii a few ulps below 1 must evaluate without domain errors
     r = np.nextafter(1.0, 0.0)
-    got = circle_mean(lambda z: z, r, 1.0, 1e-8)
+    got = _circle_mean([0.0, 1.0], r, 1.0, 1e-8)
     assert got == pytest.approx(1.0, abs=1e-12)
-
-
-def test_circle_mean_validation():
-    with pytest.raises(ValueError):
-        circle_mean(lambda z: z, 1.0, 2.0, 1e-8)
-    with pytest.raises(ValueError):
-        circle_mean(lambda z: z, -0.1, 2.0, 1e-8)
-    with pytest.raises(ValueError):
-        circle_mean(lambda z: z, 0.5, 0.5, 1e-8)
-    with pytest.raises(ValueError):
-        circle_mean(lambda z: z, 0.5, 2.0, 0.0)
 
 
 def test_integration_is_deterministic():

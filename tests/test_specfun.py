@@ -127,6 +127,15 @@ def test_log_weight_rejects_out_of_domain(r):
         log_weight(r)
 
 
+def test_log_weight_rejects_nan():
+    # NaN compares false with both bounds, so it must fail the domain check
+    # rather than come back as a weight of nan
+    with pytest.raises(ValueError):
+        log_weight(math.nan)
+    with pytest.raises(ValueError):
+        log_weight(np.array([0.5, math.nan]))
+
+
 def test_log_weight_at_least_one():
     rng = np.random.default_rng(11)
     rs = rng.uniform(0.0, 1.0 - 1e-12, size=100)

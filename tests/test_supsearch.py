@@ -13,6 +13,7 @@ from hilbertnorm.supsearch import (
     DivergenceError,
     SupResult,
     halfline_grid,
+    pointwise,
     supremum_halfline,
     supremum_unit,
     unit_grid,
@@ -26,18 +27,12 @@ def _array_twin(g):
     return lambda args: np.array([g(float(a)) for a in args])
 
 
-def _unit_vectorized(g, tol, **kwargs):
-    """supremum_unit evaluating the array twin of the scalar objective g."""
-    return supremum_unit(_array_twin(g), tol, vectorized=True, **kwargs)
-
-
-# Both entry points search the same problems through r = 1 - e^{-x}, and the
-# unit search also through the array twin of each objective.  Each objective
-# below is a function of the distance to the boundary, e = 1 - r = e^{-x},
-# which both coordinates compute without cancellation.
+# Both entry points search the same problems through the array twin of each
+# objective, the unit search through r = 1 - e^{-x}.  Each objective below
+# is a function of the distance to the boundary, e = 1 - r = e^{-x}, which
+# both coordinates compute without cancellation.
 SEARCHES = {
     "unit": (supremum_unit, lambda r: 1.0 - r, unit_grid()[1]),
-    "unit-vectorized": (_unit_vectorized, lambda r: 1.0 - r, unit_grid()[1]),
     "halfline": (supremum_halfline, lambda x: math.exp(-x), halfline_grid()),
 }
 both_searches = pytest.mark.parametrize("entry", sorted(SEARCHES))
@@ -45,7 +40,7 @@ both_searches = pytest.mark.parametrize("entry", sorted(SEARCHES))
 
 def _search(entry, h, tol, **kwargs):
     search, dist, _ = SEARCHES[entry]
-    return search(lambda t: h(dist(t)), tol, **kwargs)
+    return search(_array_twin(lambda t: h(dist(t))), tol, **kwargs)
 
 
 @both_searches
@@ -58,7 +53,7 @@ def test_interior_maximum(entry):
 
 @both_searches
 def test_maximum_at_zero(entry):
-    res = _search(entry, lambda e: 1.0 / (2.0 - e), 1e-10, limit_at_zero=1.0)
+    res = _search(entry, lambda e: 1.0 / (2.0 - e), 1e-10)
     assert res.boundary == AT_ZERO
     assert res.value == 1.0
     assert res.arg == 0.0
@@ -89,10 +84,12 @@ def test_boundary_limit_steep_tail(entry, power):
 
 
 def test_unit_limit_replaces_removable_point():
+    # the objective owns its value at the removable point r = 0, where
+    # sin(r)/r would raise ZeroDivisionError
     def g(r):
-        return math.sin(r) / r  # raises ZeroDivisionError at r = 0
+        return math.sin(r) / r if r else 1.0
 
-    res = supremum_unit(g, 1e-10, limit_at_zero=1.0)
+    res = supremum_unit(_array_twin(g), 1e-10)
     assert res.value == 1.0
     assert res.boundary == AT_ZERO
 
@@ -115,44 +112,62 @@ def test_rejects_bad_tolerance(entry):
         _search(entry, lambda e: 1.0 - e, 0.0)
 
 
-# Scalar objectives on [0, 1) and the keywords of their unit search.
+# Scalar objectives on [0, 1), the keywords of their unit search, and the
+# result each gave when a scalar objective took one point per call (grid
+# point by grid point, one golden step per call) and a limit_at_zero
+# argument replaced the value at r = 0, which the objectives below now
+# return themselves; reprs round-trip, so == is bit for bit.
 UNIT_OBJECTIVES = [
-    (lambda r: (1.0 - r) * r, {}),
-    (lambda r: 1.0 / (1.0 + r), {"limit_at_zero": 1.0}),
-    (lambda r: 1.0 - (1.0 - r) ** 0.1, {}),
-    (lambda r: math.sin(5.0 * r) * (1.0 - r), {}),
-    # a vectorized objective sees r = 0 too; the limit replaces its value
-    (lambda r: math.sin(r) / r if r else math.nan, {"limit_at_zero": 1.0}),
-    (lambda r: 2.0, {"n_grid": 64, "x_max": 25.0}),
+    (lambda r: (1.0 - r) * r, {},
+     SupResult(0.25, 0.49999999994151884, INTERIOR, 3.186469249039145e-05)),
+    (lambda r: 1.0 / (1.0 + r), {},
+     SupResult(1.0, 0.0, AT_ZERO, 0.0700205458221056)),
+    (lambda r: 1.0 - (1.0 - r) ** 0.1, {},
+     SupResult(0.9746171126138676, 0.9999999999999999, AT_BOUNDARY_LIMIT,
+               0.00182181771687151)),
+    (lambda r: math.sin(5.0 * r) * (1.0 - r), {},
+     SupResult(0.7130497995967379, 0.26127929084657714, INTERIOR,
+               0.0005793747001800192)),
+    (lambda r: math.sin(r) / r if r else 1.0, {},
+     SupResult(1.0, 0.0, AT_ZERO, 0.0009445608140793427)),
+    (lambda r: 2.0, {"n_grid": 64, "x_max": 25.0},
+     SupResult(2.0, 0.0, AT_ZERO, 0.0)),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(UNIT_OBJECTIVES)))
 def test_vectorized_twin_gives_identical_result(case):
-    g, kwargs = UNIT_OBJECTIVES[case]
-    assert (supremum_unit(_array_twin(g), 1e-9, vectorized=True, **kwargs)
-            == supremum_unit(g, 1e-9, **kwargs))
+    # the array search of the twin, three golden steps per call, gives the
+    # scalar search's result; so does the library's lift of g
+    g, kwargs, scalar = UNIT_OBJECTIVES[case]
+    assert supremum_unit(_array_twin(g), 1e-9, **kwargs) == scalar
+    assert supremum_unit(pointwise(g), 1e-9, **kwargs) == scalar
 
 
 def test_vectorized_grid_is_one_call():
-    # the scalar search evaluates one point per call: after the grid, the
-    # two interior points of the bracket and one point per golden step
-    points = []
-    supremum_unit(lambda r: points.append(r) or r * (1.0 - r), 1e-10)
-    steps = len(points) - unit_grid()[1].size - 2
+    # the golden steps of the winning bracket, counted by the one-point
+    # reference below on the same bracket around the grid maximum
+    xs, rs = unit_grid()
+    best = int(np.argmax(rs * (1.0 - rs)))
+
+    def one_point(x, _):
+        r = np.array([-math.expm1(-v) for v in x.tolist()])
+        return r * (1.0 - r)
+
+    steps = _plain_golden_max(one_point, xs[best - 1], xs[best + 1])[2]
     calls = []
 
     def g(rs):
         calls.append(rs.size)
         return rs * (1.0 - rs)
 
-    supremum_unit(g, 1e-10, vectorized=True)
+    supremum_unit(g, 1e-10)
     # the grid, then both interior points, then one call of at most
     # 2^3 - 1 points for every three golden steps
-    assert calls[0] == unit_grid()[1].size
+    assert calls[0] == rs.size
     assert calls[1] == 2
     assert max(calls[2:]) <= 7
-    assert len(calls) - 1 <= math.ceil(steps / 3) + 1
+    assert len(calls) - 2 == math.ceil(steps / 3)
 
 
 def _plain_golden_max(fun, lo, hi):
@@ -232,19 +247,21 @@ def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead):
 def test_vectorized_rejects_nonfinite_grid_value():
     rs = unit_grid()[1]
     with pytest.raises(ValueError, match=re.escape(repr(rs[3]))):
-        supremum_unit(lambda r: np.where(r >= rs[3], np.nan, r), 1e-8,
-                      vectorized=True)
+        supremum_unit(lambda r: np.where(r >= rs[3], np.nan, r), 1e-8)
 
 
 def test_vectorized_honours_limit_at_zero():
+    # sin(r)/r owns its limit 1 at r = 0, and the search takes it verbatim
     def g(rs):
-        with np.errstate(invalid="ignore"):
-            return np.sin(rs) / rs  # nan at r = 0
+        return np.divide(np.sin(rs), rs, out=np.ones(rs.size), where=rs > 0.0)
 
-    res = supremum_unit(g, 1e-10, limit_at_zero=1.0, vectorized=True)
+    res = supremum_unit(g, 1e-10)
     assert res == SupResult(1.0, 0.0, AT_ZERO, res.error_estimate)
-    with pytest.raises(ValueError):
-        supremum_unit(g, 1e-10, vectorized=True)
+    # without it the search does not extrapolate: nan at r = 0 is an error
+    with pytest.raises(ValueError, match=re.escape(repr(0.0))):
+        supremum_unit(lambda rs: np.divide(np.sin(rs), rs,
+                                           out=np.full(rs.size, np.nan),
+                                           where=rs > 0.0), 1e-10)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -254,7 +271,7 @@ def test_vectorized_honours_limit_at_zero():
 ])
 def test_vectorized_rejects_wrong_output_shape(wrong):
     with pytest.raises(ValueError, match="shape"):
-        supremum_unit(wrong, 1e-8, vectorized=True)
+        supremum_unit(wrong, 1e-8)
 
 
 def test_unit_validation_grid_dominance():
@@ -266,15 +283,15 @@ def test_unit_validation_grid_dominance():
         def g(r):
             return a * math.sin(c * r) + b * r * (1.0 - r)
 
-        res = supremum_unit(g, 1e-9)
+        res = supremum_unit(_array_twin(g), 1e-9)
         probes = rng.uniform(0.0, 1.0 - 1e-9, size=200)
         best = max(g(float(r)) for r in probes)
         assert res.value >= best - 1e-6 * max(1.0, abs(best))
 
 
 def test_halfline_interior_maximum():
-    res = supremum_halfline(lambda x: x * math.exp(-x), 1e-10,
-                            limit_at_zero=0.0, limit_at_infinity=0.0)
+    res = supremum_halfline(_array_twin(lambda x: x * math.exp(-x)), 1e-10,
+                            limit_at_infinity=0.0)
     assert res.boundary == INTERIOR
     assert res.value == pytest.approx(1.0 / math.e, abs=1e-9)
     assert res.arg == pytest.approx(1.0, abs=1e-4)
@@ -283,7 +300,7 @@ def test_halfline_interior_maximum():
 def test_halfline_limit_at_infinity_wins():
     # grid maximum 0.9 * 60/61 < 0.9, declared limit strictly above it
     res = supremum_halfline(lambda x: 0.9 * x / (x + 1.0), 1e-10,
-                            limit_at_zero=0.0, limit_at_infinity=0.9)
+                            limit_at_infinity=0.9)
     assert res.boundary == AT_BOUNDARY_LIMIT
     assert res.value == 0.9
     assert res.arg == math.inf
@@ -293,15 +310,15 @@ def test_halfline_equal_limit_ties_to_finite_argument():
     # 1 - e^{-x} rounds to exactly 1.0 on the deep grid, matching the
     # declared limit; ties break toward the smallest argument, so the
     # finite maximizer wins over infinity.
-    res = supremum_halfline(lambda x: -math.expm1(-x), 1e-10,
-                            limit_at_zero=0.0, limit_at_infinity=1.0)
+    res = supremum_halfline(_array_twin(lambda x: -math.expm1(-x)), 1e-10,
+                            limit_at_infinity=1.0)
     assert res.value == 1.0
     assert res.arg < math.inf
 
 
 def test_halfline_maximum_at_zero():
-    res = supremum_halfline(lambda x: math.exp(-x), 1e-10,
-                            limit_at_zero=1.0, limit_at_infinity=0.0)
+    res = supremum_halfline(_array_twin(lambda x: math.exp(-x)), 1e-10,
+                            limit_at_infinity=0.0)
     assert res.boundary == AT_ZERO
     assert res.value == 1.0
 
@@ -321,10 +338,22 @@ def test_maximum_at_last_point_reports_that_point():
     def g(x):
         return x + 2.0 * min(abs(x - xs[-2]), 1.0)
 
-    res = supremum_halfline(g, 1e-10)
+    res = supremum_halfline(_array_twin(g), 1e-10)
     assert res.boundary == INTERIOR
     assert res.arg == xs[-1]
     assert res.value == g(xs[-1])
+
+
+def test_pointwise_keeps_scalar_arithmetic():
+    # math.log1p at each point, not np.log1p over the array, which rounds
+    # some values differently; a scalar argument gives the scalar value
+    lifted = pointwise(math.log1p)
+    assert lifted.__name__ == "log1p"
+    assert lifted(0.5) == math.log1p(0.5) and type(lifted(0.5)) is float
+    xs = np.linspace(0.0, 0.99, 1001)
+    got = lifted(xs)
+    assert got.shape == xs.shape
+    assert got.tolist() == [math.log1p(x) for x in xs.tolist()]
 
 
 def test_unit_grid_shape():
@@ -354,6 +383,6 @@ def test_search_is_deterministic():
     def g(r):
         return math.sin(5.0 * r) * (1.0 - r)
 
-    a = supremum_unit(g, 1e-10)
-    b = supremum_unit(g, 1e-10)
+    a = supremum_unit(_array_twin(g), 1e-10)
+    b = supremum_unit(_array_twin(g), 1e-10)
     assert (a.value, a.arg, a.boundary) == (b.value, b.arg, b.boundary)

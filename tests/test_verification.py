@@ -97,6 +97,46 @@ def test_hinf_objective_values():
     assert hinf_objective(0.5) < 1.0
 
 
+# The value at 0 of the objective of each supremum_unit and
+# supremum_halfline call a check makes, in call order: the limit value the
+# searches once took beside the objective, which the objective now returns
+# itself, bit for bit.
+VALUES_AT_ZERO = {
+    "compute_A": [0.5],
+    "compute_B": [1.0],
+    "alpha_upper_bound": [1.0],
+    "h1_upper_bound_internals": [1.0],
+    "hinf_norm": [1.0, 1.0],
+}
+
+
+def test_searched_objectives_own_their_value_at_zero(monkeypatch):
+    a_report = verification.compute_A(1e-8)
+    seen = []
+    for name in ("supremum_unit", "supremum_halfline"):
+        def recorded(g, *args, _search=getattr(verification, name), **kwargs):
+            seen.append(g(np.array([0.0])).tolist()[0])
+            return _search(g, *args, **kwargs)
+
+        monkeypatch.setattr(verification, name, recorded)
+    runs = {
+        "compute_A": lambda: verification.compute_A(1e-8),
+        "compute_B": lambda: verification.compute_B(1e-8, a_report),
+        "alpha_upper_bound": lambda: verification.alpha_upper_bound(1.5),
+        "h1_upper_bound_internals":
+            lambda: verification.h1_upper_bound_internals(1e-8),
+        "hinf_norm": lambda: verification.hinf_norm(1e-8),
+    }
+    for name, run in runs.items():
+        seen.clear()
+        assert run().passed
+        assert seen == VALUES_AT_ZERO[name], name
+    # the scalar closed forms keep their scalar value at 0
+    for objective in (h1_sup_objective, hinf_sup_objective, hinf_objective):
+        assert objective(0.0) == 1.0 and type(objective(0.0)) is float
+    assert _half_log_average_closed(0.0) == 1.0
+
+
 def test_bloch_a_objective_at_zero():
     assert bloch_a_objective(1e-10)(0.0) == pytest.approx(0.5, abs=1e-12)
 
@@ -108,8 +148,8 @@ def test_bloch_b_objective_is_finite():
 
 
 def test_closed_averages_match_quadrature():
-    # every 8th radius of the search grid, r = 0 excluded (the closed forms
-    # take r > 0; the searches pass the limit there)
+    # every 8th radius of the search grid, r = 0 excluded (the half-log
+    # closed form returns its limit there)
     for r in unit_grid()[1][8::8]:
         r = float(r)
         assert abs(_kernel_average_closed(r)
