@@ -12,6 +12,8 @@ from hilbertnorm.quadrature import (
     QuadratureError,
     QuadResult,
     SingularitySpec,
+    _heap,
+    _WIDE,
     integrate,
     integrate_halfline,
     integrate_singular,
@@ -347,21 +349,34 @@ def test_singular_failure_on_second_piece_counts_the_first():
     assert partial.evaluations > alone.evaluations
 
 
-def test_singular_failure_of_one_member_counts_its_first_piece():
-    # member 0 ((1-t)^-1, log-divergent) fails on the right piece; member 1
-    # ((1-t)^-0.5) converges; the partial result is member 0's alone
+def _check_failure_of_one_member_counts_its_first_piece(n):
+    # the even members ((1-t)^-1, log-divergent) fail on the right piece and
+    # member 0 raises; the odd members ((1-t)^-0.5) converge; the partial
+    # result is member 0's alone
     def family(members, t):
-        return 1.0 / (1.0 - t) ** (1.0 - 0.5 * members[:, None])
+        return 1.0 / (1.0 - t) ** (1.0 - 0.5 * (members[:, None] % 2))
 
     with pytest.raises(QuadratureError) as info:
-        integrate_singular(family, np.zeros(2), np.ones(2),
+        integrate_singular(family, np.zeros(n), np.ones(n),
+                           SingularitySpec(-0.5, -0.5), 1e-10, panel_cap=64)
+    with pytest.raises(QuadratureError) as alone:
+        integrate_singular(lambda t: 1.0 / (1.0 - t), 0.0, 1.0,
                            SingularitySpec(-0.5, -0.5), 1e-10, panel_cap=64)
     assert info.value.member == 0
     partial = info.value.result
     assert partial.singular_flags == (True, True)
     assert np.ndim(partial.value) == 0
+    assert partial == alone.value.result
     # the left share alone is log 2 = 0.69...; the right piece adds more
     assert partial.value > math.log(2.0)
+
+
+def test_singular_failure_of_one_member_counts_its_first_piece():
+    _check_failure_of_one_member_counts_its_first_piece(2)
+
+
+def test_wide_singular_failure_of_one_member_counts_its_first_piece():
+    _check_failure_of_one_member_counts_its_first_piece(WIDE)
 
 
 def test_family_validation():
@@ -374,6 +389,41 @@ def test_family_validation():
                            SingularitySpec(), 1e-8)
     with pytest.raises(ValueError, match="tol"):
         integrate_singular(family, np.zeros(3), 1.0, SingularitySpec(), 0.0)
+
+
+def test_integrators_reject_a_non_finite_tol():
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            integrate(np.sin, 0.0, 10.0, tol)
+        with pytest.raises(ValueError, match="tol"):
+            integrate_halfline(lambda x: 1.0 / (1.0 + x * x), 0.0, tol)
+
+
+def test_integrators_reject_an_infinite_bound_and_name_the_halfline():
+    with pytest.raises(ValueError, match="integrate_halfline"):
+        integrate(lambda x: np.exp(-x), 0.0, math.inf, 1e-8)
+    with pytest.raises(ValueError, match="integrate_halfline"):
+        integrate_singular(lambda k, x: np.exp(-x), np.zeros(2),
+                           np.array([1.0, math.inf]), SingularitySpec(), 1e-8)
+
+
+def test_halfline_rejects_a_non_finite_start():
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="half-line start"):
+            integrate_halfline(lambda x: 1.0 / (1.0 + x * x), a, 1e-8)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_integrators_reject_a_panel_cap_below_one(cap):
+    with pytest.raises(ValueError, match="panel_cap"):
+        integrate(np.sin, 0.0, 1.0, 1e-8, panel_cap=cap)
+    with pytest.raises(ValueError, match="panel_cap"):
+        integrate_halfline(lambda x: 1.0 / (1.0 + x * x), 0.0, 1e-8, panel_cap=cap)
+
+
+def test_integrators_reject_an_empty_member_array():
+    with pytest.raises(ValueError, match="no member"):
+        integrate(lambda k, x: x, np.zeros(0), 1.0, 1e-8)
 
 
 def test_family_is_deterministic():
@@ -390,6 +440,13 @@ def test_family_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # heap engine: many members in lockstep
+#
+# A call of fewer than _WIDE members keeps each member's panels in a heap, a
+# wider one keeps all panels in flat arrays; NARROW and WIDE member counts
+# run the same checks through both.
+
+NARROW, WIDE = 10, 80
+assert NARROW < _WIDE <= WIDE
 
 
 def _seeded_members(n=10, seed=16):
@@ -401,10 +458,10 @@ def _seeded_members(n=10, seed=16):
     return a, b, w
 
 
-def test_lockstep_members_equal_their_one_member_calls():
+def _check_members_equal_their_one_member_calls(n):
     # (b - x)^-0.4 e^(i w x) on [a, b], the right end declared, each member
     # with its own interval and frequency
-    a, b, w = _seeded_members()
+    a, b, w = _seeded_members(n)
     spec = SingularitySpec(None, -0.4)
 
     def family(members, x):
@@ -422,6 +479,72 @@ def test_lockstep_members_equal_their_one_member_calls():
         total += one.evaluations
     # a batch counts the evaluations of all its members
     assert batch.evaluations == total
+
+
+def test_lockstep_members_equal_their_one_member_calls():
+    _check_members_equal_their_one_member_calls(NARROW)
+
+
+def test_wide_lockstep_members_equal_their_one_member_calls():
+    _check_members_equal_their_one_member_calls(WIDE)
+
+
+def _special_members(n, seed=26):
+    """(integrand, a, b) of n members: one of each case the bookkeeping must
+    get right, then seeded e^(i w x) members, most of which converge with
+    4 to 7 panels, where a complex np.sum no longer adds in order."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (lambda x: 0j * x, 0.0, 1.0),
+        # resasc == 0, and |K - G| is not
+        (lambda x: (1.0 + 1.0j) + 0.0 * x, 0.0, 1.0),
+        # resabs below the floor of the error estimate
+        (lambda x: 1e-300 * np.exp(1j * x), 0.0, 1.0),
+        # four ulps wide: the panels freeze at float resolution
+        (lambda x: 1e8 * np.exp(1e17j * x), 1.0, 1.0 + 4.0 * np.spacing(1.0)),
+        # opposite steps on the halves of [0, 2]: their panels have equal
+        # errors and opposite values, so the lowest seq decides which half
+        # is refined last before the member converges, and the sign of
+        # its value
+        (lambda x: 3.2 * np.where(x < 1.0, 1.0, -1.0) * (np.mod(x, 1.0) < 0.8) + 0j * x,
+         0.0, 2.0),
+    ]
+    while len(rows) < n:
+        w = rng.uniform(10.0, 40.0) + 1j * rng.uniform(-2.0, 2.0)
+        a = rng.uniform(-1.0, 0.5)
+        rows.append((lambda x, w=w: np.exp(1j * w * x), a, a + rng.uniform(0.5, 1.5)))
+    return rows[:n]
+
+
+def _lockstep(rows, dtype):
+    """The lockstep form of the scalar integrands rows[k][0]: each sees
+    only its own rows of x."""
+    def family(members, x):
+        y = np.empty(x.shape, dtype)
+        for k in np.unique(members).tolist():
+            at = members == k
+            y[at] = rows[k][0](x[at])
+        return y
+
+    return family
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [NARROW, WIDE])
+def test_lockstep_special_members_equal_their_one_member_calls(n, dtype):
+    rows = _special_members(n)
+    if dtype is float:
+        rows = [(lambda x, g=g: g(x).real, a, b) for g, a, b in rows]
+    a, b = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+    batch = _heap(_lockstep(rows, dtype), a, b, 1e-10, 1 << 16)
+    assert batch.value.dtype == dtype
+    for k, (g, ak, bk) in enumerate(rows):
+        one = integrate(g, ak, bk, 1e-10)
+        assert batch.value[k] == one.value
+        assert batch.error_estimate[k] == one.error_estimate
+        assert batch.evaluations[k] == one.evaluations
+    # the frozen member's four ulps hold four panels
+    assert batch.evaluations[3] == 15 + 3 * 30
 
 
 def test_lockstep_integrand_gets_one_row_per_panel():
@@ -445,33 +568,54 @@ def test_lockstep_integrand_gets_one_row_per_panel():
     assert len(seen) - 1 < splits
 
 
-def test_lockstep_member_without_convergence_raises_its_partial():
+def _check_member_without_convergence_raises_its_partial(n):
+    # members 1 and n - 1 cannot converge; the first of them raises
     def family(members, x):
-        return np.where(members[:, None] == 1, 1.0 / x, np.cos(x))
+        bad = (members[:, None] == 1) | (members[:, None] == n - 1)
+        return np.where(bad, 1.0 / x, np.cos(x))
 
     with pytest.raises(QuadratureError, match="member 1: no convergence") as info:
-        integrate(family, np.zeros(3), np.ones(3), 1e-10, panel_cap=64)
+        integrate(family, np.zeros(n), np.ones(n), 1e-10, panel_cap=64)
     with pytest.raises(QuadratureError) as alone:
         integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-10, panel_cap=64)
+    assert info.value.member == 1
     assert info.value.result == alone.value.result
 
 
-def test_lockstep_member_turning_nonfinite_raises_its_partial():
-    # the member is finite on its first panel; the centre of a refined panel
-    # hits the bad point
+def test_lockstep_member_without_convergence_raises_its_partial():
+    _check_member_without_convergence_raises_its_partial(3)
+
+
+def test_wide_lockstep_member_without_convergence_raises_its_partial():
+    _check_member_without_convergence_raises_its_partial(WIDE)
+
+
+def _check_member_turning_nonfinite_raises_its_partial(n):
+    # the members are finite on their first panel; the centre of a refined
+    # panel hits the bad point of members 2 and n - 1, and the first raises
     def rough(x):
         return np.where(x == 0.25, np.inf, np.sin(40.0 * x))
 
     def family(members, x):
-        return np.where(members[:, None] == 2, rough(x), np.cos(x))
+        bad = (members[:, None] == 2) | (members[:, None] == n - 1)
+        return np.where(bad, rough(x), np.cos(x))
 
-    with pytest.raises(QuadratureError,
-                       match=r"member 2: integrand not finite on panel \[0, 0.5\]") as info:
-        integrate(family, np.zeros(3), np.ones(3), 1e-10)
+    match = r"member 2: integrand not finite on panel \[0, 0.5\]"
+    with pytest.raises(QuadratureError, match=match) as info:
+        integrate(family, np.zeros(n), np.ones(n), 1e-10)
     with pytest.raises(QuadratureError) as alone:
         integrate(rough, 0.0, 1.0, 1e-10)
     assert isinstance(info.value.result, QuadResult)
+    assert info.value.member == 2
     assert info.value.result == alone.value.result
+
+
+def test_lockstep_member_turning_nonfinite_raises_its_partial():
+    _check_member_turning_nonfinite_raises_its_partial(3)
+
+
+def test_wide_lockstep_member_turning_nonfinite_raises_its_partial():
+    _check_member_turning_nonfinite_raises_its_partial(WIDE)
 
 
 def test_lockstep_bounds_validation():
