@@ -103,17 +103,21 @@ def _require_in_disk(z):
 def eval(fn, z):
     """Closed-form value of a test function at z (scalar or array), |z| < 1."""
     z = _require_in_disk(z)
-    if fn.kind is Kind.CONSTANT:
-        out = np.ones_like(z)
-    elif fn.kind is Kind.HALF_LOG:
-        out = 0.5 * (np.log1p(z) - np.log1p(-z))
-    elif fn.kind is Kind.HARDY_ALPHA_EXTREMAL:
-        out = np.exp(-fn.param * np.log1p(-z))
-    else:
-        a = fn.param
-        w = (1.0 - a) * (np.log1p(-z) + np.log1p(z))
-        out = _expm1_complex(w) / (2.0 * (a - 1.0))
+    out = (np.ones_like(z) if fn.kind is Kind.CONSTANT
+           else _eval_log(fn, z, np.log1p(-z)))
     return complex(out) if out.ndim == 0 else out
+
+
+def _eval_log(fn, z, log_omz):
+    """A non-constant test function at the points z, given log(1-z): eval
+    takes log1p(-z), and a caller that forms 1-z without cancellation near
+    z = 1 takes its log (norms._catalog_means)."""
+    if fn.kind is Kind.HALF_LOG:
+        return 0.5 * (np.log1p(z) - log_omz)
+    if fn.kind is Kind.HARDY_ALPHA_EXTREMAL:
+        return np.exp(-fn.param * log_omz)
+    a = fn.param
+    return _expm1_complex((1.0 - a) * (log_omz + np.log1p(z))) / (2.0 * (a - 1.0))
 
 
 def taylor_coeffs(fn, n):

@@ -6,7 +6,8 @@ together with the circular power means I_c and the two sides of the
 coefficient inequality sum |a_n|/(n+1) <= pi * ||f||_{H^1}.
 
 Every norm is a supremum over the radius. In general it is delegated to the
-sup-search module; the objective at fixed radius is a circle mean (or a
+sup-search module; the objective at fixed radius is a circle mean, which
+this module computes on its own circle helpers (or a
 closed-form radial expression when the input certifies nonnegative
 power-series coefficients, which makes |f(z)| <= f(|z|) along every circle).
 Unbounded functionals surface as the sup-search divergence signal rather
@@ -21,13 +22,12 @@ import math
 import numpy as np
 
 from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
-                      eval_series, derivative_series)
-from .quadrature import (QuadratureError, SingularitySpec, _angular_mean,
-                         _circle_max, _circle_points, integrate,
+                      eval_series, derivative_series, _eval_log)
+from .quadrature import (QuadratureError, SingularitySpec, integrate,
                          integrate_singular)
 from .specfun import log_weight
-from .supsearch import (SupResult, pointwise, supremum_unit, unit_grid,
-                        AT_ZERO, AT_BOUNDARY_LIMIT)
+from .supsearch import (SupResult, _golden_max, pointwise, supremum_unit,
+                        unit_grid, AT_ZERO, AT_BOUNDARY_LIMIT)
 
 __all__ = [
     "hardy_norm",
@@ -38,6 +38,8 @@ __all__ = [
     "i_c",
     "hardy_inequality_gap",
 ]
+
+_EPS = np.finfo(float).eps
 
 
 def _validate_p(p):
@@ -53,6 +55,40 @@ def _inner_tol(tol):
 
 def _weight_at(r, log_weighted):
     return float(log_weight(r)) if log_weighted else 1.0
+
+
+def _circle_points(r, theta):
+    """Points r e^{i theta}, kept strictly inside the unit disk.
+
+    When r is within a few ulps of 1, rounding in the complex multiply can
+    land a point exactly on (or outside) the unit circle; those points are
+    pulled back onto |z| < 1, an inward shift of a few 1e-16 that is far
+    below every quadrature tolerance."""
+    pts = r * np.exp(1j * np.asarray(theta, dtype=float))
+    mags = np.abs(pts)
+    bad = mags >= 1.0
+    if np.any(bad):
+        pts = np.where(bad, pts * ((1.0 - 4.0 * _EPS) / np.where(bad, mags, 1.0)), pts)
+    return pts
+
+
+def _circle_pair(r, theta):
+    """The points z = r e^{i theta} and 1 - z, the latter as (1-r) +
+    2 r sin^2(theta/2) - i r sin(theta), free of cancellation near z = 1."""
+    return (r * np.exp(1j * theta),
+            (1.0 - r) + 2.0 * r * np.sin(0.5 * theta) ** 2 - 1j * r * np.sin(theta))
+
+
+def _angular_mean(f, r, p, tol):
+    """(mean of |f|^p on the circle of radius r)^(1/p) by adaptive
+    quadrature in the angle: the fallback of the doubling trapezoid rules,
+    for integrands with structure on an angular scale a uniform grid cannot
+    afford (radii within ~1e-10 of the boundary)."""
+    def g(t):
+        return np.abs(np.asarray(f(_circle_points(r, t)))) ** p
+
+    res = integrate(g, 0.0, 2.0 * np.pi, tol)
+    return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
 
 
 def _spiked_means(r, power, top, tol):
@@ -86,8 +122,10 @@ def _catalog_means(f, p, tol):
     cancellation (as in i_c). Half-log and the Bloch extremal have real
     coefficients and are odd or even, so |f| is symmetric under theta ->
     -theta and theta -> pi - theta: their mean is over [0, pi/2], with the
-    spike at z = -1 folded onto the one at theta = 0. The p-th roots are
-    taken per radius in scalar arithmetic."""
+    spike at z = -1 folded onto the one at theta = 0, and they take log(1-z)
+    from 1-z free of cancellation (_circle_pair). Radii go in and means
+    come out as arrays; the p-th roots are taken per radius in scalar
+    arithmetic (supsearch.pointwise)."""
     if f.kind is Kind.HARDY_ALPHA_EXTREMAL:
         top, expo = math.pi, -0.5 * p * f.param
 
@@ -98,18 +136,18 @@ def _catalog_means(f, p, tol):
         top = 0.5 * math.pi
 
         def power(r, theta):
-            return np.abs(cat_eval(f, _circle_points(r, theta))) ** p
+            z, omz = _circle_pair(r, theta)
+            return np.abs(_eval_log(f, z, np.log(omz))) ** p
 
     at_zero = abs(cat_eval(f, 0.0))
+    root = pointwise(lambda m: m ** (1.0 / p))
 
     def means(rs):
-        out = [at_zero] * len(rs)
-        inside = [i for i, r in enumerate(rs) if r > 0.0]
-        if inside:
-            pth, _ = _spiked_means(np.array([rs[i] for i in inside]), power,
-                                   top, tol)
-            for i, m in zip(inside, pth.tolist()):
-                out[i] = m ** (1.0 / p)
+        rs = np.asarray(rs, dtype=float)
+        out = np.full(rs.size, at_zero)
+        inside = rs > 0.0
+        if inside.any():
+            out[inside] = root(_spiked_means(rs[inside], power, top, tol)[0])
         return out
 
     return means
@@ -123,33 +161,27 @@ def _mean_objective(f, p, log_weighted, inner_tol):
     integration with the spike at theta = 0 declared (_catalog_means); a
     catalog maximum (p = inf) and a constant's every mean are |f(r)|, as
     the catalog's nonnegative coefficients put the maximum on the positive
-    axis. A catalog mean's weight is taken per radius in scalar arithmetic,
-    as the one-radius objective rounds it (np.log over an array rounds
-    differently)."""
+    axis. A catalog function's |f(r)| and weight are taken per radius in
+    scalar arithmetic, as the one-radius objective rounds them (np.log over
+    an array rounds differently)."""
     if isinstance(f, CoefficientSeries):
         def means(rs):
             if p == math.inf:
                 return _series_maxima(f.coeffs, rs)
             return _series_means(f.coeffs, rs, p, inner_tol)
 
-        if not log_weighted:
-            return means
-        return lambda rs: means(rs) / log_weight(rs)
-
-    if not isinstance(f, TestFunction):
-        raise TypeError("expected a TestFunction or CoefficientSeries")
-    if p == math.inf or f.kind is Kind.CONSTANT:
-        def means(rs):
-            return [abs(cat_eval(f, r)) for r in rs]
+        weight = log_weight
+    elif isinstance(f, TestFunction):
+        if p == math.inf or f.kind is Kind.CONSTANT:
+            means = pointwise(lambda r: abs(cat_eval(f, r)))
+        else:
+            means = _catalog_means(f, p, inner_tol)
+        weight = pointwise(lambda r: float(log_weight(r)))
     else:
-        means = _catalog_means(f, p, inner_tol)
-
-    def objective(rs):
-        rs = np.asarray(rs, dtype=float).tolist()
-        return np.array([m / _weight_at(r, log_weighted)
-                         for m, r in zip(means(rs), rs)])
-
-    return objective
+        raise TypeError("expected a TestFunction or CoefficientSeries")
+    if not log_weighted:
+        return means
+    return lambda rs: means(rs) / weight(rs)
 
 
 # Trapezoid rules of the swept series means run in blocks of at most this
@@ -191,7 +223,7 @@ def _series_means(coeffs, rs, p, inner_tol):
     mean of |f|^p by at most inner_tol * max(1, mean). Radii still live
     after the level at max(2^14, 4 n0) points, which leaves the rule room
     for three levels, take adaptive quadrature in the angle
-    (quadrature._angular_mean)."""
+    (_angular_mean)."""
     rs = np.asarray(rs, dtype=float)
     rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
@@ -216,19 +248,35 @@ def _series_means(coeffs, rs, p, inner_tol):
 
 def _series_maxima(coeffs, rs):
     """M_inf(r, f) at every radius of rs for the polynomial with these
-    coefficients: _circle_max on |f(r e^{2 pi i j / n})|, one unscaled
-    inverse FFT of a_k r^k per radius (n: 4096, or more for a longer series)
-    in blocks of radii."""
+    coefficients. |f(r e^{2 pi i j / n})| is one unscaled inverse FFT of
+    a_k r^k per radius (n: 4096, or more for a longer series), in blocks of
+    radii. The grid maximum of each circle is refined around its top three
+    local maxima by golden section, every bracket of every circle in one
+    lockstep search (supsearch._golden_max)."""
     rs = np.asarray(rs, dtype=float)
     if not coeffs.size:  # the zero function, which polyval cannot take
         return np.zeros(rs.size)
     rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
     n = max(_CIRCLE_MAX_GRID, 1 << (coeffs.size - 1).bit_length())
     step = max(1, _BLOCK_POINTS // n)
-    blocks = (np.abs(np.fft.ifft(rows[i:i + step], n, axis=1, norm="forward"))
-              for i in range(0, rs.size, step))
-    return _circle_max(blocks, lambda k, t: np.abs(np.polynomial.polynomial.polyval(
-        _circle_points(rs[k], t), coeffs)))
+    best, circles, peaks = [], [], []
+    for start in range(0, rs.size, step):
+        vals = np.abs(np.fft.ifft(rows[start:start + step], n, axis=1, norm="forward"))
+        i, j = np.nonzero((vals >= np.roll(vals, 1, axis=1))
+                          & (vals >= np.roll(vals, -1, axis=1)))
+        # the local maxima of each circle in descending order; keep three
+        order = np.lexsort((-vals[i, j], i))
+        i, j = i[order], j[order]
+        top = np.arange(i.size) - np.searchsorted(i, i) < 3
+        circles.append(i[top] + start)
+        peaks.append(j[top])
+        best.append(np.max(vals, axis=1))
+    best, k = np.concatenate(best), np.concatenate(circles)
+    theta, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
+    _, refined = _golden_max(lambda t, i: np.abs(np.polynomial.polynomial.polyval(
+        _circle_points(rs[k[i]], t), coeffs)), theta - h, theta + h)
+    np.maximum.at(best, k, refined)
+    return best
 
 
 # Largest trapezoid rule of the boundary mean: a polynomial whose zeros keep
@@ -270,8 +318,8 @@ def _boundary_norm(coeffs, p, inner_tol):
 def hardy_norm_details(f, p, log_weighted, tol):
     """Full search result for sup_r M_p(r, f)/weight(r)."""
     p = _validate_p(p)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol {tol} must be positive and finite")
     inner_tol = _inner_tol(tol)
     if (isinstance(f, CoefficientSeries) and f.tail_bound == 0.0
             and not log_weighted and p != math.inf):
@@ -322,8 +370,8 @@ def bloch_seminorm_details(f, alpha, log_weighted, tol):
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol {tol} must be positive and finite")
 
     if isinstance(f, TestFunction):
         if f.kind is Kind.CONSTANT:

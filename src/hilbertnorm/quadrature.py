@@ -3,12 +3,9 @@
 One embedded Gauss-Kronrod 7/15 pair drives everything: plain adaptive
 bisection for smooth integrands, a power-substitution front end for declared
 endpoint singularities, a sinh substitution for a declared near singularity
-just outside the left end, and a rational map for half-line integrals. The
-circle helpers behind the norms live here too: the adaptive angular mean
-that backs the trapezoid means of a series, and the circle maxima of any
-number of circles in one lockstep golden-section search. Integrand
-callables take arrays: they receive an ndarray of abscissae and must
-return an ndarray of values (real or complex) of the same shape.
+just outside the left end, and a rational map for half-line integrals.
+Integrand callables take arrays: they receive an ndarray of abscissae and
+must return an ndarray of values (real or complex) of the same shape.
 
 One heap engine refines the panels: it refines each integral by splitting
 its worst panel, QUADPACK's qag strategy. It refines many independent
@@ -27,8 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .supsearch import _golden_max
 
 __all__ = [
     "QuadResult",
@@ -593,56 +588,3 @@ def integrate_halfline(f, a, tol, panel_cap=_DEFAULT_PANEL_CAP):
             "inf]: integrate_halfline needs f(x) = O(x^-2) as x -> infinity",
             exc.result) from None
 
-
-def _circle_points(r, theta):
-    """Points r e^{i theta}, kept strictly inside the unit disk.
-
-    When r is within a few ulps of 1, rounding in the complex multiply can
-    land a point exactly on (or outside) the unit circle; those points are
-    pulled back onto |z| < 1, an inward shift of a few 1e-16 that is far
-    below every quadrature tolerance."""
-    pts = r * np.exp(1j * np.asarray(theta, dtype=float))
-    mags = np.abs(pts)
-    bad = mags >= 1.0
-    if np.any(bad):
-        pts = np.where(bad, pts * ((1.0 - 4.0 * _EPS) / np.where(bad, mags, 1.0)), pts)
-    return pts
-
-
-def _angular_mean(f, r, p, tol):
-    """(mean of |f|^p on the circle of radius r)^(1/p) by adaptive
-    quadrature in the angle: the fallback of the doubling trapezoid rules,
-    for integrands with structure on an angular scale a uniform grid cannot
-    afford (radii within ~1e-10 of the boundary)."""
-    def g(t):
-        return np.abs(np.asarray(f(_circle_points(r, t)))) ** p
-
-    res = integrate(g, 0.0, 2.0 * np.pi, tol)
-    return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
-
-
-def _circle_max(blocks, at):
-    """Maximum of |f| on each of several circles.
-
-    blocks yields arrays of shape (circles, n): |f| at the angles 2 pi j / n
-    on consecutive circles. at(k, theta) gives |f| at angles theta on the
-    circles k (index arrays). The grid maximum of each circle is refined
-    around its top three local maxima by golden section, every bracket of
-    every circle in one lockstep search (supsearch._golden_max)."""
-    best, circles, peaks = [], [], []
-    for vals in blocks:
-        n = vals.shape[1]
-        i, j = np.nonzero((vals >= np.roll(vals, 1, axis=1))
-                          & (vals >= np.roll(vals, -1, axis=1)))
-        # the local maxima of each circle in descending order; keep three
-        order = np.lexsort((-vals[i, j], i))
-        i, j = i[order], j[order]
-        top = np.arange(i.size) - np.searchsorted(i, i) < 3
-        circles.append(i[top] + sum(map(len, best)))
-        peaks.append(j[top])
-        best.append(np.max(vals, axis=1))
-    best, k = np.concatenate(best), np.concatenate(circles)
-    theta, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
-    _, refined = _golden_max(lambda t, i: at(k[i], t), theta - h, theta + h)
-    np.maximum.at(best, k, refined)
-    return best

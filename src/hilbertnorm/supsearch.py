@@ -41,6 +41,7 @@ AT_BOUNDARY_LIMIT = "AtBoundaryLimit"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 160
+_LOOKAHEAD = 3  # golden steps per objective call, at most 7 points a bracket
 _R_MAX = np.nextafter(1.0, 0.0)
 
 
@@ -66,21 +67,21 @@ class DivergenceError(Exception):
         self.witness = witness or []
 
 
-def _golden_max(fun, lo, hi, lookahead=1):
+def _golden_max(fun, lo, hi):
     """Golden-section maximization on every bracket [lo[i], hi[i]] in
     lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
     index arrays i: first at the two interior points of every bracket, in
-    one call, then once per `lookahead` golden steps of the brackets still
+    one call, then once per _LOOKAHEAD golden steps of the brackets still
     live. A step's point follows from the comparison of the bracket's two
-    interior values, so the next `lookahead` steps can reach at most
-    2^lookahead - 1 points, all known before any of their values: the first
-    step's point, then two points for each outcome of each comparison. The
-    call evaluates all of them, and the steps are then taken one at a time
-    on those values with the arithmetic of a one-point step, so the result
-    is bit for bit the same for every lookahead. A bracket stops once it is
-    1e-12 relative narrow (never on its two interior values agreeing: they
-    can agree while they straddle the peak), or after 160 steps.
-    Returns the arrays (x_best, f_best)."""
+    interior values, so the next _LOOKAHEAD steps can reach at most
+    2^_LOOKAHEAD - 1 points, all known before any of their values: the
+    first step's point, then two points for each outcome of each
+    comparison. The call evaluates all of them, and the steps are then
+    taken one at a time on those values with the arithmetic of a one-point
+    step, so the result is bit for bit that of one point per step. A
+    bracket stops once it is 1e-12 relative narrow (never on its two
+    interior values agreeing: they can agree while they straddle the peak),
+    or after 160 steps. Returns the arrays (x_best, f_best)."""
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
     live = np.arange(lo.size)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
@@ -95,7 +96,7 @@ def _golden_max(fun, lo, hi, lookahead=1):
 
     steps = 0
     while live.size:
-        depth = min(lookahead, _GOLDEN_MAX_ITER - steps)
+        depth = min(_LOOKAHEAD, _GOLDEN_MAX_ITER - steps)
         # the brackets the next depth steps can reach, level by level: the
         # first step goes the way the known values say, each later one both
         # ways (children 2k and 2k + 1 of node k step left and right)
@@ -199,8 +200,8 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     limit_at_infinity, when it beats the grid maximum by more than the tie
     band, is the supremum at arg = infinity; tail_span is the x-distance the
     divergence test looks back over."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol {tol} must be positive and finite")
 
     def evaluate(args):
         vals = np.asarray(g(args), dtype=float)
@@ -234,7 +235,7 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
 
     x_star, v_star = (float(v[0]) for v in _golden_max(
         lambda x, _: evaluate(np.array([to_arg(v) for v in x.tolist()])),
-        xs[max(ibest - 1, 0)], xs[min(ibest + 1, last)], 3))
+        xs[max(ibest - 1, 0)], xs[min(ibest + 1, last)]))
     if ibest == 0 and v_star <= vals[0] + tie_tol:
         return SupResult(vmax, 0.0, AT_ZERO,
                          float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)

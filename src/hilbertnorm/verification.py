@@ -34,8 +34,8 @@ from .hilbertop import (
     derivative_at,
     derivative_at_pathshifted,
 )
-from .norms import (_spiked_means, bloch_norm, hardy_inequality_gap,
-                    hardy_norm, i_c)
+from .norms import (_circle_pair, _spiked_means, bloch_norm,
+                    hardy_inequality_gap, hardy_norm, i_c)
 from .quadrature import (
     QuadratureError,
     SingularitySpec,
@@ -723,14 +723,10 @@ def _h1_image_means(r, image):
     1-d array r, 0 < r < 1, with the integrand values spent, every radius a
     member of one lockstep integration (norms._spiked_means at tol 1e-7).
     image(z, omz) gives |Hf| at the points z = r e^(i theta), with omz =
-    1-z free of cancellation.  Near the boundary |Hf| ~ |1-z|^(-alpha) is
-    the spike at theta = 0 that _spiked_means declares."""
-    def power(rk, theta):
-        # 1 - r cos(theta) = (1-r) + 2 r sin^2(theta/2), free of cancellation
-        omz = (1.0 - rk) + 2.0 * rk * np.sin(0.5 * theta) ** 2 - 1j * rk * np.sin(theta)
-        return image(rk * np.exp(1j * theta), omz)
-
-    return _spiked_means(r, power, math.pi, 1e-7)
+    1-z free of cancellation (norms._circle_pair).  Near the boundary |Hf|
+    ~ |1-z|^(-alpha) is the spike at theta = 0 that _spiked_means declares."""
+    return _spiked_means(r, lambda rk, theta: image(*_circle_pair(rk, theta)),
+                         math.pi, 1e-7)
 
 
 def _h1_closed_means(alpha, r):

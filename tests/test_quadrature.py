@@ -112,8 +112,8 @@ def test_halfline_power_tail():
 def _circle_mean(coeffs, r, p, tol):
     """M_p(r, f) of the polynomial with these coefficients through the norms'
     series routes: the doubling trapezoid means for p finite (with the
-    angular fallback, quadrature._angular_mean), the circle maxima for
-    p = inf (quadrature._circle_max), which take no tol."""
+    angular fallback, norms._angular_mean), the circle maxima for p = inf
+    (norms._series_maxima), which take no tol."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if p == math.inf:
         return float(_series_maxima(coeffs, [r])[0])

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hilbertnorm import supsearch
 from hilbertnorm.supsearch import (
     AT_BOUNDARY_LIMIT,
     AT_ZERO,
@@ -112,6 +113,14 @@ def test_rejects_bad_tolerance(entry):
         _search(entry, lambda e: 1.0 - e, 0.0)
 
 
+@both_searches
+def test_rejects_infinite_tolerance(entry):
+    # an infinite tie band put every grid point in it: the search reported
+    # AtZero for objectives that rise to the boundary
+    with pytest.raises(ValueError, match="finite"):
+        _search(entry, lambda e: 1.0 - e, math.inf)
+
+
 # Scalar objectives on [0, 1), the keywords of their unit search, and the
 # result each gave when a scalar objective took one point per call (grid
 # point by grid point, one golden step per call) and a limit_at_zero
@@ -211,7 +220,9 @@ GOLDEN_CASES = {
 
 @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead):
+def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead,
+                                                          monkeypatch):
+    monkeypatch.setattr(supsearch, "_LOOKAHEAD", lookahead)
     fun, lo, hi = GOLDEN_CASES[case]
     plain = []
 
@@ -227,7 +238,7 @@ def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead):
         points.update(zip(i.tolist(), x.tolist()))
         return fun(x, i)
 
-    x_best, f_best = _golden_max(counted, lo, hi, lookahead)
+    x_best, f_best = _golden_max(counted, lo, hi)
     assert np.array_equal(x_best, x_ref) and np.array_equal(f_best, f_ref)
     # every point of the plain steps, bit for bit, among those evaluated
     assert points.issuperset(plain)
