@@ -85,6 +85,8 @@ class CoefficientSeries:
         arr = np.array(self.coeffs, dtype=complex, copy=True).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficients must be finite")
         if self.truncation_order == -1:
             object.__setattr__(self, "truncation_order", arr.size)
         if self.truncation_order != arr.size:

@@ -13,8 +13,9 @@ power-series coefficients, which makes |f(z)| <= f(|z|) along every circle).
 Unbounded functionals surface as the sup-search divergence signal rather
 than a value. One case needs no search: by Hardy's convexity theorem M_p(r, f)
 is nondecreasing in r, so the unweighted H^p norm (p finite) of an exact
-polynomial (tail_bound == 0) is its boundary mean M_p(1, f), a trapezoid rule
-on the roots of unity that a zero-padded FFT evaluates.
+polynomial (tail_bound == 0) is its boundary mean M_p(1, f): Parseval's sum
+at p = 2 (as at every radius), else a trapezoid rule on the roots of unity
+that a zero-padded FFT evaluates.
 """
 
 import math
@@ -155,15 +156,16 @@ def _catalog_means(f, p, tol):
 
 def _mean_objective(f, p, log_weighted, inner_tol):
     """Radii -> M_p(r, f) / weight(r), array in and array out, choosing the
-    cheapest sound route. A series takes all radii in one FFT pass per
-    trapezoid level (p finite) or in one circle-maximum pass (p = inf); a
-    non-constant catalog function with p finite takes them in one lockstep
-    integration with the spike at theta = 0 declared (_catalog_means); a
-    catalog maximum (p = inf) and a constant's every mean are |f(r)|, as
-    the catalog's nonnegative coefficients put the maximum on the positive
-    axis. A catalog function's |f(r)| and weight are taken per radius in
-    scalar arithmetic, as the one-radius objective rounds them (np.log over
-    an array rounds differently)."""
+    cheapest sound route. A series takes all radii in one Parseval sum (p =
+    2), one FFT pass per trapezoid level (other p finite) or one
+    circle-maximum pass (p = inf); a non-constant catalog function with p
+    finite takes them in one lockstep integration with the spike at theta =
+    0 declared (_catalog_means); a catalog maximum (p = inf) and a
+    constant's every mean are |f(r)|, as the catalog's nonnegative
+    coefficients put the maximum on the positive axis. A catalog function's
+    |f(r)| and weight are taken per radius in scalar arithmetic, as the
+    one-radius objective rounds them (np.log over an array rounds
+    differently)."""
     if isinstance(f, CoefficientSeries):
         def means(rs):
             if p == math.inf:
@@ -212,11 +214,22 @@ def _trapezoid_means(rows, n, p, means=None):
     return out if means is None else 0.5 * (means + out)
 
 
+def _normalized(coeffs, p):
+    """(coeffs / m, m, m^-p) for m = max |a_k|, as hypot scales, so that
+    |f/m|^p neither underflows nor overflows; m^-p (at most e^707) is the
+    stop rules' max(1, mean) in units of |f/m|^p. p = 1 takes no power and
+    keeps m = 1, as the zero series does."""
+    m = (float(np.max(np.abs(coeffs), initial=0.0)) if p != 1.0 else 0.0) or 1.0
+    return coeffs / m, m, math.exp(min(-p * math.log(m), 707.0))
+
+
 def _series_means(coeffs, rs, p, inner_tol):
     """M_p(r, f) at every radius of rs for the polynomial with these
-    coefficients (p finite). The circle of radius r carries the polynomial
-    with coefficients a_k r^k, so the first trapezoid level is one n-point
-    FFT per radius, and so is each doubling, by the midpoint step of
+    coefficients (p finite), scaled as _normalized scales them. At p = 2 it
+    is Parseval's sum, M_2(r, f)^2 = sum |a_k|^2 r^2k, by Horner in r^2.
+    Every other p takes a trapezoid ladder: the circle of radius r carries
+    the polynomial with coefficients a_k r^k, so the first level is one
+    n-point FFT per radius, and so is each doubling, by the midpoint step of
     _trapezoid_means (sums of halves, within a few ulps of the full rule).
     n starts where _boundary_norm starts and doubles for the radii still
     live; a radius stops after two consecutive doublings that each move its
@@ -225,6 +238,12 @@ def _series_means(coeffs, rs, p, inner_tol):
     for three levels, take adaptive quadrature in the angle
     (_angular_mean)."""
     rs = np.asarray(rs, dtype=float)
+    coeffs, m, floor = _normalized(coeffs, p)
+    if p == 2.0:
+        total, r2 = np.zeros(rs.size), rs * rs
+        for b in (np.abs(coeffs[::-1]) ** 2).tolist():
+            total = total * r2 + b
+        return m * np.sqrt(total)
     rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
     n_max = max(_TRAPEZOID_MAX_POINTS, 4 * n)
@@ -234,13 +253,13 @@ def _series_means(coeffs, rs, p, inner_tol):
     while live.size and n < n_max:
         new = _trapezoid_means(rows[live], n, p, means[live])
         n *= 2
-        ok = np.abs(new - means[live]) <= inner_tol * np.maximum(1.0, new)
+        ok = np.abs(new - means[live]) <= inner_tol * np.maximum(floor, new)
         agreed[live] = np.where(ok, agreed[live] + 1, 0)
         means[live] = new
         live = live[agreed[live] < 2]
-    out = means ** (1.0 / p)
+    out = m * means ** (1.0 / p)
     for i in live:
-        out[i] = _angular_mean(
+        out[i] = m * _angular_mean(
             lambda z: np.polynomial.polynomial.polyval(z, coeffs),
             rs[i], p, inner_tol)
     return out
@@ -288,16 +307,24 @@ _LAST_RADIUS = float(unit_grid()[1][-1])
 
 def _boundary_norm(coeffs, p, inner_tol):
     """M_p(1, f) for the polynomial with these coefficients, shaped like the
-    sweep's result. The mean of |f|^p over the n-th roots of unity is one
-    zero-padded FFT; n doubles until two consecutive doublings each move it
-    by at most inner_tol * max(1, mean) (a single agreement can be a chance
-    crossing of two error terms). Each doubling is one more n-point FFT, by
-    the midpoint step of _trapezoid_means (sums of halves, within a few ulps
-    of the full 2n-point rule)."""
+    sweep's result. At p = 2 it is Parseval's sqrt(sum |a_k|^2), with the
+    rounding bound (size + 1) eps value as its error estimate. Every other p
+    takes the mean of |f/m|^p (m as in _normalized) over the n-th roots of
+    unity, one zero-padded FFT; n doubles until two consecutive doublings
+    each move the mean of |f|^p by at most inner_tol * max(1, mean) (a
+    single agreement can be a chance crossing of two error terms). Each
+    doubling is one more n-point FFT, by the midpoint step of
+    _trapezoid_means (sums of halves, within a few ulps of the full 2n-point
+    rule)."""
     if not np.any(coeffs[1:]):
         # constant: a flat objective, which the sweep ties to r = 0
         return SupResult(abs(complex(coeffs[0])) if coeffs.size else 0.0,
                          0.0, AT_ZERO, 0.0)
+    if p == 2.0:
+        value = float(_series_means(coeffs, np.ones(1), p, inner_tol)[0])
+        return SupResult(value, _LAST_RADIUS, AT_BOUNDARY_LIMIT,
+                         (coeffs.size + 1) * _EPS * value)
+    coeffs, m, floor = _normalized(coeffs, p)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
     mean = float(_trapezoid_means(coeffs[None, :], n, p)[0])
     change, agreed = math.inf, 0
@@ -305,14 +332,14 @@ def _boundary_norm(coeffs, p, inner_tol):
         if 2 * n > _BOUNDARY_MAX_POINTS:
             raise QuadratureError(
                 f"boundary mean not converged at {n} points (last change "
-                f"{change:.3e})", SupResult(mean ** (1.0 / p), _LAST_RADIUS,
+                f"{change:.3e})", SupResult(m * mean ** (1.0 / p), _LAST_RADIUS,
                                             AT_BOUNDARY_LIMIT, change))
         new = float(_trapezoid_means(coeffs[None, :], n, p, mean)[0])
         n *= 2
-        agreed = agreed + 1 if abs(new - mean) <= inner_tol * max(1.0, new) else 0
-        change = abs(new ** (1.0 / p) - mean ** (1.0 / p))
+        agreed = agreed + 1 if abs(new - mean) <= inner_tol * max(floor, new) else 0
+        change = m * abs(new ** (1.0 / p) - mean ** (1.0 / p))
         mean = new
-    return SupResult(mean ** (1.0 / p), _LAST_RADIUS, AT_BOUNDARY_LIMIT, change)
+    return SupResult(m * mean ** (1.0 / p), _LAST_RADIUS, AT_BOUNDARY_LIMIT, change)
 
 
 def hardy_norm_details(f, p, log_weighted, tol):
@@ -334,12 +361,13 @@ def hardy_norm(f, p, log_weighted, tol):
 
     For an exact polynomial (a CoefficientSeries with tail_bound == 0),
     unweighted and with p finite, the means never decrease in r (Hardy's
-    convexity theorem), so the norm is the boundary mean M_p(1, f), computed
-    by a doubling FFT trapezoid rule instead of the radial sweep; it raises
-    QuadratureError if that rule has not converged at 2^20 points. Every
-    other input is swept over the grid radii; for a non-constant catalog
-    function with p finite, the means at all of them are one lockstep
-    integration that declares the function's boundary spike (_catalog_means)."""
+    convexity theorem), so the norm is the boundary mean M_p(1, f) instead
+    of the radial sweep: Parseval's sqrt(sum |a_k|^2) at p = 2, and at every
+    other p a doubling FFT trapezoid rule, which raises QuadratureError if it
+    has not converged at 2^20 points. Every other input is swept over the
+    grid radii; for a non-constant catalog function with p finite, the
+    means at all of them are one lockstep integration that declares the
+    function's boundary spike (_catalog_means)."""
     return hardy_norm_details(f, p, log_weighted, tol).value
 
 

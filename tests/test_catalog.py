@@ -191,6 +191,14 @@ def test_series_invariants():
         CoefficientSeries(np.array([1.0]), 1, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_series_rejects_non_finite_coefficients(bad):
+    # a NaN coefficient once sent the exact H^p route up to 2^20 points and
+    # out with "last change nan"; Parseval's sum would return nan silently
+    with pytest.raises(ValueError, match="finite"):
+        CoefficientSeries(np.array([1.0, bad]), 2, 0.0)
+
+
 def test_eval_series_empty_is_zero():
     empty = CoefficientSeries(np.zeros(0), 0, 0.0)
     assert eval_series(empty, 0.5) == 0.0

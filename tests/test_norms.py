@@ -58,13 +58,14 @@ def test_hardy_norm_power_singularity():
 
 
 def test_hardy_norm_h2_is_coefficient_norm():
-    # Parseval; the boundary trapezoid rule integrates |f|^2 exactly
+    # the norm is Parseval's sqrt(sum |a_k|^2); the reference is the direct
+    # 128-point trapezoid rule, which integrates |f|^2 exactly past degree 64
     rng = np.random.default_rng(101)
     for _ in range(20):
         deg = int(rng.integers(1, 65))
         a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         s = CoefficientSeries(a, deg + 1, 0.0)
-        expected = math.sqrt(float(np.sum(np.abs(a) ** 2)))
+        expected = _reference_mean(a, 1.0, 2.0, n=128)
         assert hardy_norm(s, 2.0, False, 1e-5) == pytest.approx(
             expected, rel=1e-12)
 
@@ -176,10 +177,10 @@ def test_hardy_norm_exact_unconverged_raises():
 
 
 def _reference_mean(coeffs, r, p, n=1 << 16):
-    """M_p(r, f): Parseval's sum for p = 2, else an n-point FFT."""
+    """M_p(r, f) by the direct n-point trapezoid rule, a zero-padded FFT:
+    exact for p = 2 once n > degree, so it checks the package's Parseval
+    sum by another route."""
     row = coeffs * r ** np.arange(coeffs.size)
-    if p == 2.0:
-        return math.sqrt(float(np.sum(np.abs(row) ** 2)))
     return float(np.mean(np.abs(np.fft.fft(row, n)) ** p)) ** (1.0 / p)
 
 
@@ -267,16 +268,52 @@ def test_series_doublings_transform_only_the_new_points(monkeypatch):
 
 
 def test_series_means_p2_match_parseval():
-    # at p = 2 every rule is exact: only rounding separates the means from
-    # sqrt(sum |a_k|^2 r^2k), out to the saturated radius and the boundary
+    # the means at p = 2 are Parseval's sqrt(sum |a_k|^2 r^2k); the direct
+    # 128-point trapezoid rule is exact past degree 64, so only rounding
+    # separates the two, out to the saturated radius and the boundary
     rs = np.array([0.0, 0.5, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
     for a in _random_polynomials(112, 24):
         got = norms._series_means(a, rs, 2.0, 1e-13)
-        want = np.sqrt(rs[:, None] ** (2 * np.arange(a.size)) @ np.abs(a) ** 2)
+        want = [_reference_mean(a, r, 2.0, n=128) for r in rs]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        boundary = norms._boundary_norm(a, 2.0, 1e-13).value
-        assert boundary == pytest.approx(
-            math.sqrt(float(np.sum(np.abs(a) ** 2))), rel=1e-13, abs=0.0)
+        boundary = norms._boundary_norm(a, 2.0, 1e-13)
+        assert boundary.value == pytest.approx(
+            _reference_mean(a, 1.0, 2.0, n=128), rel=1e-13, abs=0.0)
+        assert boundary.error_estimate == (
+            (a.size + 1) * np.finfo(float).eps * boundary.value)
+
+
+def test_series_means_p2_take_no_fft(monkeypatch):
+    # both p = 2 routes, exact and swept, are Parseval's sum: no FFT and no
+    # angular fallback
+    def forbidden(*args, **kwargs):
+        raise AssertionError("p = 2 series mean took an FFT or the fallback")
+
+    monkeypatch.setattr(norms.np.fft, "fft", forbidden)
+    monkeypatch.setattr(norms, "_angular_mean", forbidden)
+    a = np.array([1.0, 0.9, 0.5j, -0.3])
+    for tail, log_weighted in ((0.0, False), (None, False), (0.0, True)):
+        value = hardy_norm(CoefficientSeries(a, a.size, tail), 2.0, log_weighted, 1e-8)
+        assert 0.0 < value <= math.sqrt(float(np.sum(np.abs(a) ** 2))) + 1e-8
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160, 1e150, 1e200])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_series_norms_scale_with_the_coefficients(c, p):
+    # ||c s||_p = |c| ||s||_p: |f|^p once underflowed to 0 (or 1e-4 off in
+    # subnormals) at the small scales and overflowed to a QuadratureError at
+    # the large ones, on the exact and the swept route. The swept means are
+    # compared at every grid radius too: the search's tie band tol * max(1,
+    # value) is absolute below 1, so its refinement is not scale-free.
+    a = np.array([1.0, 0.5j, -0.25])
+    for tail, log_weighted in ((0.0, False), (None, False), (0.0, True), (None, True)):
+        scaled, unit = (CoefficientSeries(b, 3, tail) for b in (c * a, a))
+        assert hardy_norm(scaled, p, log_weighted, 1e-6) / c == pytest.approx(
+            hardy_norm(unit, p, log_weighted, 1e-6), rel=1e-12)
+        rs = unit_grid()[1]
+        np.testing.assert_allclose(
+            _mean_objective(scaled, p, log_weighted, 1e-7)(rs) / c,
+            _mean_objective(unit, p, log_weighted, 1e-7)(rs), rtol=1e-12)
 
 
 def test_series_maxima_reach_the_dense_grid_maximum():
@@ -337,14 +374,16 @@ def test_hardy_norm_swept_series_matches_references():
 def test_hardy_norm_swept_long_series(monkeypatch):
     # 10^4 coefficients: the first rule has 2^15 points, so an FFT block
     # holds at most two radii, and the doubling runs past 2^14 up to 4 times
-    # the first rule without the angular fallback
+    # the first rule without the angular fallback. p = 4 keeps the trapezoid
+    # ladder (p = 2 is Parseval's sum) and converges at once: |f|^4 = |f^2|^2
+    # is a trigonometric polynomial of degree below the first rule
     def no_fallback(*args):
         raise AssertionError("angular fallback taken")
 
     monkeypatch.setattr(norms, "_angular_mean", no_fallback)
     a = np.random.default_rng(110).standard_normal(10_000) / np.arange(1, 10_001)
-    value = hardy_norm(CoefficientSeries(a, a.size, None), 2.0, False, 1e-6)
-    assert value == pytest.approx(_reference_mean(a, 1.0, 2.0), rel=1e-6)
+    value = hardy_norm(CoefficientSeries(a, a.size, None), 4.0, False, 1e-6)
+    assert value == pytest.approx(_reference_mean(a, 1.0, 4.0), rel=1e-6)
 
 
 @pytest.mark.parametrize("f,p,log_weighted", [
