@@ -453,6 +453,8 @@ def i_c(c, r, tol):
     rs = np.asarray(r, dtype=float)
     if rs.ndim > 1 or not np.all((0.0 <= rs) & (rs < 1.0)):
         raise ValueError("i_c requires 0 <= r < 1, a scalar or a 1-d array")
+    if not math.isfinite(c):
+        raise ValueError(f"i_c requires a finite c, not {c}")
     inside = rs.reshape(-1) > 0.0
     live = rs.reshape(-1)[inside].tolist()
     # (1-r)^2 and 4r per member as the scalar call rounds them, as columns

@@ -15,11 +15,15 @@ call, while each member keeps its own panels and stop test. A narrow call
 keeps each member's panels in a heap; a wide one keeps all panels in flat
 arrays and does each round's bookkeeping in array operations. A scalar
 integral is the one-member case, and each member's mesh and value are
-those of its one-member call, bit for bit, in either form.
+those of its one-member call, bit for bit, in either form. A narrow call
+of one or two members speculates: the call that evaluates the halves of a
+split panel also evaluates the panels below them, for later rounds to take
+without a call, with every mesh and bit unchanged.
 """
 
 import heapq
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,7 +92,9 @@ _RESABS_FLOOR = np.finfo(float).tiny / (50.0 * _EPS)
 @dataclass(frozen=True)
 class QuadResult:
     """Integration result: value, error estimate, evaluation count, and
-    which endpoints were treated as singular."""
+    which endpoints were treated as singular. The count is that of the
+    final mesh, 15 for the first panel and 30 for each split; the rows
+    that speculation evaluates and no split uses are not in it."""
     value: complex
     error_estimate: float
     evaluations: int
@@ -255,9 +261,45 @@ def _not_finite(name, k, lo, hi, partial):
         f"{name(k)}integrand not finite on panel [{lo:g}, {hi:g}]", partial, k)
 
 
+def _speculate(f, nodes, depth, known):
+    """Store in known the halves' (v1, e1, v2, e2) of each (k, lo, pm, hi)
+    of nodes and of the panels below it, depth levels of halves in all,
+    from one call of f. False, storing nothing, if the call has a
+    non-finite row, raises, trips a NumPy floating-point event or warns:
+    the call without speculation then fails or warns as it would have."""
+    level = nodes
+    for _ in range(depth - 1):
+        # the next level: the halves of this one that can still be split
+        level = [(k, lo, m, hi) for k, a, pm, b in level for lo, hi in ((a, pm), (pm, b))
+                 if lo < (m := 0.5 * (lo + hi)) < hi]
+        nodes = nodes + level
+    ends = np.array([node[1:] for node in nodes])
+    try:
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs, bad = _rule(f, np.array([node[0] for node in nodes]).repeat(2),
+                                    ends[:, :2].ravel(), ends[:, 1:].ravel())
+    except Exception:
+        bad = True
+    if bad is not None:
+        return False
+    vals, errs = vals.tolist(), errs.tolist()
+    known.update(zip(nodes, zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2])))
+    return True
+
+
 def _heaps(f, a, b, values, errors, tol, panel_cap, name):
-    """_heap for a narrow call: a heapq heap of panels per member."""
+    """_heap for a narrow call: a heapq heap of panels per member. A call
+    of one or two members speculates: a round that must evaluate a split
+    panel's halves also evaluates the panels below them, to the depth whose
+    rows for all members fit in _WIDE // 2, and later rounds take their
+    halves without a call. If that call is not clean (_speculate), the
+    round and every later one make their calls without speculation. Every
+    decision is unchanged and a row has the same bits in any call, so every
+    mesh, value, error and failure is that of the call without it."""
     n = a.size
+    depth = max(1, (_WIDE // 2 // n + 2).bit_length() - 2)
+    known = {}
     values, errors = values.tolist(), errors.tolist()
     # per member, a heap of (-error, seq, a, b, value, error); seq breaks
     # ties reproducibly
@@ -284,16 +326,26 @@ def _heaps(f, a, b, values, errors, tol, panel_cap, name):
                 errors[k] -= panel[5]
         if not split:
             continue
-        ends = np.array([(p[2], pm, p[3]) for _, p, pm in split])
-        lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
-        vals, errs, bad = _rule(f, np.repeat([k for k, _, _ in split], 2), lo, hi)
-        if bad is not None:
-            k, panel, _ = split[bad // 2]
-            raise _not_finite(name, k, lo[bad], hi[bad],
-                              _heap_partial(heaps[k] + [panel]))
-        vals, errs = vals.tolist(), errs.tolist()
-        for j, (k, panel, pm) in enumerate(split):
-            v1, v2, e1, e2 = vals[2 * j], vals[2 * j + 1], errs[2 * j], errs[2 * j + 1]
+        halves = None
+        if depth > 1:
+            keys = [(k, p[2], pm, p[3]) for k, p, pm in split]
+            need = [key for key in keys if key not in known]
+            if not need or _speculate(f, need, depth, known):
+                halves = [known.pop(key) for key in keys]
+            else:
+                # a fault in one speculative call is likely to recur
+                depth = 1
+        if halves is None:
+            ends = np.array([(p[2], pm, p[3]) for _, p, pm in split])
+            lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
+            vals, errs, bad = _rule(f, np.repeat([k for k, _, _ in split], 2), lo, hi)
+            if bad is not None:
+                k, panel, _ = split[bad // 2]
+                raise _not_finite(name, k, lo[bad], hi[bad],
+                                  _heap_partial(heaps[k] + [panel]))
+            vals, errs = vals.tolist(), errs.tolist()
+            halves = list(zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2]))
+        for (k, panel, pm), (v1, e1, v2, e2) in zip(split, halves):
             heap = heaps[k]
             heapq.heappush(heap, (-e1, seqs[k] + 1, panel[2], pm, v1, e1))
             heapq.heappush(heap, (-e2, seqs[k] + 2, pm, panel[3], v2, e2))

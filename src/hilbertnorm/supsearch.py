@@ -245,6 +245,14 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
                      float(abs(v_star - vmax) + tol * max(1.0, value)))
 
 
+def _require_grid(n_grid, x_max, x_min):
+    """ValueError unless n_grid >= 2 and x_min < x_max < infinity."""
+    if not n_grid >= 2:
+        raise ValueError(f"n_grid {n_grid} must be at least 2")
+    if not x_min < x_max < math.inf:
+        raise ValueError(f"x_max {x_max} must be finite and above {x_min:g}")
+
+
 def supremum_unit(g, tol, n_grid=512, x_max=40.0):
     """Supremum of g over r in [0, 1).
 
@@ -252,7 +260,9 @@ def supremum_unit(g, tol, n_grid=512, x_max=40.0):
     its value at r = 0 included. Evaluates g on r = 1 - e^{-x} for x uniform
     on [0, x_max] in one call (the grid saturates at the largest double
     below 1 and is deduplicated there), golden-refines the winning bracket
-    in x, up to 7 radii per call, and classifies the maximizer."""
+    in x, up to 7 radii per call, and classifies the maximizer. n_grid must
+    be at least 2 and x_max positive and finite."""
+    _require_grid(n_grid, x_max, 0.0)
     xs, rs = unit_grid(n_grid, x_max)
     return _search(g, tol, xs, rs, lambda x: min(-math.expm1(-x), _R_MAX),
                    None, math.log(10.0))
@@ -264,9 +274,13 @@ def supremum_halfline(g, tol, limit_at_infinity=None, n_grid=512,
 
     g maps an ndarray of abscissae to an ndarray of values, as in
     supremum_unit. Uniform grid on [0, 10] plus a log-spaced tail to x_max;
-    a caller-supplied limit at infinity enters the comparison as an
-    ordinary candidate (ties break toward the smallest argument, with
-    infinity largest)."""
+    a caller-supplied limit at infinity, not NaN, enters the comparison as
+    an ordinary candidate (ties break toward the smallest argument, with
+    infinity largest). n_grid must be at least 2 and x_max finite and
+    above 10, where the tail starts."""
+    _require_grid(n_grid, x_max, 10.0)
+    if limit_at_infinity is not None and math.isnan(limit_at_infinity):
+        raise ValueError("limit_at_infinity must not be NaN")
     xs = halfline_grid(n_grid, x_max)
     return _search(g, tol, xs, xs, float, limit_at_infinity,
                    x_max - x_max / 10.0)

@@ -592,6 +592,15 @@ def test_i_c_domain():
         i_c(0.5, -0.1, 1e-9)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_i_c_rejects_a_non_finite_c(c):
+    # a NaN c once raised QuadratureError, as if the mean did not converge
+    with pytest.raises(ValueError, match="finite c"):
+        i_c(c, 0.5, 1e-8)
+    with pytest.raises(ValueError, match="finite c"):
+        i_c(c, np.array([0.0, 0.5]), 1e-8)
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 @pytest.mark.parametrize("c", [-0.7, 0.0, 0.98])
 def test_i_c_array_equals_scalar_loop_bit_for_bit(c, tol):

@@ -3,11 +3,15 @@ the circle means and maxima of polynomials that run on its circle helpers."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from hilbertnorm.norms import _series_maxima, _series_means
+from hilbertnorm import quadrature
+from hilbertnorm.catalog import Kind, TestFunction
+from hilbertnorm.hilbertop import apply_integral, derivative_at_pathshifted
+from hilbertnorm.norms import _series_maxima, _series_means, i_c
 from hilbertnorm.quadrature import (
     QuadratureError,
     QuadResult,
@@ -778,3 +782,193 @@ def test_halfline_error_names_the_failing_half():
     assert failing.sum() == 1
     assert named == float(f"{halves[failing].min():g}")
     assert named != float(f"{halves[~failing].min():g}")
+
+
+# ---------------------------------------------------------------------------
+# speculative splits: a one- or two-member call evaluates the subtree of a
+# split panel in one call of the integrand, with every bit of the call that
+# evaluates one round at a time
+# ---------------------------------------------------------------------------
+
+def _engine_runs(monkeypatch, run, speculate):
+    """The bits of value, error and evaluations of every heap-engine call
+    that run() makes, and the number of rule calls, with speculation on or
+    off (off: every round makes the call it makes without speculation)."""
+    results, calls = [], [0]
+    heap, rule = quadrature._heap, quadrature._rule
+
+    def recording(*args):
+        r = heap(*args)
+        results.append(tuple((v.dtype.str, v.tobytes()) for v in
+                             (r.value, r.error_estimate, r.evaluations)))
+        return r
+
+    def counting(*args):
+        calls[0] += 1
+        return rule(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_heap", recording)
+        m.setattr(quadrature, "_rule", counting)
+        if not speculate:
+            m.setattr(quadrature, "_speculate", lambda *_: False)
+        run()
+    return results, calls[0]
+
+
+def _quad_direct_runs(n):
+    """Calls of n members, or of one for n = 1, of the integral families
+    of the quad-direct benchmark: Beta integrals with both ends declared,
+    I_c circle means, half-line integrals and the operator integrals."""
+    rng = np.random.default_rng(29)
+    rs = 1.0 - 10.0 ** -rng.uniform(0.3, 6.0, n)
+    zs = np.sqrt(rng.uniform(0.0, 0.81, n)) * np.exp(2j * np.pi * rng.random(n))
+    fns = [TestFunction(Kind.CONSTANT), TestFunction(Kind.HALF_LOG),
+           TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.4),
+           TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.6),
+           TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5)]
+    pick = (lambda v: v[0].item()) if n == 1 else (lambda v: v)
+    runs = [lambda c=c: i_c(c, pick(rs), 1e-9) for c in (-0.9, -0.2, 0.5, 0.9)]
+    runs += [lambda fn=fn, form=form: form(fn, pick(zs), 1e-9)
+             for fn in fns for form in (apply_integral, derivative_at_pathshifted)]
+    if n == 1:
+        for a in (0.1, 0.35, 0.8):
+            runs.append(lambda a=a: integrate_singular(
+                lambda t: np.exp((a - 1.0) * np.log(t) - a * np.log1p(-t)),
+                0.0, 1.0, SingularitySpec(a - 1.0, -a), 1e-10))
+        for r in (0.05, 0.5, 0.95):
+            runs.append(lambda r=r: integrate_halfline(
+                lambda x: 2.0 * (1.0 - r) * np.log(x) / ((1.0 + r) + (1.0 - r) * x) ** 2,
+                1.0, 1e-9))
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_speculation_changes_no_bit(monkeypatch, n):
+    runs = _quad_direct_runs(n)
+    # the special-member corpus, n members a call
+    for dtype in (float, complex):
+        special = _special_members(NARROW)
+        if dtype is float:
+            special = [(lambda x, g=g: g(x).real, a, b) for g, a, b in special]
+        for at in range(0, NARROW, n):
+            rows = special[at:at + n]
+            a, b = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+            runs.append(lambda rows=rows, a=a, b=b, dtype=dtype: integrate(
+                _lockstep(rows, dtype), a, b, 1e-10))
+    calls = np.zeros(2, dtype=int)
+    for run in runs:
+        on, calls_on = _engine_runs(monkeypatch, run, True)
+        off, calls_off = _engine_runs(monkeypatch, run, False)
+        assert on == off
+        assert calls_on <= calls_off
+        calls += calls_on, calls_off
+    # one or two members speculate and save calls; more take the plain round
+    assert calls[0] < calls[1] if n < 3 else calls[0] == calls[1]
+
+
+def _errors(monkeypatch, run, speculate):
+    """The message, partial result and member of the QuadratureError that
+    run() raises, with speculation on or off."""
+    with monkeypatch.context() as m:
+        if not speculate:
+            m.setattr(quadrature, "_speculate", lambda *_: False)
+        with pytest.raises(QuadratureError) as info:
+            run()
+    return str(info.value), info.value.result, info.value.member
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_speculation_keeps_every_error(monkeypatch, n):
+    # the last member cannot converge (panel cap) or hits an infinite point
+    # at the centre of a refined panel (non-finite row)
+    def uncapped(members, x):
+        return np.where(members[:, None] == n - 1, 1.0 / x, np.cos(x))
+
+    def rough(members, x):
+        bad = np.where(x == 0.25, np.inf, np.sin(40.0 * x))
+        return np.where(members[:, None] == n - 1, bad, np.cos(x))
+
+    runs = [lambda: integrate(uncapped, np.zeros(n), np.ones(n), 1e-10, panel_cap=64),
+            lambda: integrate(rough, np.zeros(n), np.ones(n), 1e-10)]
+    if n == 1:
+        runs.append(lambda: integrate_halfline(lambda x: 1.0 / x, 1.0, 1e-10))
+    for run in runs:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            on, off = _errors(monkeypatch, run, True), _errors(monkeypatch, run, False)
+        assert on == off
+        assert on[2] == n - 1 or n == 1
+
+
+def _abscissae(monkeypatch, f, n, speculate):
+    """The (member, x) pairs at which the integral of f over [0, 1] in n
+    members evaluates f, with speculation on or off."""
+    seen = set()
+
+    def recording(members, x):
+        seen.update(zip(np.repeat(members, 15).tolist(), x.ravel().tolist()))
+        return f(members, x)
+
+    with monkeypatch.context() as m:
+        if not speculate:
+            m.setattr(quadrature, "_speculate", lambda *_: False)
+        integrate(recording, np.zeros(n), np.ones(n), 1e-10)
+    return seen
+
+
+@pytest.mark.parametrize("fault", ["nan", "raise", "warn", "overflow"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fault_in_a_speculative_row_changes_nothing(monkeypatch, n, fault):
+    # a point that only speculation reaches turns NaN, raises, warns or
+    # overflows on the way to a finite value; the speculative call is
+    # dropped, and the result is that without speculation, with no warning
+    # under warning filters that raise (as in this suite) or show them all
+    c = np.array([0.3, 0.7])[:n]
+
+    def smooth(members, x):
+        return np.exp(x) / (1e-3 + (x - c[members, None]) ** 2)
+
+    off = _abscissae(monkeypatch, smooth, n, False)
+    k, x_bad = min(_abscissae(monkeypatch, smooth, n, True) - off)
+
+    def faulty(members, x):
+        hit = (members[:, None] == k) & (x == x_bad)
+        if hit.any() and fault == "raise":
+            raise RuntimeError("evaluated a point outside the plain mesh")
+        if hit.any() and fault == "warn":
+            warnings.warn("evaluated a point outside the plain mesh", RuntimeWarning)
+        if fault == "overflow":
+            return smooth(members, x) + 1.0 / (1.0 + np.exp(1e3 * hit))
+        return np.where(hit, np.nan, smooth(members, x))
+
+    def bits(res):
+        return res.value.tobytes(), res.error_estimate.tobytes(), res.evaluations
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_speculate", lambda *_: False)
+        plain = integrate(faulty, np.zeros(n), np.ones(n), 1e-10)
+    outcomes, speculate = [], quadrature._speculate
+
+    def recording(*args):
+        outcomes.append(speculate(*args))
+        return outcomes[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_speculate", recording)
+        assert bits(integrate(faulty, np.zeros(n), np.ones(n), 1e-10)) == bits(plain)
+    # the call is dropped once, and the rounds after it do not speculate
+    assert outcomes.count(False) == 1 and outcomes[-1] is False
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert bits(integrate(faulty, np.zeros(n), np.ones(n), 1e-10)) == bits(plain)
+    assert not caught
+
+
+def test_one_member_call_makes_fewer_rule_calls_than_splits(monkeypatch):
+    # an undeclared endpoint singularity: the refinement goes down to 0
+    got = []
+    _, calls = _engine_runs(monkeypatch, lambda: got.append(
+        integrate(lambda x: x ** -0.5, 0.0, 1.0, 1e-12)), True)
+    splits = (got[0].evaluations - 15) // 30
+    assert got[0].value == pytest.approx(2.0, rel=1e-11) and splits > 50
+    assert calls < splits / 2

@@ -121,6 +121,38 @@ def test_rejects_infinite_tolerance(entry):
         _search(entry, lambda e: 1.0 - e, math.inf)
 
 
+@pytest.mark.parametrize("search, kwargs, name", [
+    (supremum_unit, {"n_grid": 0}, "n_grid"),
+    (supremum_unit, {"n_grid": 1}, "n_grid"),
+    (supremum_unit, {"x_max": -1.0}, "x_max"),
+    (supremum_unit, {"x_max": 0.0}, "x_max"),
+    (supremum_unit, {"x_max": math.nan}, "x_max"),
+    (supremum_unit, {"x_max": math.inf}, "x_max"),
+    (supremum_halfline, {"n_grid": 1}, "n_grid"),
+    (supremum_halfline, {"x_max": 5.0}, "x_max"),
+    (supremum_halfline, {"x_max": 10.0}, "x_max"),
+    (supremum_halfline, {"x_max": math.nan}, "x_max"),
+    (supremum_halfline, {"x_max": math.inf}, "x_max"),
+    (supremum_halfline, {"limit_at_infinity": math.nan}, "limit_at_infinity"),
+    (supremum_halfline, {"limit_at_infinity": np.float64("nan")}, "limit_at_infinity"),
+])
+def test_rejects_a_bad_grid_or_limit(search, kwargs, name):
+    # the grid parameters once gave an IndexError, a misleading non-finite
+    # objective or, on the half-line, a grid running back down from 10 to
+    # x_max; a NaN limit was dropped
+    with pytest.raises(ValueError, match=name):
+        search(lambda x: x / (1.0 + x), 1e-8, **kwargs)
+
+
+@pytest.mark.parametrize("search, x_max", [(supremum_unit, 1e-3),
+                                           (supremum_halfline, 10.5)])
+def test_accepts_the_smallest_grids(search, x_max):
+    # two grid points and x_max just inside its range still search, and
+    # the supremum of a rising objective is at the end of the range
+    res = search(lambda x: 2.0 - 1.0 / (1.0 + x), 1e-8, n_grid=2, x_max=x_max)
+    assert res.boundary == AT_BOUNDARY_LIMIT and 0.0 < res.arg <= x_max
+
+
 # Scalar objectives on [0, 1), the keywords of their unit search, and the
 # result each gave when a scalar objective took one point per call (grid
 # point by grid point, one golden step per call) and a limit_at_zero
