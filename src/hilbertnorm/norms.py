@@ -15,7 +15,11 @@ than a value. One case needs no search: by Hardy's convexity theorem M_p(r, f)
 is nondecreasing in r, so the unweighted H^p norm (p finite) of an exact
 polynomial (tail_bound == 0) is its boundary mean M_p(1, f): Parseval's sum
 at p = 2 (as at every radius), else a trapezoid rule on the roots of unity
-that a zero-padded FFT evaluates.
+that a zero-padded FFT evaluates. The swept means of a series at p != 2
+double their trapezoid rules from |f|^2, a real trigonometric polynomial
+whose coefficients are the autocorrelation of a_k r^k: one real inverse FFT
+per doubling, except on a circle that passes near a zero of f, which keeps
+the complex FFT.
 """
 
 import math
@@ -214,44 +218,110 @@ def _trapezoid_means(rows, n, p, means=None):
     return out if means is None else 0.5 * (means + out)
 
 
-def _normalized(coeffs, p):
+def _normalized(coeffs, p, scale=True):
     """(coeffs / m, m, m^-p) for m = max |a_k|, as hypot scales, so that
-    |f/m|^p neither underflows nor overflows; m^-p (at most e^707) is the
-    stop rules' max(1, mean) in units of |f/m|^p. p = 1 takes no power and
-    keeps m = 1, as the zero series does."""
-    m = (float(np.max(np.abs(coeffs), initial=0.0)) if p != 1.0 else 0.0) or 1.0
+    |f/m|^p (and |f/m|^2) neither underflows nor overflows; m^-p (at most
+    e^707) is the stop rules' max(1, mean) in units of |f/m|^p. scale=False
+    keeps m = 1, as the zero series does: the boundary mean at p = 1 takes
+    no power of |f| and keeps its unscaled bits that way."""
+    m = (float(np.max(np.abs(coeffs), initial=0.0)) if scale else 0.0) or 1.0
     return coeffs / m, m, math.exp(min(-p * math.log(m), 707.0))
+
+
+# A doubling of a swept series mean takes the complex FFT instead of the
+# real one for a row whose |f|^2 falls below this fraction of its mean at a
+# new point: |f| taken from |f|^2 has lost relative digits there.
+_NEAR_ZERO = 1e-6
+
+
+def _autocorrelations(coeffs, rs, n, p):
+    """(means, corr) for the first level of a swept trapezoid ladder on the
+    rows a_k r^k of the radii rs, each block of rows built as it is
+    transformed: means is _trapezoid_means(rows, n, p), bit for bit, and
+    corr holds each row's autocorrelation c_j = sum_k a_{k+j} conj(a_k),
+    0 <= j < K, the coefficients of the real trigonometric polynomial
+    |f(e^{i theta})|^2 = sum_{|j| < K} c_j e^{ij theta} (c_{-j} =
+    conj(c_j)). They are read off the squared modulus at the n points by one
+    real FFT, which aliases none of them for rows of K coefficients when n
+    >= 2K - 1."""
+    powers = np.arange(coeffs.size)
+    means, corr = np.empty(rs.size), np.empty((rs.size, coeffs.size), dtype=complex)
+    step = max(1, _BLOCK_POINTS // n)
+    for i in range(0, rs.size, step):
+        rows = coeffs * rs[i:i + step, None] ** powers
+        modulus = np.abs(np.fft.fft(rows, n, axis=1))
+        means[i:i + step] = (modulus ** p).sum(axis=1) / n
+        modulus *= modulus
+        corr[i:i + step] = np.fft.rfft(modulus, axis=1,
+                                       norm="forward")[:, :coeffs.size].conj()
+    return means, corr
+
+
+def _real_midpoint_means(corr, live, n, p, means):
+    """The midpoint step of _trapezoid_means for the rows live, from their
+    autocorrelations corr[live] (_autocorrelations): |f|^2 at the n new
+    points e^{i pi (2m+1)/n} is one real inverse FFT of c_j e^{i pi j/n}
+    per row, about half the work of the complex FFT of the turned row.
+    Given the rows' n-point means, returns their 2n-point means and the
+    mask of the rows near a zero, whose |f|^2 falls below _NEAR_ZERO c_0 at
+    a new point: their means are to be replaced by the complex step."""
+    turn = np.exp(1j * np.pi / n * np.arange(corr.shape[1]))
+    out, near = np.empty(live.size), np.empty(live.size, dtype=bool)
+    step = max(1, _BLOCK_POINTS // n)
+    for i in range(0, live.size, step):
+        block = corr[live[i:i + step]]
+        squares = np.fft.irfft(block * turn, n, axis=1, norm="forward")
+        near[i:i + step] = squares.min(axis=1) < _NEAR_ZERO * block[:, 0].real
+        # rounding can take a near row's |f|^2 below 0; its mean is replaced
+        np.maximum(squares, 0.0, out=squares)
+        if p == 1.0:
+            np.sqrt(squares, out=squares)
+        else:
+            np.power(squares, 0.5 * p, out=squares)
+        out[i:i + step] = squares.sum(axis=1) / n
+    return 0.5 * (means + out), near
 
 
 def _series_means(coeffs, rs, p, inner_tol):
     """M_p(r, f) at every radius of rs for the polynomial with these
-    coefficients (p finite), scaled as _normalized scales them. At p = 2 it
-    is Parseval's sum, M_2(r, f)^2 = sum |a_k|^2 r^2k, by Horner in r^2.
-    Every other p takes a trapezoid ladder: the circle of radius r carries
-    the polynomial with coefficients a_k r^k, so the first level is one
-    n-point FFT per radius, and so is each doubling, by the midpoint step of
-    _trapezoid_means (sums of halves, within a few ulps of the full rule).
-    n starts where _boundary_norm starts and doubles for the radii still
-    live; a radius stops after two consecutive doublings that each move its
-    mean of |f|^p by at most inner_tol * max(1, mean). Radii still live
-    after the level at max(2^14, 4 n0) points, which leaves the rule room
-    for three levels, take adaptive quadrature in the angle
-    (_angular_mean)."""
+    coefficients (p finite), scaled by m = max |a_k| (_normalized) at every
+    p, as the ladder squares |f|. At p = 2 it is Parseval's sum, M_2(r, f)^2
+    = sum |a_k|^2 r^2k, by Horner in r^2. Every other p takes a trapezoid
+    ladder: the circle of radius r carries the polynomial with coefficients
+    a_k r^k, so the first level is one n-point FFT per radius, which also
+    gives the autocorrelation of the row (_autocorrelations). Each doubling
+    evaluates only the n new points, by the midpoint step of
+    _trapezoid_means (sums of halves, within a few ulps of the full rule),
+    from |f|^2 by one real inverse FFT per radius (_real_midpoint_means); a
+    radius whose |f|^2 falls below _NEAR_ZERO times its mean at a new point
+    takes that level's complex FFT of its turned row instead, as |f| taken
+    from a tiny |f|^2 has lost relative digits. n starts where
+    _boundary_norm starts and doubles for the radii still live; a radius
+    stops after two consecutive doublings that each move its mean of |f|^p
+    by at most inner_tol * max(1, mean). Radii still live after the level
+    at max(2^14, 4 n0) points, which leaves the rule room for three levels,
+    take adaptive quadrature in the angle (_angular_mean)."""
     rs = np.asarray(rs, dtype=float)
+    if not coeffs.size:  # the zero function, which has no autocorrelation
+        return np.zeros(rs.size)
     coeffs, m, floor = _normalized(coeffs, p)
     if p == 2.0:
         total, r2 = np.zeros(rs.size), rs * rs
         for b in (np.abs(coeffs[::-1]) ** 2).tolist():
             total = total * r2 + b
         return m * np.sqrt(total)
-    rows = coeffs * rs[:, None] ** np.arange(coeffs.size)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
     n_max = max(_TRAPEZOID_MAX_POINTS, 4 * n)
-    means = _trapezoid_means(rows, n, p)
+    means, corr = _autocorrelations(coeffs, rs, n, p)
     agreed = np.zeros(rs.size, dtype=int)
     live = np.arange(rs.size)
     while live.size and n < n_max:
-        new = _trapezoid_means(rows[live], n, p, means[live])
+        new, near = _real_midpoint_means(corr, live, n, p, means[live])
+        if near.any():
+            turned = live[near]
+            new[near] = _trapezoid_means(
+                coeffs * rs[turned, None] ** np.arange(coeffs.size), n, p,
+                means[turned])
         n *= 2
         ok = np.abs(new - means[live]) <= inner_tol * np.maximum(floor, new)
         agreed[live] = np.where(ok, agreed[live] + 1, 0)
@@ -309,13 +379,14 @@ def _boundary_norm(coeffs, p, inner_tol):
     """M_p(1, f) for the polynomial with these coefficients, shaped like the
     sweep's result. At p = 2 it is Parseval's sqrt(sum |a_k|^2), with the
     rounding bound (size + 1) eps value as its error estimate. Every other p
-    takes the mean of |f/m|^p (m as in _normalized) over the n-th roots of
-    unity, one zero-padded FFT; n doubles until two consecutive doublings
-    each move the mean of |f|^p by at most inner_tol * max(1, mean) (a
-    single agreement can be a chance crossing of two error terms). Each
-    doubling is one more n-point FFT, by the midpoint step of
-    _trapezoid_means (sums of halves, within a few ulps of the full 2n-point
-    rule)."""
+    takes the mean of |f/m|^p (m as in _normalized, and m = 1 at p = 1,
+    which takes no power) over the n-th roots of unity, one zero-padded
+    FFT; n doubles until two consecutive doublings each move the mean of
+    |f|^p by at most inner_tol * max(1, mean) (a single agreement can be a
+    chance crossing of two error terms). Each doubling is one more complex
+    n-point FFT, by the midpoint step of _trapezoid_means (sums of halves,
+    within a few ulps of the full 2n-point rule): a single circle is too
+    little work for the real route of the swept means to pay."""
     if not np.any(coeffs[1:]):
         # constant: a flat objective, which the sweep ties to r = 0
         return SupResult(abs(complex(coeffs[0])) if coeffs.size else 0.0,
@@ -324,7 +395,7 @@ def _boundary_norm(coeffs, p, inner_tol):
         value = float(_series_means(coeffs, np.ones(1), p, inner_tol)[0])
         return SupResult(value, _LAST_RADIUS, AT_BOUNDARY_LIMIT,
                          (coeffs.size + 1) * _EPS * value)
-    coeffs, m, floor = _normalized(coeffs, p)
+    coeffs, m, floor = _normalized(coeffs, p, p != 1.0)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
     mean = float(_trapezoid_means(coeffs[None, :], n, p)[0])
     change, agreed = math.inf, 0

@@ -261,12 +261,13 @@ def _not_finite(name, k, lo, hi, partial):
         f"{name(k)}integrand not finite on panel [{lo:g}, {hi:g}]", partial, k)
 
 
-def _speculate(f, nodes, depth, known):
+def _speculate(f, nodes, depth, known, events):
     """Store in known the halves' (v1, e1, v2, e2) of each (k, lo, pm, hi)
     of nodes and of the panels below it, depth levels of halves in all,
     from one call of f. False, storing nothing, if the call has a
-    non-finite row, raises, trips a NumPy floating-point event or warns:
-    the call without speculation then fails or warns as it would have."""
+    non-finite row, raises, trips a NumPy floating-point event that the
+    np.errstate keywords events set to "raise", or warns: the call without
+    speculation then fails or warns as it would have."""
     level = nodes
     for _ in range(depth - 1):
         # the next level: the halves of this one that can still be split
@@ -275,7 +276,7 @@ def _speculate(f, nodes, depth, known):
         nodes = nodes + level
     ends = np.array([node[1:] for node in nodes])
     try:
-        with np.errstate(all="raise"), warnings.catch_warnings():
+        with np.errstate(**events), warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, errs, bad = _rule(f, np.array([node[0] for node in nodes]).repeat(2),
                                     ends[:, :2].ravel(), ends[:, 1:].ravel())
@@ -299,6 +300,10 @@ def _heaps(f, a, b, values, errors, tol, panel_cap, name):
     mesh, value, error and failure is that of the call without it."""
     n = a.size
     depth = max(1, (_WIDE // 2 // n + 2).bit_length() - 2)
+    # a speculative call stops on the floating-point events the caller does
+    # not ignore: an ignored underflow keeps the speculation
+    events = {kind: "ignore" if how == "ignore" else "raise"
+              for kind, how in np.geterr().items()}
     known = {}
     values, errors = values.tolist(), errors.tolist()
     # per member, a heap of (-error, seq, a, b, value, error); seq breaks
@@ -330,7 +335,7 @@ def _heaps(f, a, b, values, errors, tol, panel_cap, name):
         if depth > 1:
             keys = [(k, p[2], pm, p[3]) for k, p, pm in split]
             need = [key for key in keys if key not in known]
-            if not need or _speculate(f, need, depth, known):
+            if not need or _speculate(f, need, depth, known, events):
                 halves = [known.pop(key) for key in keys]
             else:
                 # a fault in one speculative call is likely to recur

@@ -143,8 +143,11 @@ def _golden_max(fun, lo, hi):
 def _check_divergence(xs, vals, x_span_tail):
     """Raise DivergenceError if the tail grows by a factor > 10 over the
     last x_span_tail of the grid (log(10), the final decade of boundary
-    approach, on the unit interval) and is monotone."""
+    approach, on the unit interval) and is monotone. A grid spanning less
+    than x_span_tail has no such tail and passes."""
     x_last = xs[-1]
+    if x_last - xs[0] < x_span_tail:
+        return
     # pick the comparison point at least a full decade back
     idx = int(np.searchsorted(xs, x_last - x_span_tail, side="right")) - 1
     idx = min(max(idx, 0), len(xs) - 2)

@@ -140,7 +140,8 @@ def test_hardy_norm_exact_classification():
     const = hardy_norm_details(
         CoefficientSeries(np.array([-3.0 + 4.0j]), 1, 0.0), 1.0, False, 1e-8)
     assert const == SupResult(5.0, 0.0, AT_ZERO, 0.0)
-    for p, log_weighted in ((2.0, False), (math.inf, False), (math.inf, True)):
+    for p, log_weighted in ((2.0, False), (math.inf, False), (math.inf, True),
+                            (1.0, True), (3.0, True)):
         empty = hardy_norm_details(CoefficientSeries(np.array([]), 0, 0.0),
                                    p, log_weighted, 1e-8)
         assert empty == SupResult(0.0, 0.0, AT_ZERO, 0.0)
@@ -247,24 +248,69 @@ def test_midpoint_step_matches_the_direct_rule(p):
 
 
 def test_series_doublings_transform_only_the_new_points(monkeypatch):
-    # each doubling is one FFT of the level's n points, never of 2n: the
-    # lengths run n0, n0, 2 n0, 4 n0, ...
-    lengths = []
-    fft = np.fft.fft
+    # each doubling transforms the level's n new points, never 2n. The
+    # boundary mean takes complex FFTs of lengths n0, n0, 2 n0, 4 n0, ...;
+    # the swept means one complex FFT of n0 points and the real FFT of its
+    # squared modulus, then real inverse FFTs of lengths n0, 2 n0, ..., and
+    # no complex FFT for a circle away from the zeros of f
+    calls = []
 
-    def recording(a, n=None, *args, **kwargs):
-        lengths.append(n)
-        return fft(a, n, *args, **kwargs)
+    def recording(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr(norms.np.fft, "fft", recording)
+        def recorded(a, n=None, *args, **kwargs):
+            calls.append((name, n))
+            return transform(a, n, *args, **kwargs)
+        return recorded
+
+    for name in ("fft", "rfft", "irfft"):
+        monkeypatch.setattr(norms.np.fft, name, recording(name))
     a = np.array([1.0, 0.9, 0.5j, -0.3])
     n0 = _first_rule(a)
-    for mean in (lambda: norms._series_means(a, np.array([0.99]), 1.0, 1e-12),
-                 lambda: norms._boundary_norm(a, 1.0, 1e-12)):
-        lengths.clear()
-        mean()
-        assert len(lengths) >= 3
-        assert lengths == [n0] + [n0 << k for k in range(len(lengths) - 1)]
+    norms._boundary_norm(a, 1.0, 1e-12)
+    assert len(calls) >= 3
+    assert calls == [("fft", n0)] + [("fft", n0 << k) for k in range(len(calls) - 1)]
+    calls.clear()
+    norms._series_means(a, np.array([0.99]), 1.0, 1e-12)
+    assert len(calls) >= 4
+    assert calls == [("fft", n0), ("rfft", None)] + [
+        ("irfft", n0 << k) for k in range(len(calls) - 2)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_real_doublings_match_the_complex_ones(monkeypatch, p):
+    # the doublings from |f|^2 by real inverse FFTs against the complex FFTs
+    # of the turned rows, out to the saturated radius: the largest relative
+    # difference measured over these means is 4.0e-16, 1.8 ulp. The first
+    # level, which also gives the autocorrelations, keeps the complex bits
+    rs = np.array([0.0, 0.5, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
+    for a in _random_polynomials(113, 24):
+        rows, n = a * rs[:, None] ** np.arange(a.size), _first_rule(a)
+        first = norms._autocorrelations(a, rs, n, p)[0]
+        assert first.tobytes() == norms._trapezoid_means(rows, n, p).tobytes()
+        real = norms._series_means(a, rs, p, 1e-12)
+        with monkeypatch.context() as m:
+            # every row near a zero: every doubling takes the complex FFT
+            m.setattr(norms, "_NEAR_ZERO", math.inf)
+            full = norms._series_means(a, rs, p, 1e-12)
+        np.testing.assert_allclose(real, full, rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-12])
+@pytest.mark.parametrize("k", [4, 8])
+def test_near_zero_circles_keep_the_complex_doublings(tol, k):
+    # M_1(1, (1 + rho z)^k) = 2F1(-k/2, -k/2; 1; rho^2), exact (boundary
+    # mean) and swept (unweighted, no tail bound). f has a zero of order k
+    # on or just outside the unit circle, where |f| taken from |f|^2 loses
+    # its relative digits: with the near-zero guard off (_NEAR_ZERO = -inf)
+    # the swept norms missed tol by 2.5-2.6 x at k = 8, tol 1e-9, and by
+    # 1.6-9.3 x at tol 1e-10
+    for rho in (1.0, 1.0 - 1e-3, 1.0 - 1e-6):
+        a = np.array([math.comb(k, j) * rho ** j for j in range(k + 1)])
+        want = float(mpmath.hyp2f1(-k / 2, -k / 2, 1, mpmath.mpf(rho) ** 2))
+        for tail in (0.0, None):
+            value = hardy_norm(CoefficientSeries(a, a.size, tail), 1.0, False, tol)
+            assert abs(value - want) <= tol * want, (rho, tail)
 
 
 def test_series_means_p2_match_parseval():
@@ -289,7 +335,8 @@ def test_series_means_p2_take_no_fft(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("p = 2 series mean took an FFT or the fallback")
 
-    monkeypatch.setattr(norms.np.fft, "fft", forbidden)
+    for name in ("fft", "rfft", "irfft"):
+        monkeypatch.setattr(norms.np.fft, name, forbidden)
     monkeypatch.setattr(norms, "_angular_mean", forbidden)
     a = np.array([1.0, 0.9, 0.5j, -0.3])
     for tail, log_weighted in ((0.0, False), (None, False), (0.0, True)):
@@ -297,12 +344,14 @@ def test_series_means_p2_take_no_fft(monkeypatch):
         assert 0.0 < value <= math.sqrt(float(np.sum(np.abs(a) ** 2))) + 1e-8
 
 
-@pytest.mark.parametrize("c", [1e-200, 1e-160, 1e150, 1e200])
-@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("p, c", [
+    (p, c) for p in (2.0, 3.0) for c in (1e-200, 1e-160, 1e150, 1e200)
+] + [(1.0, 1e-200), (1.0, 1e200)])
 def test_series_norms_scale_with_the_coefficients(c, p):
     # ||c s||_p = |c| ||s||_p: |f|^p once underflowed to 0 (or 1e-4 off in
     # subnormals) at the small scales and overflowed to a QuadratureError at
-    # the large ones, on the exact and the swept route. The swept means are
+    # the large ones, on the exact and the swept route. At p = 1 the swept
+    # doublings square |f|, which would overflow at 1e200 unscaled. The swept means are
     # compared at every grid radius too: the search's tie band tol * max(1,
     # value) is absolute below 1, so its refinement is not scale-free.
     a = np.array([1.0, 0.5j, -0.25])

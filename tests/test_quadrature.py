@@ -972,3 +972,19 @@ def test_one_member_call_makes_fewer_rule_calls_than_splits(monkeypatch):
     splits = (got[0].evaluations - 15) // 30
     assert got[0].value == pytest.approx(2.0, rel=1e-11) and splits > 50
     assert calls < splits / 2
+
+
+def test_an_ignored_underflow_keeps_the_speculation(monkeypatch):
+    # the integrand underflows, which the default np.errstate ignores; the
+    # speculative call once raised on it and so dropped all speculation of
+    # the integration. It now raises only what the caller does not ignore
+    def run():
+        got.append(integrate(lambda x: np.exp(-800.0 * x) * np.cos(x),
+                             0.0, 1.0, 1e-10))
+
+    got = []
+    on, calls = _engine_runs(monkeypatch, run, True)
+    off, calls_off = _engine_runs(monkeypatch, run, False)
+    splits = (got[0].evaluations - 15) // 30
+    assert on == off and splits == calls_off - 1
+    assert calls < splits

@@ -153,6 +153,21 @@ def test_accepts_the_smallest_grids(search, x_max):
     assert res.boundary == AT_BOUNDARY_LIMIT and 0.0 < res.arg <= x_max
 
 
+@pytest.mark.parametrize("g, kwargs", [
+    (lambda r: r, {"x_max": 2.0}),
+    (lambda r: r / (1.0 + r), {"n_grid": 2, "x_max": 1e-3}),
+], ids=["r-to-2", "r-over-1-plus-r-two-points"])
+def test_short_grid_has_no_divergent_tail(g, kwargs):
+    # a grid shorter than the final decade once compared its last value with
+    # the 0 at r = 0, floored to 1e-300, and raised DivergenceError with a
+    # growth factor near 1e300; a bounded objective rising to the end of the
+    # range has its supremum there
+    res = supremum_unit(_array_twin(g), 1e-8, **kwargs)
+    r_end = -math.expm1(-kwargs["x_max"])
+    assert res.boundary == AT_BOUNDARY_LIMIT and res.arg == r_end
+    assert res.value == g(r_end)
+
+
 # Scalar objectives on [0, 1), the keywords of their unit search, and the
 # result each gave when a scalar objective took one point per call (grid
 # point by grid point, one golden step per call) and a limit_at_zero
