@@ -31,12 +31,16 @@ import sys
 import numpy as np
 
 from . import __version__
+from .catalog import DEFAULT_TRUNCATION
 from .quadrature import QuadratureError
-from .supsearch import DivergenceError, halfline_grid, pointwise, unit_grid
+from .supsearch import (DEFAULT_N_GRID, DivergenceError, halfline_grid, pointwise,
+                        unit_grid)
 from .verification import (
     BLOCH_LOG_NORM,
     CHECK_NAMES,
     DEFAULT_ALPHA_GRID,
+    DEFAULT_SEED,
+    DEFAULT_TOLERANCE,
     H1_LOG_LOWER,
     H1_LOG_UPPER,
     HINF_LOG_NORM,
@@ -57,10 +61,6 @@ _FORMATS = ("csv", "json")
 
 _WITNESS_ALPHAS = (0.5, 2.0, 2.5)
 
-# Grid size of a curve when --points is not given (alpha-bounds uses the
-# configured alpha grid instead).
-_DEFAULT_POINTS = 512
-
 
 def _number(name, value):
     """value if it is a real number (not a bool), else ValueError."""
@@ -73,11 +73,11 @@ def _number(name, value):
 class RunConfig:
     """Reproducible run parameters shared by every subcommand."""
 
-    tolerance: float = 1e-8
-    truncation: int = 2048
+    tolerance: float = DEFAULT_TOLERANCE
+    truncation: int = DEFAULT_TRUNCATION
     alpha_grid: tuple = DEFAULT_ALPHA_GRID
     output_format: str = "csv"
-    seed: int = 1729
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not 0.0 < _number("tolerance", self.tolerance) < math.inf:
@@ -178,11 +178,11 @@ def _emit(name, columns, rows, config, out):
 
 
 def _unit_radii(config, points):
-    return unit_grid(_DEFAULT_POINTS if points is None else points)[1]
+    return unit_grid(DEFAULT_N_GRID if points is None else points)[1]
 
 
 def _halfline_points(config, points):
-    return halfline_grid(_DEFAULT_POINTS if points is None else points)
+    return halfline_grid(DEFAULT_N_GRID if points is None else points)
 
 
 def _alpha_points(config, points):
@@ -340,12 +340,14 @@ def _build_parser():
     p_verify = sub.add_parser(
         "verify", parents=[common],
         help="run all verification checks")
+    # the help writes the tolerance as 1e-8, not as format's 1e-08
     p_verify.add_argument("--tol", type=float, metavar="T",
-                          help="check tolerance (default 1e-8)")
+                          help=f"check tolerance (default "
+                               f"{DEFAULT_TOLERANCE:g})".replace("e-0", "e-"))
     p_verify.add_argument("--trunc", type=int, metavar="N",
-                          help="series truncation order (default 2048)")
+                          help=f"series truncation order (default {DEFAULT_TRUNCATION})")
     p_verify.add_argument("--seed", type=int, metavar="S",
-                          help="seed for randomized checks (default 1729)")
+                          help=f"seed for randomized checks (default {DEFAULT_SEED})")
 
     p_curve = sub.add_parser(
         "curve", parents=[common],
@@ -354,7 +356,7 @@ def _build_parser():
     p_curve.add_argument("--format", choices=_FORMATS,
                          help="output format (default csv)")
     p_curve.add_argument("--points", type=int, metavar="P",
-                         help="number of grid points (default 512; "
+                         help=f"number of grid points (default {DEFAULT_N_GRID}; "
                               "alpha-bounds defaults to the alpha grid)")
 
     p_table = sub.add_parser(

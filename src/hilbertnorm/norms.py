@@ -19,7 +19,8 @@ that a zero-padded FFT evaluates. The swept means of a series at p != 2
 double their trapezoid rules from |f|^2, a real trigonometric polynomial
 whose coefficients are the autocorrelation of a_k r^k: one real inverse FFT
 per doubling, except on a circle that passes near a zero of f, which keeps
-the complex FFT.
+the complex FFT. The radii whose ladder has not converged at its largest
+rule are the members of one lockstep adaptive integration in the angle.
 """
 
 import math
@@ -62,38 +63,11 @@ def _weight_at(r, log_weighted):
     return float(log_weight(r)) if log_weighted else 1.0
 
 
-def _circle_points(r, theta):
-    """Points r e^{i theta}, kept strictly inside the unit disk.
-
-    When r is within a few ulps of 1, rounding in the complex multiply can
-    land a point exactly on (or outside) the unit circle; those points are
-    pulled back onto |z| < 1, an inward shift of a few 1e-16 that is far
-    below every quadrature tolerance."""
-    pts = r * np.exp(1j * np.asarray(theta, dtype=float))
-    mags = np.abs(pts)
-    bad = mags >= 1.0
-    if np.any(bad):
-        pts = np.where(bad, pts * ((1.0 - 4.0 * _EPS) / np.where(bad, mags, 1.0)), pts)
-    return pts
-
-
 def _circle_pair(r, theta):
     """The points z = r e^{i theta} and 1 - z, the latter as (1-r) +
     2 r sin^2(theta/2) - i r sin(theta), free of cancellation near z = 1."""
     return (r * np.exp(1j * theta),
             (1.0 - r) + 2.0 * r * np.sin(0.5 * theta) ** 2 - 1j * r * np.sin(theta))
-
-
-def _angular_mean(f, r, p, tol):
-    """(mean of |f|^p on the circle of radius r)^(1/p) by adaptive
-    quadrature in the angle: the fallback of the doubling trapezoid rules,
-    for integrands with structure on an angular scale a uniform grid cannot
-    afford (radii within ~1e-10 of the boundary)."""
-    def g(t):
-        return np.abs(np.asarray(f(_circle_points(r, t)))) ** p
-
-    res = integrate(g, 0.0, 2.0 * np.pi, tol)
-    return (float(np.real(res.value)) / (2.0 * np.pi)) ** (1.0 / p)
 
 
 def _spiked_means(r, power, top, tol):
@@ -300,7 +274,9 @@ def _series_means(coeffs, rs, p, inner_tol):
     stops after two consecutive doublings that each move its mean of |f|^p
     by at most inner_tol * max(1, mean). Radii still live after the level
     at max(2^14, 4 n0) points, which leaves the rule room for three levels,
-    take adaptive quadrature in the angle (_angular_mean)."""
+    are the members of one lockstep adaptive integration of |f(r e^{i
+    theta})|^p over [0, 2 pi], each member with the bits of its one-radius
+    integration."""
     rs = np.asarray(rs, dtype=float)
     if not coeffs.size:  # the zero function, which has no autocorrelation
         return np.zeros(rs.size)
@@ -328,10 +304,15 @@ def _series_means(coeffs, rs, p, inner_tol):
         means[live] = new
         live = live[agreed[live] < 2]
     out = m * means ** (1.0 / p)
-    for i in live:
-        out[i] = m * _angular_mean(
-            lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-            rs[i], p, inner_tol)
+    if live.size:
+        # one lockstep integration in the angle, the p-th roots per radius
+        # in scalar arithmetic
+        rk = rs[live, None]
+        res = integrate(
+            lambda k, theta: np.abs(np.polynomial.polynomial.polyval(
+                rk[k] * np.exp(1j * theta), coeffs)) ** p,
+            0.0, np.full(live.size, 2.0 * np.pi), inner_tol)
+        out[live] = [m * (v / (2.0 * np.pi)) ** (1.0 / p) for v in res.value.tolist()]
     return out
 
 
@@ -363,7 +344,7 @@ def _series_maxima(coeffs, rs):
     best, k = np.concatenate(best), np.concatenate(circles)
     theta, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
     _, refined = _golden_max(lambda t, i: np.abs(np.polynomial.polynomial.polyval(
-        _circle_points(rs[k[i]], t), coeffs)), theta - h, theta + h)
+        rs[k[i]] * np.exp(1j * t), coeffs)), theta - h, theta + h)
     np.maximum.at(best, k, refined)
     return best
 

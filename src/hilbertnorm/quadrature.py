@@ -501,11 +501,13 @@ def _transformed(f, a, b, exponent, side):
     evaluate the members k, an index array of rows."""
     e = 0.0 if exponent is None else float(exponent)
     q = 1.0 / (1.0 + e)
-    # per member in scalar arithmetic, as the one-member call rounds it
+    # per member in scalar arithmetic, as the one-member call rounds it; a
+    # scalar nextafter raises no underflow at an edge of 0 under np.errstate
     coef = np.array([[q * s ** (1.0 + e)] for s in (b - a).tolist()])
     span = (b - a)[:, None]
     edge, inner, sign = (b, a, -1.0) if side == "right" else (a, b, 1.0)
-    off = np.nextafter(edge, inner)[:, None]
+    off = np.array([[math.nextafter(x, y)]
+                    for x, y in zip(edge.tolist(), inner.tolist())])
     edge = edge[:, None]
 
     def g(k, s):

@@ -44,6 +44,12 @@ _GOLDEN_MAX_ITER = 160
 _LOOKAHEAD = 3  # golden steps per objective call, at most 7 points a bracket
 _R_MAX = np.nextafter(1.0, 0.0)
 
+# The default grids of both searches: the number of points, and the end of
+# the x-range on the unit interval and on the half-line.
+DEFAULT_N_GRID = 512
+DEFAULT_UNIT_X_MAX = 40.0
+DEFAULT_HALFLINE_X_MAX = 60.0
+
 
 @dataclass(frozen=True)
 class SupResult:
@@ -160,7 +166,7 @@ def _check_divergence(xs, vals, x_span_tail):
             witness=witness)
 
 
-def unit_grid(n_grid=512, x_max=40.0):
+def unit_grid(n_grid=DEFAULT_N_GRID, x_max=DEFAULT_UNIT_X_MAX):
     """Canonical evaluation radii for unit-interval suprema: r = 1 - e^{-x}
     for x uniform on [0, x_max], saturated at the largest double below 1 and
     deduplicated there.  Returns (xs, rs)."""
@@ -171,7 +177,7 @@ def unit_grid(n_grid=512, x_max=40.0):
     return xs[keep], rs[keep]
 
 
-def halfline_grid(n_grid=512, x_max=60.0):
+def halfline_grid(n_grid=DEFAULT_N_GRID, x_max=DEFAULT_HALFLINE_X_MAX):
     """Canonical evaluation abscissae for half-line suprema: a uniform grid
     on [0, 10] extended by a log-spaced tail to x_max."""
     n_lin = max(n_grid - 128, 16)
@@ -256,7 +262,7 @@ def _require_grid(n_grid, x_max, x_min):
         raise ValueError(f"x_max {x_max} must be finite and above {x_min:g}")
 
 
-def supremum_unit(g, tol, n_grid=512, x_max=40.0):
+def supremum_unit(g, tol, n_grid=DEFAULT_N_GRID, x_max=DEFAULT_UNIT_X_MAX):
     """Supremum of g over r in [0, 1).
 
     g maps an ndarray of radii to an ndarray of values of the same shape,
@@ -271,8 +277,8 @@ def supremum_unit(g, tol, n_grid=512, x_max=40.0):
                    None, math.log(10.0))
 
 
-def supremum_halfline(g, tol, limit_at_infinity=None, n_grid=512,
-                      x_max=60.0):
+def supremum_halfline(g, tol, limit_at_infinity=None, n_grid=DEFAULT_N_GRID,
+                      x_max=DEFAULT_HALFLINE_X_MAX):
     """Supremum of g over x in [0, infinity).
 
     g maps an ndarray of abscissae to an ndarray of values, as in

@@ -56,6 +56,10 @@ HINF_LOG_NORM = 1.0
 H1_LOG_LOWER = math.pi
 H1_LOG_UPPER = 2.0 * math.pi
 
+# The run defaults: check tolerance and the seed of the randomized checks.
+DEFAULT_TOLERANCE = 1e-8
+DEFAULT_SEED = 1729
+
 DEFAULT_ALPHA_GRID = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
 
 # Power weights alpha whose closed-form bounds L and U the suite evaluates;
@@ -561,7 +565,7 @@ def alpha_unboundedness_witness(alpha):
 # Hardy-space checks
 # ---------------------------------------------------------------------------
 
-def h1_upper_bound_internals(tol, seed=1729):
+def h1_upper_bound_internals(tol, seed=DEFAULT_SEED):
     """Ingredients of the Hardy-to-log-weighted upper bound 2 pi.
 
     Verifies the telescoping coefficient identity sum_n 1/((n+k)(n+k+1)) =
@@ -859,7 +863,8 @@ def _half_log_image(n_terms):
     return d / (2.0 * (n + 1.0))
 
 
-def representation_agreement(tol, truncation=DEFAULT_TRUNCATION, seed=1729):
+def representation_agreement(tol, truncation=DEFAULT_TRUNCATION,
+                             seed=DEFAULT_SEED):
     """Matrix action versus integral form at 20 random points, |z| <= 0.95.
 
     The constant input has an exact (finite) coefficient series, so its
@@ -1018,8 +1023,8 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def run_all(tol=1e-8, truncation=DEFAULT_TRUNCATION, seed=1729,
-            alpha_grid=DEFAULT_ALPHA_GRID):
+def run_all(tol=DEFAULT_TOLERANCE, truncation=DEFAULT_TRUNCATION,
+            seed=DEFAULT_SEED, alpha_grid=DEFAULT_ALPHA_GRID):
     """Run the default verification suite in its canonical order.
 
     Numerical non-convergence inside a check is captured as a failed

@@ -24,7 +24,7 @@ from hilbertnorm.norms import (
     hardy_norm_details,
     i_c,
 )
-from hilbertnorm.quadrature import QuadratureError
+from hilbertnorm.quadrature import QuadratureError, integrate
 from hilbertnorm.supsearch import (
     AT_BOUNDARY_LIMIT,
     AT_ZERO,
@@ -331,17 +331,41 @@ def test_series_means_p2_match_parseval():
 
 def test_series_means_p2_take_no_fft(monkeypatch):
     # both p = 2 routes, exact and swept, are Parseval's sum: no FFT and no
-    # angular fallback
+    # adaptive fallback in the angle (the module's only integrate call on a
+    # series)
     def forbidden(*args, **kwargs):
         raise AssertionError("p = 2 series mean took an FFT or the fallback")
 
     for name in ("fft", "rfft", "irfft"):
         monkeypatch.setattr(norms.np.fft, name, forbidden)
-    monkeypatch.setattr(norms, "_angular_mean", forbidden)
+    monkeypatch.setattr(norms, "integrate", forbidden)
     a = np.array([1.0, 0.9, 0.5j, -0.3])
     for tail, log_weighted in ((0.0, False), (None, False), (0.0, True)):
         value = hardy_norm(CoefficientSeries(a, a.size, tail), 2.0, log_weighted, 1e-8)
         assert 0.0 < value <= math.sqrt(float(np.sum(np.abs(a) ** 2))) + 1e-8
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_leftover_radii_take_one_engine_call(monkeypatch, p):
+    # 1 + rho z has its zero 1e-6 outside the unit circle: at these radii
+    # the ladder ends unconverged at tol 1e-12, and the leftover radii are
+    # the members of one integration, each with the bits of a one-radius
+    # integration of |f(r e^{i theta})|^p (p = 3 converges on the ladder)
+    a = np.array([1.0, 1.0 - 1e-6])
+    rs = np.array([1.0 - 1e-6, 1.0 - 1e-9, np.nextafter(1.0, 0.0)])
+    members = []
+
+    def counted(f, lo, hi, tol):
+        members.append(np.size(hi))
+        return integrate(f, lo, hi, tol)
+
+    monkeypatch.setattr(norms, "integrate", counted)
+    got = norms._series_means(a, rs, p, 1e-12)
+    assert members == [rs.size]
+    for r, mean in zip(rs.tolist(), got.tolist()):
+        one = integrate(lambda t: np.abs(np.polynomial.polynomial.polyval(
+            r * np.exp(1j * t), a)) ** p, 0.0, 2.0 * np.pi, 1e-12)
+        assert mean == (one.value / (2.0 * np.pi)) ** (1.0 / p), r
 
 
 @pytest.mark.parametrize("p, c", [
@@ -423,13 +447,14 @@ def test_hardy_norm_swept_series_matches_references():
 def test_hardy_norm_swept_long_series(monkeypatch):
     # 10^4 coefficients: the first rule has 2^15 points, so an FFT block
     # holds at most two radii, and the doubling runs past 2^14 up to 4 times
-    # the first rule without the angular fallback. p = 4 keeps the trapezoid
-    # ladder (p = 2 is Parseval's sum) and converges at once: |f|^4 = |f^2|^2
-    # is a trigonometric polynomial of degree below the first rule
+    # the first rule without the adaptive fallback in the angle. p = 4 keeps
+    # the trapezoid ladder (p = 2 is Parseval's sum) and converges at once:
+    # |f|^4 = |f^2|^2 is a trigonometric polynomial of degree below the first
+    # rule
     def no_fallback(*args):
-        raise AssertionError("angular fallback taken")
+        raise AssertionError("adaptive fallback taken")
 
-    monkeypatch.setattr(norms, "_angular_mean", no_fallback)
+    monkeypatch.setattr(norms, "integrate", no_fallback)
     a = np.random.default_rng(110).standard_normal(10_000) / np.arange(1, 10_001)
     value = hardy_norm(CoefficientSeries(a, a.size, None), 4.0, False, 1e-6)
     assert value == pytest.approx(_reference_mean(a, 1.0, 4.0), rel=1e-6)

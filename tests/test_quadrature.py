@@ -90,6 +90,19 @@ def test_singular_extreme_exponent():
     assert res.value == pytest.approx(100.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("spec, f", [
+    (SingularitySpec(-0.5, None), lambda t: t ** -0.5 * np.cos(t)),
+    (SingularitySpec(-0.7, -0.3), lambda t: t ** -0.7 * (1.0 - t) ** -0.3),
+])
+def test_singular_edge_at_zero_under_trapped_underflow(spec, f):
+    # the point one ulp off an edge at 0 is the subnormal 5e-324: taken by
+    # np.nextafter it raised FloatingPointError under a trapped underflow
+    # before any evaluation; every bit is that of the untrapped call
+    plain = integrate_singular(f, 0.0, 1.0, spec, 1e-10)
+    with np.errstate(all="raise"):
+        assert integrate_singular(f, 0.0, 1.0, spec, 1e-10) == plain
+
+
 def test_singularity_spec_rejects_nonintegrable():
     with pytest.raises(ValueError):
         SingularitySpec(right_exponent=-1.0)
@@ -115,8 +128,8 @@ def test_halfline_power_tail():
 
 def _circle_mean(coeffs, r, p, tol):
     """M_p(r, f) of the polynomial with these coefficients through the norms'
-    series routes: the doubling trapezoid means for p finite (with the
-    angular fallback, norms._angular_mean), the circle maxima for p = inf
+    series routes: the doubling trapezoid means for p finite (with their
+    adaptive fallback in the angle), the circle maxima for p = inf
     (norms._series_maxima), which take no tol."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if p == math.inf:
