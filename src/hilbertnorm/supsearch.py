@@ -146,6 +146,57 @@ def _golden_max(fun, lo, hi):
     return x_best, f_best
 
 
+def _golden_max_one(fun, lo, hi):
+    """_golden_max on the one bracket [lo, hi], in Python float arithmetic:
+    fun(xs) returns the objective at the list of floats xs as a list. Each
+    call gets the points, in the order, of the lockstep search of that one
+    bracket, and each tree node takes the same float operations, so the
+    result is the same bits; with no array bookkeeping, a step costs a few
+    float operations instead of NumPy calls on 1 to 4 elements. Returns
+    (x_best, f_best)."""
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = fun([c, d])
+    steps = 0
+    while True:
+        depth = min(_LOOKAHEAD, _GOLDEN_MAX_ITER - steps)
+        # the tree of _golden_max: one node at the first level, which steps
+        # the way the known values say, then children 2k and 2k + 1 of node
+        # k stepping left and right from their parent (plo, pc, pd, phi); a
+        # node is (lo, c, d, hi, x, done)
+        levels, nodes = [], [(lo, c, d, hi)]
+        for level in range(depth):
+            children = []
+            for plo, pc, pd, phi, *_ in nodes:
+                for left in (True, False) if level else (fc >= fd,):
+                    if left:
+                        width = pd - plo
+                        x = pd - _INVPHI * width
+                        children.append((plo, x, pc, pd, x,
+                                         width <= 1e-12 * max(1.0, abs(x))))
+                    else:
+                        width = phi - pc
+                        x = pc + _INVPHI * width
+                        children.append((pc, pd, x, phi, x,
+                                         width <= 1e-12 * max(1.0, abs(pd))))
+            levels.append(children)
+            nodes = children
+        fx = fun([node[4] for children in levels for node in children])
+        start = idx = 0
+        for level, children in enumerate(levels):
+            left = fc >= fd
+            if level:
+                idx = 2 * idx + (not left)
+            lo, c, d, hi, _, done = children[idx]
+            f = fx[start + idx]
+            start += len(children)
+            fc, fd = (f, fc) if left else (fd, f)
+            if done:
+                break
+        steps += depth
+        if done or steps == _GOLDEN_MAX_ITER:
+            return (c, fc) if fc >= fd else (d, fd)
+
+
 def _check_divergence(xs, vals, x_span_tail):
     """Raise DivergenceError if the tail grows by a factor > 10 over the
     last x_span_tail of the grid (log(10), the final decade of boundary
@@ -203,9 +254,11 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     """Supremum of g over the grid args = to_arg(xs), the body of both
     public searches. g maps an ndarray of arguments to an ndarray of values
     of the same shape. The grid is one call; the first point within the tie
-    band of the grid maximum is classified, and its bracket is golden-refined
-    in x, one call on the bracket's two interior points and then one on the
-    up to 7 points that each next three golden steps can reach.
+    band of the grid maximum, max(tol, 4 eps) times its modulus so that the
+    class does not depend on the scale of g, is classified, and its bracket
+    is golden-refined in x by _golden_max_one, one call on the bracket's two
+    interior points and then one on the up to 7 points that each next three
+    golden steps can reach.
     limit_at_infinity, when it beats the grid maximum by more than the tie
     band, is the supremum at arg = infinity; tail_span is the x-distance the
     divergence test looks back over."""
@@ -226,7 +279,7 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     _check_divergence(xs, vals, tail_span)
 
     vmax = float(np.max(vals))
-    tie_tol = max(tol, 4.0 * np.finfo(float).eps) * max(1.0, abs(vmax))
+    tie_tol = max(tol, 4.0 * np.finfo(float).eps) * abs(vmax)
     if limit_at_infinity is not None and float(limit_at_infinity) > vmax + tie_tol:
         return SupResult(float(limit_at_infinity), math.inf, AT_BOUNDARY_LIMIT,
                          float(abs(float(limit_at_infinity) - vals[-1])))
@@ -242,9 +295,9 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
         return SupResult(vmax, float(args[-1]), AT_BOUNDARY_LIMIT,
                          float(abs(vals[-1] - vals[-2])))
 
-    x_star, v_star = (float(v[0]) for v in _golden_max(
-        lambda x, _: evaluate(np.array([to_arg(v) for v in x.tolist()])),
-        xs[max(ibest - 1, 0)], xs[min(ibest + 1, last)]))
+    x_star, v_star = _golden_max_one(
+        lambda x: evaluate(np.array([to_arg(v) for v in x])).tolist(),
+        float(xs[max(ibest - 1, 0)]), float(xs[min(ibest + 1, last)]))
     if ibest == 0 and v_star <= vals[0] + tie_tol:
         return SupResult(vmax, 0.0, AT_ZERO,
                          float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)

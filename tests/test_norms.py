@@ -28,6 +28,7 @@ from hilbertnorm.quadrature import QuadratureError, integrate
 from hilbertnorm.supsearch import (
     AT_BOUNDARY_LIMIT,
     AT_ZERO,
+    INTERIOR,
     SupResult,
     pointwise,
     supremum_unit,
@@ -376,8 +377,8 @@ def test_series_norms_scale_with_the_coefficients(c, p):
     # subnormals) at the small scales and overflowed to a QuadratureError at
     # the large ones, on the exact and the swept route. At p = 1 the swept
     # doublings square |f|, which would overflow at 1e200 unscaled. The swept means are
-    # compared at every grid radius too: the search's tie band tol * max(1,
-    # value) is absolute below 1, so its refinement is not scale-free.
+    # compared at every grid radius too: the search's error estimate tol *
+    # max(1, value) is absolute below 1, so its result is not scale-free.
     a = np.array([1.0, 0.5j, -0.25])
     for tail, log_weighted in ((0.0, False), (None, False), (0.0, True), (None, True)):
         scaled, unit = (CoefficientSeries(b, 3, tail) for b in (c * a, a))
@@ -387,6 +388,20 @@ def test_series_norms_scale_with_the_coefficients(c, p):
         np.testing.assert_allclose(
             _mean_objective(scaled, p, log_weighted, 1e-7)(rs) / c,
             _mean_objective(unit, p, log_weighted, 1e-7)(rs), rtol=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-200])
+def test_series_norm_class_is_scale_free(c):
+    # the search's tie band is relative to the grid maximum: an absolute
+    # band tol below 1 once tied grid points short of the peak of this
+    # log-weighted norm with it at c = 1e-3, refining a bracket there to a
+    # value 5.4e-6 low, and at c = 1e-200 tied every point and classed it
+    # AtZero
+    res = hardy_norm_details(
+        CoefficientSeries(c * np.array([0.1, 0.0, 0.0, 1.0]), 4, 0.0), 2.0,
+        True, 1e-6)
+    assert res.boundary == INTERIOR
+    assert res.value / c == pytest.approx(0.13151087968294675, rel=1e-12)
 
 
 def test_series_maxima_reach_the_dense_grid_maximum():

@@ -20,6 +20,7 @@ from hilbertnorm.supsearch import (
     unit_grid,
     _INVPHI,
     _golden_max,
+    _golden_max_one,
 )
 
 
@@ -265,38 +266,58 @@ GOLDEN_CASES = {
 }
 
 
+def _one_bracket(fun, lo, hi):
+    """_golden_max_one, which _search refines its one bracket with, in the
+    calling form of _golden_max on the one bracket [lo, hi]."""
+    x, f = _golden_max_one(
+        lambda x: fun(np.array(x), np.zeros(len(x), dtype=int)).tolist(),
+        float(lo), float(hi))
+    return np.array([x]), np.array([f])
+
+
 @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("case, core", [
+    pytest.param(case, core, id=prefix + case)
+    for prefix, core in (("", _golden_max), ("one-bracket-", _one_bracket))
+    for case in sorted(GOLDEN_CASES)])
 def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead,
-                                                          monkeypatch):
+                                                          core, monkeypatch):
     monkeypatch.setattr(supsearch, "_LOOKAHEAD", lookahead)
     fun, lo, hi = GOLDEN_CASES[case]
-    plain = []
+    if core is _golden_max:
+        searches = [(fun, lo, hi)]
+    else:
+        # the one-bracket core searches each bracket on its own
+        searches = [(lambda x, i, k=k: fun(x, i + k), a, b) for k, (a, b)
+                    in enumerate(zip(np.atleast_1d(lo), np.atleast_1d(hi)))]
+    for search, lo, hi in searches:
+        plain = []
 
-    def recorded(x, i):
-        plain.extend(zip(i.tolist(), x.tolist()))
-        return fun(x, i)
+        def recorded(x, i):
+            plain.extend(zip(i.tolist(), x.tolist()))
+            return search(x, i)
 
-    x_ref, f_ref, steps = _plain_golden_max(recorded, lo, hi)
-    calls, points = [], set()
+        x_ref, f_ref, steps = _plain_golden_max(recorded, lo, hi)
+        calls, points = [], set()
 
-    def counted(x, i):
-        calls.append(np.bincount(i).max())
-        points.update(zip(i.tolist(), x.tolist()))
-        return fun(x, i)
+        def counted(x, i):
+            calls.append(np.bincount(i).max())
+            points.update(zip(i.tolist(), x.tolist()))
+            return search(x, i)
 
-    x_best, f_best = _golden_max(counted, lo, hi)
-    assert np.array_equal(x_best, x_ref) and np.array_equal(f_best, f_ref)
-    # every point of the plain steps, bit for bit, among those evaluated
-    assert points.issuperset(plain)
-    # both interior points in one call, then one call per lookahead steps,
-    # each with at most 2^lookahead - 1 points of a bracket
-    assert calls[0] == 2
-    assert max(calls[1:]) <= 2 ** lookahead - 1
-    assert len(calls) - 1 == math.ceil(steps / lookahead)
-    if case == "step-cap":
-        assert steps == 160
+        x_best, f_best = core(counted, lo, hi)
+        assert np.array_equal(x_best, x_ref) and np.array_equal(f_best, f_ref)
+        # every point of the plain steps, bit for bit, among those evaluated
+        assert points.issuperset(plain)
+        # both interior points in one call, then one call per lookahead
+        # steps, each with at most 2^lookahead - 1 points of a bracket
+        assert calls[0] == 2
+        assert max(calls[1:]) <= 2 ** lookahead - 1
+        assert len(calls) - 1 == math.ceil(steps / lookahead)
+        if case == "step-cap":
+            assert steps == 160
     if case == "brackets-stop-apart":
+        _, lo, hi = GOLDEN_CASES[case]
         alone = {_plain_golden_max(lambda x, i: fun(x, i + k), lo[k], hi[k])[2]
                  for k in range(len(lo))}
         assert len(alone) == len(lo)

@@ -461,6 +461,25 @@ def test_h1_lower_bound_fails_when_the_cross_check_disagrees(monkeypatch, alpha)
     assert float(shown.group(1)) == pytest.approx(1e-5, rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.99])
+def test_h1_lower_bound_integrates_hf0_once(monkeypatch, alpha):
+    # the numerator's value at r = 0 is the operator integral Hf(0), taken
+    # once before the search, not again at each objective call
+    calls = []
+    real = verification.apply_integral
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification, "apply_integral", counted)
+    rep = verification.h1_lower_bound(alpha, 1e-8)
+    assert rep.passed
+    assert len(calls) == 1 and calls[0][1] == 0.0
+    assert int(re.search(r"numerator search: (\d+) objective calls",
+                         rep.detail).group(1)) > 1
+
+
 def test_gamma_identities_report():
     rep = gamma_identities(1e-8)
     assert rep.passed
