@@ -15,6 +15,8 @@ the radial reduction used by the norm computations.
 """
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -122,12 +124,19 @@ def _eval_log(fn, z, log_omz):
     return _expm1_complex((1.0 - a) * (log_omz + np.log1p(z))) / (2.0 * (a - 1.0))
 
 
+def _count(name, value):
+    """value as an int if it is a finite, integral real number >= 1 (not a
+    bool), else ValueError: int() alone would truncate 2.5 and take '4'."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value % 1 != 0 or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+    return int(value)
+
+
 def taylor_coeffs(fn, n):
     """First n Taylor coefficients of a test function, with a tail bound from
     the closed form's coefficient recurrence."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1 coefficients")
+    n = _count("n", n)
     a = np.zeros(n)
     if fn.kind is Kind.CONSTANT:
         a[0] = 1.0

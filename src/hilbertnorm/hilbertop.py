@@ -19,7 +19,7 @@ subtracting phi from 1.
 import numpy as np
 
 from .catalog import Kind, TestFunction, CoefficientSeries, eval as cat_eval, \
-    _expm1_complex
+    _count, _expm1_complex
 from .quadrature import SingularitySpec, integrate_singular
 
 __all__ = [
@@ -38,9 +38,7 @@ def apply_matrix(s, out_order):
     When the input series is exact (tail_bound == 0.0) the output carries the
     tail bound sum_k |a_k|/(out_order+k+1), valid for every output index
     >= out_order; otherwise the output tail is unknown."""
-    out_order = int(out_order)
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    out_order = _count("out_order", out_order)
     coeffs = s.coeffs
     # skipping zero coefficients (and the imaginary part of a real series)
     # leaves every surviving summand bit-identical
@@ -50,9 +48,16 @@ def apply_matrix(s, out_order):
     n = np.arange(out_order, dtype=float)[:, None]
     kf = ks.astype(float)
     b = np.zeros(out_order, dtype=work.dtype)
+    # tiles of _MATRIX_CHUNK rows by _MATRIX_CHUNK columns stay in cache;
+    # b_n sums a chunk's columns along one row of a tile, in their order, so
+    # how the rows are tiled changes no bit
     for j0 in range(0, vals.size, _MATRIX_CHUNK):
-        j1 = min(j0 + _MATRIX_CHUNK, vals.size)
-        b = b + np.sum(vals[None, j0:j1] / (n + kf[None, j0:j1] + 1.0), axis=1)
+        cols = slice(j0, j0 + _MATRIX_CHUNK)
+        for i0 in range(0, out_order, _MATRIX_CHUNK):
+            rows = slice(i0, i0 + _MATRIX_CHUNK)
+            tile = n[rows] + kf[cols]
+            tile += 1.0
+            b[rows] += np.sum(vals[cols] / tile, axis=1)
     if s.tail_bound == 0.0:
         k = np.arange(coeffs.size, dtype=float)
         tail = float(np.sum(np.abs(coeffs) / (out_order + k + 1.0)))

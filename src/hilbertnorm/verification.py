@@ -574,19 +574,23 @@ def h1_upper_bound_internals(tol, seed=DEFAULT_SEED):
     that the bound's profile function has supremum exactly 1, attained as
     x -> 0, so the assembled bound is 2 pi * 1."""
     n_terms = 1_000_000
-    # 1/(m(m+1)) for m = 1 .. n_terms + 50, built in place block by block so
-    # that no full-size temporary exists; the partial sum at k = 0 is one
-    # sum, and each next one slides its window by a term, which adds at
+    # 1/(m(m+1)) for m = 1 .. n_terms, block by block in two reused arrays
+    # (m, and the terms built in place), so that no full-size array exists
+    # and no block allocates; the partial sum at k = 0 adds up the blocks'
+    # sums, and each next one slides its window by a term, which adds at
     # most an ulp of rounding a step, far under the 1e-9 gate
-    terms = np.empty(n_terms + 50)
     block = 1 << 16
-    for lo in range(0, terms.size, block):
-        out = terms[lo:lo + block]
-        m = np.arange(lo + 1.0, lo + out.size + 1.0)
-        np.multiply(m, m + 1.0, out=out)
-        np.divide(1.0, out, out=out)
-    partial = float(np.sum(terms[:n_terms]))
-    leaving, entering = terms[:51].tolist(), terms[n_terms - 1:].tolist()
+    m = np.arange(1.0, block + 1.0)
+    terms = np.empty(block)
+    partial = 0.0
+    for lo in range(0, n_terms, block):
+        mb, tb = m[:n_terms - lo], terms[:n_terms - lo]
+        np.add(mb, 1.0, out=tb)
+        np.multiply(mb, tb, out=tb)
+        partial += float(np.sum(np.divide(1.0, tb, out=tb)))
+        m += block
+    leaving = [1.0 / (k * (k + 1.0)) for k in range(1, 52)]
+    entering = [1.0 / (k * (k + 1.0)) for k in range(n_terms, n_terms + 51)]
     worst_tel = 0.0
     for k in range(51):
         if k:

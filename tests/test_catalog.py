@@ -159,6 +159,12 @@ def test_taylor_rejects_empty_request():
         taylor_coeffs(TestFunction(Kind.CONSTANT), 0)
 
 
+@pytest.mark.parametrize("n", [2.5, "4", True, math.inf, math.nan, 0])
+def test_taylor_rejects_non_integral_count(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        taylor_coeffs(TestFunction(Kind.HALF_LOG), n)
+
+
 def test_series_matches_closed_form_within_tail():
     rng = np.random.default_rng(5150)
     fns = [TestFunction(Kind.HALF_LOG),

@@ -85,18 +85,41 @@ def test_matrix_action_rejects_empty_output():
         apply_matrix(s, 0)
 
 
+@pytest.mark.parametrize("out_order", [2.5, "4", True, float("inf"),
+                                       float("nan"), 0])
+def test_matrix_action_rejects_non_integral_order(out_order):
+    s = CoefficientSeries(np.array([1.0]), 1, 0.0)
+    with pytest.raises(ValueError, match="out_order must be an integer"):
+        apply_matrix(s, out_order)
+
+
 def _direct_matrix(a, out_order):
     n = np.arange(out_order, dtype=float)[:, None]
     k = np.arange(a.size, dtype=float)[None, :]
     return np.sum(a[None, :] / (n + k + 1.0), axis=1)
 
 
+def _column_chunked_matrix(a, out_order):
+    # every output row against one chunk of 256 columns at a time, all rows
+    # at once: the row tiles of apply_matrix must give the same bits
+    n = np.arange(out_order, dtype=float)[:, None]
+    k = np.arange(a.size, dtype=float)
+    b = np.zeros(out_order, dtype=a.dtype)
+    for j0 in range(0, a.size, 256):
+        j1 = min(j0 + 256, a.size)
+        b = b + np.sum(a[None, j0:j1] / (n + k[None, j0:j1] + 1.0), axis=1)
+    return b
+
+
 # Inputs longer than the output order (out = 2048), every coefficient
 # nonzero: 2049, 2050 and 2100 end in a partial chunk of 256 columns, 4096
-# fills sixteen. The callers in src/ pass at most 1,024 nonzeros x 2,048
-# outputs (the half-log gap of series-integral-agreement) and one nonzero
-# x --trunc outputs (its constant input).
+# fills sixteen; apply_matrix tiles each chunk into runs of 256 rows, and
+# the exact out orders 1, 255, 257, 2047 and 2049 end in a partial run. The
+# callers in src/ pass at most 1,024 nonzeros x 2,048 outputs (the half-log
+# gap of series-integral-agreement) and one nonzero x --trunc outputs (its
+# constant input).
 _LARGE_INPUT_SIZES = (2049, 2050, 2100, 4096)
+_TILE_EDGE_ORDERS = (1, 255, 256, 257, 2047, 2049)
 
 
 @pytest.mark.parametrize("size", _LARGE_INPUT_SIZES)
@@ -108,6 +131,9 @@ def test_matrix_action_large_input_matches_direct_real(size):
     res = apply_matrix(s, out)
     ref = _direct_matrix(a, out)
     assert np.max(np.abs(res.coeffs - ref)) < 1e-12
+    for out in _TILE_EDGE_ORDERS:
+        assert np.array_equal(apply_matrix(s, out).coeffs,
+                              _column_chunked_matrix(a, out))
 
 
 @pytest.mark.parametrize("size", _LARGE_INPUT_SIZES)
@@ -119,6 +145,9 @@ def test_matrix_action_large_input_matches_direct_complex(size):
     res = apply_matrix(s, out)
     ref = _direct_matrix(a, out)
     assert np.max(np.abs(res.coeffs - ref)) < 1e-12
+    for out in _TILE_EDGE_ORDERS:
+        assert np.array_equal(apply_matrix(s, out).coeffs,
+                              _column_chunked_matrix(a, out))
 
 
 @pytest.mark.parametrize("size", [256, 2048])

@@ -524,6 +524,21 @@ def test_representation_agreement_memory(truncation):
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("check", [verification.h1_upper_bound_internals,
+                                   representation_agreement])
+def test_check_keeps_no_large_temporary(check):
+    # the 10^6 telescoping terms are summed block by block in two reused
+    # arrays of 2^16 doubles, and the matrix action takes 256 x 256 tiles;
+    # a full-size temporary of either is 8 MB
+    tracemalloc.start()
+    try:
+        assert check(1e-8).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_representation_agreement_truncation_too_small():
     # with only 16 output coefficients the constant input cannot reproduce
     # the integral form; the check must fail gracefully with a finite
