@@ -23,7 +23,6 @@ without a call, with every mesh and bit unchanged.
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -265,9 +264,11 @@ def _speculate(f, nodes, depth, known, events):
     """Store in known the halves' (v1, e1, v2, e2) of each (k, lo, pm, hi)
     of nodes and of the panels below it, depth levels of halves in all,
     from one call of f. False, storing nothing, if the call has a
-    non-finite row, raises, trips a NumPy floating-point event that the
-    np.errstate keywords events set to "raise", or warns: the call without
-    speculation then fails or warns as it would have."""
+    non-finite row, raises (a warning that the caller's filters make an
+    error included) or trips a NumPy floating-point event that the
+    np.errstate keywords events set to "raise": the call without
+    speculation then fails as it would have. The warning filters stay the
+    caller's, so a warning they only show shows, and the call stands."""
     level = nodes
     for _ in range(depth - 1):
         # the next level: the halves of this one that can still be split
@@ -276,8 +277,7 @@ def _speculate(f, nodes, depth, known, events):
         nodes = nodes + level
     ends = np.array([node[1:] for node in nodes])
     try:
-        with np.errstate(**events), warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with np.errstate(**events):
             vals, errs, bad = _rule(f, np.array([node[0] for node in nodes]).repeat(2),
                                     ends[:, :2].ravel(), ends[:, 1:].ravel())
     except Exception:

@@ -41,7 +41,7 @@ AT_BOUNDARY_LIMIT = "AtBoundaryLimit"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 160
-_LOOKAHEAD = 3  # golden steps per objective call, at most 7 points a bracket
+_LOOKAHEAD = 3  # golden steps per call of _golden_max_one, at most 7 points
 _R_MAX = np.nextafter(1.0, 0.0)
 
 # The default grids of both searches: the number of points, and the end of
@@ -77,92 +77,57 @@ def _golden_max(fun, lo, hi):
     """Golden-section maximization on every bracket [lo[i], hi[i]] in
     lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
     index arrays i: first at the two interior points of every bracket, in
-    one call, then once per _LOOKAHEAD golden steps of the brackets still
-    live. A step's point follows from the comparison of the bracket's two
-    interior values, so the next _LOOKAHEAD steps can reach at most
-    2^_LOOKAHEAD - 1 points, all known before any of their values: the
-    first step's point, then two points for each outcome of each
-    comparison. The call evaluates all of them, and the steps are then
-    taken one at a time on those values with the arithmetic of a one-point
-    step, so the result is bit for bit that of one point per step. A
-    bracket stops once it is 1e-12 relative narrow (never on its two
-    interior values agreeing: they can agree while they straddle the peak),
-    or after 160 steps. Returns the arrays (x_best, f_best)."""
+    one call, then once per golden step at the one new point of each
+    bracket still live. A bracket stops once it is 1e-12 relative narrow
+    (never on its two interior values agreeing: they can agree while they
+    straddle the peak), or after 160 steps. Returns the arrays
+    (x_best, f_best)."""
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
     live = np.arange(lo.size)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = np.split(np.asarray(fun(np.concatenate([c, d]),
-                                     np.concatenate([live, live])),
+    fc, fd = np.split(np.asarray(fun(np.concatenate([c, d]), np.tile(live, 2)),
                                  dtype=float), 2)
     x_best, f_best = np.empty(lo.size), np.empty(lo.size)
-
-    def finish(ids, c, d, fc, fd):
-        at_c = fc >= fd
-        x_best[ids], f_best[ids] = np.where(at_c, c, d), np.where(at_c, fc, fd)
-
     steps = 0
     while live.size:
-        depth = min(_LOOKAHEAD, _GOLDEN_MAX_ITER - steps)
-        # the brackets the next depth steps can reach, level by level: the
-        # first step goes the way the known values say, each later one both
-        # ways (children 2k and 2k + 1 of node k step left and right)
-        left = first = fc >= fd
-        owner, levels = live, []
-        for level in range(depth):
-            if level:
-                lo, c, d, hi, owner = (np.repeat(v, 2)
-                                       for v in (lo, c, d, hi, owner))
-                left = np.arange(lo.size) % 2 == 0
-            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-            width = hi - lo
-            step = _INVPHI * width
-            x = np.where(left, hi - step, lo + step)
-            c, d = np.where(left, x, d), np.where(left, c, x)
-            done = width <= 1e-12 * np.maximum(1.0, np.abs(c))
-            levels.append((x, owner, c, d, done))
-        fx = np.asarray(fun(np.concatenate([v[0] for v in levels]),
-                            np.concatenate([v[1] for v in levels])),
-                        dtype=float)
-        # take the steps one at a time on those values: node idx of a level
-        # is entry idx of its arrays and of its slice of fx
-        left, idx, start = first, np.arange(live.size), 0
-        for level, (x, _, c, d, done) in enumerate(levels):
-            if level:
-                left = fc >= fd
-                idx = 2 * idx + ~left
-            f = fx[start + idx]
-            start += x.size
-            fc, fd = np.where(left, f, fd), np.where(left, fc, f)
-            stop = done[idx]
-            if np.count_nonzero(stop):
-                finish(live[stop], c[idx[stop]], d[idx[stop]], fc[stop],
-                       fd[stop])
-                idx, fc, fd, live = (v[~stop] for v in (idx, fc, fd, live))
-        lo, c, d, hi = lo[idx], c[idx], d[idx], hi[idx]
-        steps += depth
-        if steps == _GOLDEN_MAX_ITER:
-            finish(live, c, d, fc, fd)
-            break
+        steps += 1
+        # keep the side of the larger interior value; its interior point
+        # carries over and the new one goes on the other side of it
+        left = fc >= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        width = hi - lo
+        x = np.where(left, hi - _INVPHI * width, lo + _INVPHI * width)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        f = np.asarray(fun(x, live), dtype=float)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        done = width <= 1e-12 * np.maximum(1.0, np.abs(c))
+        done |= steps == _GOLDEN_MAX_ITER
+        if np.count_nonzero(done):
+            at_c = fc >= fd
+            x_best[live[done]] = np.where(at_c, c, d)[done]
+            f_best[live[done]] = np.where(at_c, fc, fd)[done]
+            live, lo, c, d, hi, fc, fd = (v[~done] for v in (live, lo, c, d, hi, fc, fd))
     return x_best, f_best
 
 
 def _golden_max_one(fun, lo, hi):
-    """_golden_max on the one bracket [lo, hi], in Python float arithmetic:
-    fun(xs) returns the objective at the list of floats xs as a list. Each
-    call gets the points, in the order, of the lockstep search of that one
-    bracket, and each tree node takes the same float operations, so the
-    result is the same bits; with no array bookkeeping, a step costs a few
-    float operations instead of NumPy calls on 1 to 4 elements. Returns
-    (x_best, f_best)."""
+    """_golden_max on the one bracket [lo, hi] in Python floats, looking
+    ahead: fun(xs) returns the objective at the list of floats xs as a list,
+    first at the two interior points, then at the up to 2^_LOOKAHEAD - 1
+    points that the next _LOOKAHEAD steps can reach, all known before any
+    of their values (a step's point follows from the comparison of the two
+    interior values). The steps are then taken one at a time on those
+    values with the float operations of _golden_max: the same bits in fewer
+    calls. Returns (x_best, f_best)."""
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = fun([c, d])
     steps = 0
     while True:
         depth = min(_LOOKAHEAD, _GOLDEN_MAX_ITER - steps)
-        # the tree of _golden_max: one node at the first level, which steps
-        # the way the known values say, then children 2k and 2k + 1 of node
-        # k stepping left and right from their parent (plo, pc, pd, phi); a
-        # node is (lo, c, d, hi, x, done)
+        # the tree of the next depth steps: one node at the first level,
+        # which steps the way the known values say, then children 2k and
+        # 2k + 1 of node k stepping left and right from their parent
+        # (plo, pc, pd, phi); a node is (lo, c, d, hi, x, done)
         levels, nodes = [], [(lo, c, d, hi)]
         for level in range(depth):
             children = []

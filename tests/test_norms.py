@@ -13,7 +13,7 @@ from hilbertnorm.catalog import (
     eval_series,
     taylor_coeffs,
 )
-from hilbertnorm import norms, supsearch
+from hilbertnorm import norms
 from hilbertnorm.norms import (
     _mean_objective,
     bloch_norm,
@@ -34,6 +34,7 @@ from hilbertnorm.supsearch import (
     supremum_unit,
     unit_grid,
 )
+from test_supsearch import _plain_golden_max
 
 # sup_r I_{-1/2}(r) for the c = p*alpha - 1 route at p = 1, alpha = 1/2
 K_HALF = 1.18034059901609623
@@ -417,28 +418,16 @@ def test_series_maxima_reach_the_dense_grid_maximum():
             assert value >= want - tol * max(1.0, want), (a.size, r)
 
 
-def test_series_maxima_same_bits_at_every_lookahead(monkeypatch):
-    # the circle maxima take the searches' speculative golden steps: the
-    # bits of one step per objective call, in fewer calls
+def test_series_maxima_same_bits_as_plain_golden_steps(monkeypatch):
+    # the circle maxima refine their brackets in the lockstep core: the
+    # bytes of the test suite's own one-step-per-call golden section
     rs = unit_grid()[1][::8]
-    calls = []
-    golden_max = norms._golden_max
-
-    def counted(fun, lo, hi):
-        def fun_counted(x, i):
-            calls.append(x.size)
-            return fun(x, i)
-        return golden_max(fun_counted, lo, hi)
-
-    monkeypatch.setattr(norms, "_golden_max", counted)
     for a in _random_polynomials(7, 4, max_degree=24):
-        got = {}
-        for depth in (1, 3):
-            monkeypatch.setattr(supsearch, "_LOOKAHEAD", depth)
-            calls.clear()
-            got[depth] = norms._series_maxima(a, rs).tobytes(), len(calls)
-        assert got[3][0] == got[1][0]
-        assert got[3][1] < got[1][1]
+        got = norms._series_maxima(a, rs).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_golden_max",
+                      lambda fun, lo, hi: _plain_golden_max(fun, lo, hi)[:2])
+            assert norms._series_maxima(a, rs).tobytes() == got
 
 
 # (p, log_weighted, tail_bound) of the norms that keep the radial sweep

@@ -229,8 +229,9 @@ def test_vectorized_grid_is_one_call():
 
 def _plain_golden_max(fun, lo, hi):
     """Golden section with one objective call per step on every live
-    bracket: the reference _golden_max reproduces bit for bit at every
-    lookahead. Returns (x_best, f_best, steps)."""
+    bracket, written apart from the library: the reference that
+    _golden_max and _golden_max_one at every lookahead reproduce bit for
+    bit. Returns (x_best, f_best, steps)."""
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
     live = np.arange(lo.size)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
@@ -282,6 +283,8 @@ def _one_bracket(fun, lo, hi):
     for case in sorted(GOLDEN_CASES)])
 def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead,
                                                           core, monkeypatch):
+    # the lookahead is the one-bracket core's alone: the lockstep core
+    # takes the plain steps at every setting of it
     monkeypatch.setattr(supsearch, "_LOOKAHEAD", lookahead)
     fun, lo, hi = GOLDEN_CASES[case]
     if core is _golden_max:
@@ -307,13 +310,21 @@ def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead,
 
         x_best, f_best = core(counted, lo, hi)
         assert np.array_equal(x_best, x_ref) and np.array_equal(f_best, f_ref)
-        # every point of the plain steps, bit for bit, among those evaluated
-        assert points.issuperset(plain)
-        # both interior points in one call, then one call per lookahead
-        # steps, each with at most 2^lookahead - 1 points of a bracket
+        # both interior points of every bracket in one call
         assert calls[0] == 2
-        assert max(calls[1:]) <= 2 ** lookahead - 1
-        assert len(calls) - 1 == math.ceil(steps / lookahead)
+        if core is _golden_max:
+            # then one call per golden step, at most one point a bracket:
+            # the points of the plain steps and no others
+            assert points == set(plain)
+            assert max(calls[1:]) <= 1
+            assert len(calls) - 1 == steps
+        else:
+            # every point of the plain steps, bit for bit, among those
+            # evaluated; one call per lookahead steps, each with at most
+            # 2^lookahead - 1 points
+            assert points.issuperset(plain)
+            assert max(calls[1:]) <= 2 ** lookahead - 1
+            assert len(calls) - 1 == math.ceil(steps / lookahead)
         if case == "step-cap":
             assert steps == 160
     if case == "brackets-stop-apart":
