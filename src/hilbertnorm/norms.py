@@ -32,8 +32,8 @@ from .catalog import (Kind, TestFunction, CoefficientSeries, eval as cat_eval,
 from .quadrature import (QuadratureError, SingularitySpec, integrate,
                          integrate_singular)
 from .specfun import log_weight
-from .supsearch import (SupResult, _golden_max, pointwise, supremum_unit,
-                        unit_grid, AT_ZERO, AT_BOUNDARY_LIMIT)
+from .supsearch import (SupResult, pointwise, supremum_unit, unit_grid,
+                        AT_ZERO, AT_BOUNDARY_LIMIT)
 
 __all__ = [
     "hardy_norm",
@@ -321,8 +321,10 @@ def _series_maxima(coeffs, rs):
     coefficients. |f(r e^{2 pi i j / n})| is one unscaled inverse FFT of
     a_k r^k per radius (n: 4096, or more for a longer series), in blocks of
     radii. The grid maximum of each circle is refined around its top three
-    local maxima by golden section, every bracket of every circle in one
-    lockstep search (supsearch._golden_max)."""
+    local maxima by 4 Newton steps on theta for g = |f(r e^{i theta})|^2,
+    every peak of every circle in lockstep: a step is taken only where
+    g'' < 0 and is clipped to one grid spacing h around its grid point, and
+    the refined value counts only where it beats the grid's."""
     rs = np.asarray(rs, dtype=float)
     if not coeffs.size:  # the zero function, which polyval cannot take
         return np.zeros(rs.size)
@@ -342,9 +344,23 @@ def _series_maxima(coeffs, rs):
         peaks.append(j[top])
         best.append(np.max(vals, axis=1))
     best, k = np.concatenate(best), np.concatenate(circles)
-    theta, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
-    _, refined = _golden_max(lambda t, i: np.abs(np.polynomial.polynomial.polyval(
-        rs[k[i]] * np.exp(1j * t), coeffs)), theta - h, theta + h)
+    theta0, h = 2.0 * np.pi * np.concatenate(peaks) / n, 2.0 * np.pi / n
+    # Newton on g = |F|^2, F(theta) = f(z) / m at z = r e^{i theta}, m the
+    # circle's grid maximum, which keeps the products in range at every
+    # scale of the coefficients: F' = i z f'/m and F'' = -(z f' + z^2 f'')/m
+    # give g'/2 = -Im(conj(F) z f'/m), g''/2 = |z f'/m|^2 + Re(conj(F) F'')
+    m = np.where(best[k] > 0.0, best[k], 1.0)
+    polyval, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    d1, d2 = polyder(coeffs), polyder(coeffs, 2)
+    theta = theta0
+    for _ in range(4):
+        z = rs[k] * np.exp(1j * theta)
+        f, zf1 = polyval(z, coeffs) / m, z * polyval(z, d1) / m
+        g1 = -np.imag(np.conj(f) * zf1)
+        g2 = np.abs(zf1) ** 2 - np.real(np.conj(f) * (zf1 + z * z * polyval(z, d2) / m))
+        newton = np.divide(g1, g2, out=np.zeros_like(g1), where=g2 < 0.0)
+        theta = np.clip(theta - newton, theta0 - h, theta0 + h)
+    refined = np.abs(polyval(rs[k] * np.exp(1j * theta), coeffs))
     np.maximum.at(best, k, refined)
     return best
 

@@ -6,13 +6,13 @@ interval uses r = 1 - e^{-x}, saturated at the largest double below 1, so a
 uniform x-grid packs radii geometrically toward the boundary; the half-line
 uses x itself, uniform on [0, 10] with a log-spaced tail. The core evaluates
 the grid, raises a divergence signal carrying the witness values when the
-objective blows up along the tail, classifies the first point within the tie
-band of the maximum (ties break toward the smallest argument) as AtZero,
-Interior or AtBoundaryLimit, and refines its bracket by golden section in x.
-Objectives map an ndarray of arguments to an ndarray of values: the grid is
-one call, and refinement is speculative, each call evaluating every point
-the next three golden steps can reach, with the same result as one point
-per step. A removable singularity at 0 is the objective's job: the
+objective blows up along the tail, and classifies the first point within the
+tie band of the maximum (ties break toward the smallest argument) as AtZero,
+Interior or AtBoundaryLimit. A maximum at the first grid point is AtZero
+unless one call on 7 geometric points below the second one finds a larger
+value; an interior maximum is refined by Brent's method in x, one point per
+call. Objectives map an ndarray of arguments to an ndarray of values, so the
+grid is one call. A removable singularity at 0 is the objective's job: the
 objective returns its value at 0, and the searcher never extrapolates to
 points it did not evaluate. pointwise lifts a scalar closed form to such an
 objective in its own scalar arithmetic.
@@ -39,9 +39,8 @@ INTERIOR = "Interior"
 AT_ZERO = "AtZero"
 AT_BOUNDARY_LIMIT = "AtBoundaryLimit"
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_MAX_ITER = 160
-_LOOKAHEAD = 3  # golden steps per call of _golden_max_one, at most 7 points
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _R_MAX = np.nextafter(1.0, 0.0)
 
 # The default grids of both searches: the number of points, and the end of
@@ -73,93 +72,50 @@ class DivergenceError(Exception):
         self.witness = witness or []
 
 
-def _golden_max(fun, lo, hi):
-    """Golden-section maximization on every bracket [lo[i], hi[i]] in
-    lockstep. fun(x, i) returns the objective of bracket i[j] at x[j] for
-    index arrays i: first at the two interior points of every bracket, in
-    one call, then once per golden step at the one new point of each
-    bracket still live. A bracket stops once it is 1e-12 relative narrow
-    (never on its two interior values agreeing: they can agree while they
-    straddle the peak), or after 160 steps. Returns the arrays
-    (x_best, f_best)."""
-    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
-    live = np.arange(lo.size)
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = np.split(np.asarray(fun(np.concatenate([c, d]), np.tile(live, 2)),
-                                 dtype=float), 2)
-    x_best, f_best = np.empty(lo.size), np.empty(lo.size)
-    steps = 0
-    while live.size:
-        steps += 1
-        # keep the side of the larger interior value; its interior point
-        # carries over and the new one goes on the other side of it
-        left = fc >= fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        width = hi - lo
-        x = np.where(left, hi - _INVPHI * width, lo + _INVPHI * width)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        f = np.asarray(fun(x, live), dtype=float)
-        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
-        done = width <= 1e-12 * np.maximum(1.0, np.abs(c))
-        done |= steps == _GOLDEN_MAX_ITER
-        if np.count_nonzero(done):
-            at_c = fc >= fd
-            x_best[live[done]] = np.where(at_c, c, d)[done]
-            f_best[live[done]] = np.where(at_c, fc, fd)[done]
-            live, lo, c, d, hi, fc, fd = (v[~done] for v in (live, lo, c, d, hi, fc, fd))
-    return x_best, f_best
-
-
-def _golden_max_one(fun, lo, hi):
-    """_golden_max on the one bracket [lo, hi] in Python floats, looking
-    ahead: fun(xs) returns the objective at the list of floats xs as a list,
-    first at the two interior points, then at the up to 2^_LOOKAHEAD - 1
-    points that the next _LOOKAHEAD steps can reach, all known before any
-    of their values (a step's point follows from the comparison of the two
-    interior values). The steps are then taken one at a time on those
-    values with the float operations of _golden_max: the same bits in fewer
-    calls. Returns (x_best, f_best)."""
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = fun([c, d])
-    steps = 0
+def _brent_max(fun, lo, hi):
+    """Maximum of the scalar function fun on [lo, hi] by Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): a parabolic step through the three best points when it lands
+    inside the bracket and moves less than half the step before last, a
+    golden-section step into the larger side otherwise. One point per call,
+    each strictly inside [lo, hi]; stops once the best point x is within
+    2 t - (b - a)/2 of the middle of the bracket [a, b] left,
+    t = sqrt(eps) |x| + 1e-12. Returns (x_best, f_best)."""
+    a, b = lo, hi
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = -fun(x)  # Brent minimizes; so does this core, -fun
+    d = e = 0.0
     while True:
-        depth = min(_LOOKAHEAD, _GOLDEN_MAX_ITER - steps)
-        # the tree of the next depth steps: one node at the first level,
-        # which steps the way the known values say, then children 2k and
-        # 2k + 1 of node k stepping left and right from their parent
-        # (plo, pc, pd, phi); a node is (lo, c, d, hi, x, done)
-        levels, nodes = [], [(lo, c, d, hi)]
-        for level in range(depth):
-            children = []
-            for plo, pc, pd, phi, *_ in nodes:
-                for left in (True, False) if level else (fc >= fd,):
-                    if left:
-                        width = pd - plo
-                        x = pd - _INVPHI * width
-                        children.append((plo, x, pc, pd, x,
-                                         width <= 1e-12 * max(1.0, abs(x))))
-                    else:
-                        width = phi - pc
-                        x = pc + _INVPHI * width
-                        children.append((pc, pd, x, phi, x,
-                                         width <= 1e-12 * max(1.0, abs(pd))))
-            levels.append(children)
-            nodes = children
-        fx = fun([node[4] for children in levels for node in children])
-        start = idx = 0
-        for level, children in enumerate(levels):
-            left = fc >= fd
-            if level:
-                idx = 2 * idx + (not left)
-            lo, c, d, hi, _, done = children[idx]
-            f = fx[start + idx]
-            start += len(children)
-            fc, fd = (f, fc) if left else (fd, f)
-            if done:
-                break
-        steps += depth
-        if done or steps == _GOLDEN_MAX_ITER:
-            return (c, fc) if fc >= fd else (d, fd)
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + 1e-12
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, -fx
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -fun(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _check_divergence(xs, vals, x_span_tail):
@@ -220,15 +176,19 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     public searches. g maps an ndarray of arguments to an ndarray of values
     of the same shape. The grid is one call; the first point within the tie
     band of the grid maximum, max(tol, 4 eps) times its modulus so that the
-    class does not depend on the scale of g, is classified, and its bracket
-    is golden-refined in x by _golden_max_one, one call on the bracket's two
-    interior points and then one on the up to 7 points that each next three
-    golden steps can reach.
+    class does not depend on the scale of g, is classified. A maximum at
+    the first point takes one more call, on the 7 points x1 10^-k,
+    k = 7..1, below the second grid point x1: it is AtZero unless one of
+    them beats it by more than the tie band, and then the best of them is
+    refined in its place. _brent_max refines the maximum between its two
+    neighbours in x, one point per call. An interior supremum's error
+    estimate is the tie band of its value.
     limit_at_infinity, when it beats the grid maximum by more than the tie
     band, is the supremum at arg = infinity; tail_span is the x-distance the
     divergence test looks back over."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol {tol} must be positive and finite")
+    band = max(tol, 4.0 * np.finfo(float).eps)
 
     def evaluate(args):
         vals = np.asarray(g(args), dtype=float)
@@ -244,7 +204,7 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     _check_divergence(xs, vals, tail_span)
 
     vmax = float(np.max(vals))
-    tie_tol = max(tol, 4.0 * np.finfo(float).eps) * abs(vmax)
+    tie_tol = band * abs(vmax)
     if limit_at_infinity is not None and float(limit_at_infinity) > vmax + tie_tol:
         return SupResult(float(limit_at_infinity), math.inf, AT_BOUNDARY_LIMIT,
                          float(abs(float(limit_at_infinity) - vals[-1])))
@@ -260,16 +220,25 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
         return SupResult(vmax, float(args[-1]), AT_BOUNDARY_LIMIT,
                          float(abs(vals[-1] - vals[-2])))
 
-    x_star, v_star = _golden_max_one(
-        lambda x: evaluate(np.array([to_arg(v) for v in x])).tolist(),
-        float(xs[max(ibest - 1, 0)]), float(xs[min(ibest + 1, last)]))
-    if ibest == 0 and v_star <= vals[0] + tie_tol:
-        return SupResult(vmax, 0.0, AT_ZERO,
-                         float(abs(vals[0] - vals[1])) if len(vals) > 1 else 0.0)
+    if ibest == 0:
+        # one call between the first two grid points, at x1 10^-k
+        edges = [float(xs[0]), *(float(xs[1]) * 10.0 ** -k for k in range(7, 0, -1)),
+                 float(xs[1])]
+        near_args = np.array([to_arg(x) for x in edges[1:-1]])
+        near_vals = evaluate(near_args)
+        j = int(np.argmax(near_vals))
+        if not near_vals[j] > vals[0] + tie_tol:
+            return SupResult(vmax, 0.0, AT_ZERO, float(abs(vals[0] - vals[1])))
+        vmax, arg_best, lo, hi = (float(near_vals[j]), float(near_args[j]),
+                                  edges[j], edges[j + 2])
+    else:
+        arg_best, lo, hi = (float(args[ibest]), float(xs[ibest - 1]),
+                            float(xs[min(ibest + 1, last)]))
+    x_star, v_star = _brent_max(
+        lambda x: float(evaluate(np.array([to_arg(x)]))[0]), lo, hi)
     value = max(vmax, v_star)
-    arg = float(to_arg(x_star)) if v_star >= vmax else float(args[ibest])
-    return SupResult(value, arg, INTERIOR,
-                     float(abs(v_star - vmax) + tol * max(1.0, value)))
+    arg = float(to_arg(x_star)) if v_star >= vmax else arg_best
+    return SupResult(value, arg, INTERIOR, band * abs(value))
 
 
 def _require_grid(n_grid, x_max, x_min):
@@ -286,8 +255,9 @@ def supremum_unit(g, tol, n_grid=DEFAULT_N_GRID, x_max=DEFAULT_UNIT_X_MAX):
     g maps an ndarray of radii to an ndarray of values of the same shape,
     its value at r = 0 included. Evaluates g on r = 1 - e^{-x} for x uniform
     on [0, x_max] in one call (the grid saturates at the largest double
-    below 1 and is deduplicated there), golden-refines the winning bracket
-    in x, up to 7 radii per call, and classifies the maximizer. n_grid must
+    below 1 and is deduplicated there), classifies the maximizer and
+    refines it in x: one call on 7 radii below the second grid radius for a
+    maximum at r = 0, one radius per call in Brent's method. n_grid must
     be at least 2 and x_max positive and finite."""
     _require_grid(n_grid, x_max, 0.0)
     xs, rs = unit_grid(n_grid, x_max)

@@ -34,7 +34,6 @@ from hilbertnorm.supsearch import (
     supremum_unit,
     unit_grid,
 )
-from test_supsearch import _plain_golden_max
 
 # sup_r I_{-1/2}(r) for the c = p*alpha - 1 route at p = 1, alpha = 1/2
 K_HALF = 1.18034059901609623
@@ -418,16 +417,27 @@ def test_series_maxima_reach_the_dense_grid_maximum():
             assert value >= want - tol * max(1.0, want), (a.size, r)
 
 
-def test_series_maxima_same_bits_as_plain_golden_steps(monkeypatch):
-    # the circle maxima refine their brackets in the lockstep core: the
-    # bytes of the test suite's own one-step-per-call golden section
-    rs = unit_grid()[1][::8]
-    for a in _random_polynomials(7, 4, max_degree=24):
-        got = norms._series_maxima(a, rs).tobytes()
-        with monkeypatch.context() as m:
-            m.setattr(norms, "_golden_max",
-                      lambda fun, lo, hi: _plain_golden_max(fun, lo, hi)[:2])
-            assert norms._series_maxima(a, rs).tobytes() == got
+def test_series_maxima_match_a_dense_fft_reference():
+    # Newton refinement of the circle maxima, plain and with every NumPy
+    # floating-point event trapped: never below the 4096-angle grid it
+    # refines, never more than 1e-12 below the maximum over 2^20 angles,
+    # and above that maximum by at most the grid's own error, which
+    # Bernstein's inequality bounds for |f|^2, of degree d, by the factor
+    # 1 / (1 - (pi d / 2^20)^2 / 2) on the square
+    rs = unit_grid()[1][[0, 10, 60, 150, 300, -1]]
+    rng = np.random.default_rng(36)
+    for degree in (4, 11, 40, 97, 256):
+        a = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        got = norms._series_maxima(a, rs)
+        with np.errstate(all="raise"):
+            assert norms._series_maxima(a, rs).tobytes() == got.tobytes()
+        slack = 1.0 / math.sqrt(1.0 - 0.5 * (math.pi * degree / (1 << 20)) ** 2)
+        for r, value in zip(rs, got):
+            row = a * r ** np.arange(a.size)
+            grid = float(np.max(np.abs(np.fft.ifft(row, 4096, norm="forward"))))
+            dense = float(np.max(np.abs(np.fft.ifft(row, 1 << 20, norm="forward"))))
+            assert value >= grid, (degree, r)
+            assert dense * (1.0 - 1e-12) <= value <= dense * slack * (1.0 + 1e-12), (degree, r)
 
 
 # (p, log_weighted, tail_bound) of the norms that keep the radial sweep

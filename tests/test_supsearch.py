@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from hilbertnorm import supsearch
 from hilbertnorm.supsearch import (
     AT_BOUNDARY_LIMIT,
     AT_ZERO,
@@ -18,9 +17,7 @@ from hilbertnorm.supsearch import (
     supremum_halfline,
     supremum_unit,
     unit_grid,
-    _INVPHI,
-    _golden_max,
-    _golden_max_one,
+    _brent_max,
 )
 
 
@@ -171,20 +168,22 @@ def test_short_grid_has_no_divergent_tail(g, kwargs):
 
 # Scalar objectives on [0, 1), the keywords of their unit search, and the
 # result each gave when a scalar objective took one point per call (grid
-# point by grid point, one golden step per call) and a limit_at_zero
+# point by grid point, one refinement point per call) and a limit_at_zero
 # argument replaced the value at r = 0, which the objectives below now
-# return themselves; reprs round-trip, so == is bit for bit.
+# return themselves; the arguments and error estimates of the two interior
+# suprema are those of Brent refinement, their values those of the golden
+# section before it; reprs round-trip, so == is bit for bit.
 UNIT_OBJECTIVES = [
     (lambda r: (1.0 - r) * r, {},
-     SupResult(0.25, 0.49999999994151884, INTERIOR, 3.186469249039145e-05)),
+     SupResult(0.25, 0.499999994774665, INTERIOR, 2.5e-10)),
     (lambda r: 1.0 / (1.0 + r), {},
      SupResult(1.0, 0.0, AT_ZERO, 0.0700205458221056)),
     (lambda r: 1.0 - (1.0 - r) ** 0.1, {},
      SupResult(0.9746171126138676, 0.9999999999999999, AT_BOUNDARY_LIMIT,
                0.00182181771687151)),
     (lambda r: math.sin(5.0 * r) * (1.0 - r), {},
-     SupResult(0.7130497995967379, 0.26127929084657714, INTERIOR,
-               0.0005793747001800192)),
+     SupResult(0.7130497995967379, 0.2612792934979051, INTERIOR,
+               7.130497995967379e-10)),
     (lambda r: math.sin(r) / r if r else 1.0, {},
      SupResult(1.0, 0.0, AT_ZERO, 0.0009445608140793427)),
     (lambda r: 2.0, {"n_grid": 64, "x_max": 25.0},
@@ -194,24 +193,14 @@ UNIT_OBJECTIVES = [
 
 @pytest.mark.parametrize("case", range(len(UNIT_OBJECTIVES)))
 def test_vectorized_twin_gives_identical_result(case):
-    # the array search of the twin, three golden steps per call, gives the
-    # scalar search's result; so does the library's lift of g
+    # the array search of the twin gives the scalar search's result; so
+    # does the library's lift of g
     g, kwargs, scalar = UNIT_OBJECTIVES[case]
     assert supremum_unit(_array_twin(g), 1e-9, **kwargs) == scalar
     assert supremum_unit(pointwise(g), 1e-9, **kwargs) == scalar
 
 
 def test_vectorized_grid_is_one_call():
-    # the golden steps of the winning bracket, counted by the one-point
-    # reference below on the same bracket around the grid maximum
-    xs, rs = unit_grid()
-    best = int(np.argmax(rs * (1.0 - rs)))
-
-    def one_point(x, _):
-        r = np.array([-math.expm1(-v) for v in x.tolist()])
-        return r * (1.0 - r)
-
-    steps = _plain_golden_max(one_point, xs[best - 1], xs[best + 1])[2]
     calls = []
 
     def g(rs):
@@ -219,119 +208,116 @@ def test_vectorized_grid_is_one_call():
         return rs * (1.0 - rs)
 
     supremum_unit(g, 1e-10)
-    # the grid, then both interior points, then one call of at most
-    # 2^3 - 1 points for every three golden steps
-    assert calls[0] == rs.size
-    assert calls[1] == 2
-    assert max(calls[2:]) <= 7
-    assert len(calls) - 2 == math.ceil(steps / 3)
+    # the grid, then Brent refinement, one point per call
+    assert calls[0] == unit_grid()[1].size
+    assert len(calls) > 1 and set(calls[1:]) == {1}
 
 
-def _plain_golden_max(fun, lo, hi):
-    """Golden section with one objective call per step on every live
-    bracket, written apart from the library: the reference that
-    _golden_max and _golden_max_one at every lookahead reproduce bit for
-    bit. Returns (x_best, f_best, steps)."""
-    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
-    live = np.arange(lo.size)
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = (np.array(fun(x, live), dtype=float) for x in (c, d))
-    steps = 0
-    while live.size and steps < 160:
-        steps += 1
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        hi[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        lo[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        c[lt] = hi[lt] - _INVPHI * (hi[lt] - lo[lt])
-        d[rt] = lo[rt] + _INVPHI * (hi[rt] - lo[rt])
-        fx = np.asarray(fun(np.where(left, c[live], d[live]), live), dtype=float)
-        fc[lt], fd[rt] = fx[left], fx[~left]
-        done = hi[live] - lo[live] <= 1e-12 * np.maximum(1.0, np.abs(c[live]))
-        live = live[~done]
-    at_c = fc >= fd
-    return np.where(at_c, c, d), np.where(at_c, fc, fd), steps
+@both_searches
+def test_interior_error_estimate_is_scale_free(entry):
+    # the error estimate of an interior supremum is the tie band of its
+    # value, relative like the band; tol * max(1, value) was absolute below
+    # 1 and did not shrink with the objective
+    res = _search(entry, lambda e: e * (1.0 - e), 1e-9)
+    small = _search(entry, lambda e: 1e-6 * e * (1.0 - e), 1e-9)
+    assert res.boundary == small.boundary == INTERIOR
+    assert small.error_estimate == pytest.approx(1e-6 * res.error_estimate,
+                                                 rel=1e-12)
 
 
-_PEAKS = np.array([0.3, 2e-4, 40.0, -1.0])
+@both_searches
+def test_maximum_at_zero_takes_one_probe_call(entry):
+    # a grid maximum at the first point takes one call on at most 7 points
+    # between the first two grid points, and none of them beats it
+    calls = []
+    search, dist, grid = SEARCHES[entry]
 
-# (objective fun(x, i), lo, hi) of golden-section searches
+    def g(args):
+        calls.append(args.copy())
+        return np.array([1.0 / (2.0 - dist(float(a))) for a in args])
+
+    res = search(g, 1e-10)
+    assert res == SupResult(1.0, 0.0, AT_ZERO, res.error_estimate)
+    assert len(calls) == 2 and calls[0].size == grid.size
+    assert 1 <= calls[1].size <= 7
+    assert np.all((0.0 < calls[1]) & (calls[1] < grid[1]))
+
+
+@both_searches
+def test_narrow_bump_below_the_first_grid_step_is_interior(entry):
+    # a bump of width x1/4000 at x1 10^-3, invisible to the grid, whose
+    # maximum is at 0: the probe call finds it, and Brent refines it
+    search = SEARCHES[entry][0]
+    to_x = (lambda r: -math.log1p(-r)) if entry == "unit" else (lambda x: x)
+    x1 = float((unit_grid()[0] if entry == "unit" else halfline_grid())[1])
+    center = 1e-3 * x1
+    width = center / 4.0
+
+    def h(x):
+        return 1.0 / (1.0 + x) + 0.5 * math.exp(-((x - center) / width) ** 2)
+
+    res = search(_array_twin(lambda a: h(to_x(a))), 1e-10)
+    # the maximum of h on 2001 points, then on 2001 more around the best
+    peak, step = center, width
+    for _ in range(2):
+        xs = np.linspace(peak - step, peak + step, 2001).tolist()
+        dense, peak = max((h(x), x) for x in xs)
+        step /= 1000.0
+    assert res.boundary == INTERIOR
+    assert res.value == pytest.approx(dense, rel=1e-12)
+    assert res.value >= dense
+    assert to_x(res.arg) == pytest.approx(center, rel=1e-2)
+
+
+# Problems of one-dimensional maximization, (fun(x), lo, hi, maximizers):
+# the maximizers are the interval of x where fun attains its maximum. The
+# 1e30-wide bracket ran golden section into its 160-step cap.
+_PEAKS = [0.3, 2e-4, 40.0, -1.0]
 GOLDEN_CASES = {
-    "interior-peak": (lambda x, i: -(x - 0.3) ** 2, 0.0, 1.0),
-    "monotone-to-zero": (lambda x, i: np.exp(-x), 0.0, 1.0),
-    "plateau-ties": (lambda x, i: np.minimum(x, 0.25), 0.0, 1.0),
-    "flat": (lambda x, i: np.ones_like(x), 0.0, 1.0),
-    "brackets-stop-apart": (lambda x, i: -(x - _PEAKS[i]) ** 2,
-                            [0.0, 0.0, 5.0, -3.0], [1.0, 1e-3, 100.0, 2.0]),
-    "step-cap": (lambda x, i: -x, 0.0, 1e30),
+    "interior-peak": [(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, (0.3, 0.3))],
+    "monotone-to-zero": [(lambda x: math.exp(-x), 0.0, 1.0, (0.0, 0.0))],
+    "plateau-ties": [(lambda x: min(x, 0.25), 0.0, 1.0, (0.25, 1.0))],
+    "flat": [(lambda x: 1.0, 0.0, 1.0, (0.0, 1.0))],
+    "brackets-stop-apart": [
+        (lambda x, p=p: -(x - p) ** 2, lo, hi, (p, p))
+        for p, lo, hi in zip(_PEAKS, [0.0, 0.0, 5.0, -3.0], [1.0, 1e-3, 100.0, 2.0])],
+    "step-cap": [(lambda x: -x, 0.0, 1e30, (0.0, 0.0))],
 }
 
 
-def _one_bracket(fun, lo, hi):
-    """_golden_max_one, which _search refines its one bracket with, in the
-    calling form of _golden_max on the one bracket [lo, hi]."""
-    x, f = _golden_max_one(
-        lambda x: fun(np.array(x), np.zeros(len(x), dtype=int)).tolist(),
-        float(lo), float(hi))
-    return np.array([x]), np.array([f])
+# Each problem under the exact maps x -> +-s x of the coordinate, s = 1,
+# 2^10, 2^-20, 2^30; a leading "one-bracket-" marks the mirrored sign. The
+# test's name and ids are those of the golden-section test it replaced.
+@pytest.mark.parametrize("case, sign, scale", [
+    pytest.param(case, sign, 2.0 ** e, id=f"{prefix}{case}-{k}")
+    for prefix, sign in (("", 1.0), ("one-bracket-", -1.0))
+    for case in sorted(GOLDEN_CASES)
+    for k, e in enumerate((0, 10, -20, 30), start=1)])
+def test_golden_lookahead_is_bit_identical_to_plain_steps(case, sign, scale):
+    # the contract of _brent_max: one point per call, every point strictly
+    # inside the bracket, termination, the best point evaluated returned,
+    # and, the problems being unimodal, a maximizer within 2 t of it,
+    # t = sqrt(eps) |x| + 1e-12 (Brent's stop), unless its value is within
+    # the 4 eps of rounding of the maximum; smooth peaks to 1e-8
+    for fun, lo, hi, (left, right) in GOLDEN_CASES[case]:
+        top = fun(left)
+        lo, hi = sorted((sign * scale * lo, sign * scale * hi))
+        left, right = sorted((sign * scale * left, sign * scale * right))
+        points = {}
 
+        def recorded(x):
+            assert type(x) is float and lo < x < hi
+            points[x] = fun(sign * x / scale)
+            return points[x]
 
-@pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
-@pytest.mark.parametrize("case, core", [
-    pytest.param(case, core, id=prefix + case)
-    for prefix, core in (("", _golden_max), ("one-bracket-", _one_bracket))
-    for case in sorted(GOLDEN_CASES)])
-def test_golden_lookahead_is_bit_identical_to_plain_steps(case, lookahead,
-                                                          core, monkeypatch):
-    # the lookahead is the one-bracket core's alone: the lockstep core
-    # takes the plain steps at every setting of it
-    monkeypatch.setattr(supsearch, "_LOOKAHEAD", lookahead)
-    fun, lo, hi = GOLDEN_CASES[case]
-    if core is _golden_max:
-        searches = [(fun, lo, hi)]
-    else:
-        # the one-bracket core searches each bracket on its own
-        searches = [(lambda x, i, k=k: fun(x, i + k), a, b) for k, (a, b)
-                    in enumerate(zip(np.atleast_1d(lo), np.atleast_1d(hi)))]
-    for search, lo, hi in searches:
-        plain = []
-
-        def recorded(x, i):
-            plain.extend(zip(i.tolist(), x.tolist()))
-            return search(x, i)
-
-        x_ref, f_ref, steps = _plain_golden_max(recorded, lo, hi)
-        calls, points = [], set()
-
-        def counted(x, i):
-            calls.append(np.bincount(i).max())
-            points.update(zip(i.tolist(), x.tolist()))
-            return search(x, i)
-
-        x_best, f_best = core(counted, lo, hi)
-        assert np.array_equal(x_best, x_ref) and np.array_equal(f_best, f_ref)
-        # both interior points of every bracket in one call
-        assert calls[0] == 2
-        if core is _golden_max:
-            # then one call per golden step, at most one point a bracket:
-            # the points of the plain steps and no others
-            assert points == set(plain)
-            assert max(calls[1:]) <= 1
-            assert len(calls) - 1 == steps
-        else:
-            # every point of the plain steps, bit for bit, among those
-            # evaluated; one call per lookahead steps, each with at most
-            # 2^lookahead - 1 points
-            assert points.issuperset(plain)
-            assert max(calls[1:]) <= 2 ** lookahead - 1
-            assert len(calls) - 1 == math.ceil(steps / lookahead)
-        if case == "step-cap":
-            assert steps == 160
-    if case == "brackets-stop-apart":
-        _, lo, hi = GOLDEN_CASES[case]
-        alone = {_plain_golden_max(lambda x, i: fun(x, i + k), lo[k], hi[k])[2]
-                 for k in range(len(lo))}
-        assert len(alone) == len(lo)
+        x, f = _brent_max(recorded, lo, hi)
+        assert len(points) <= 300
+        assert points[x] == f == max(points.values())
+        t = math.sqrt(np.finfo(float).eps) * abs(x) + 1e-12
+        assert (left - 2.0 * t <= x <= right + 2.0 * t
+                or f >= top - 4.0 * np.finfo(float).eps * abs(top))
+        if case in ("interior-peak", "brackets-stop-apart"):
+            assert abs(x - left) <= 1e-8 * abs(left)
 
 
 def test_vectorized_rejects_nonfinite_grid_value():
@@ -420,7 +406,7 @@ def test_halfline_divergence_detected():
 
 def test_maximum_at_last_point_reports_that_point():
     # The largest grid value is the last one, but the tail dips before it,
-    # so it is no boundary limit.  Golden refinement of the last bracket
+    # so it is no boundary limit.  Brent refinement of the last bracket
     # never reaches the endpoint; the reported argument is the point that
     # attains the reported value.
     xs = halfline_grid()

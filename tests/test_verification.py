@@ -336,8 +336,9 @@ def test_compute_b_report(verify_run):
 
 
 def test_compute_b_meets_30_digit_value():
-    # the golden section stops on bracket width alone; stopping once its two
-    # interior values agreed left B 3.8e-9 short on the flat peak
+    # refinement stops on its bracket alone; golden section that stopped
+    # once its two interior values agreed left B 3.8e-9 short on the flat
+    # peak
     assert abs(compute_B(1e-8).computed - B_30_DIGITS) <= 1e-12
 
 
@@ -372,11 +373,11 @@ def test_norm_bloch_to_blochlog_report():
 ], ids=["bloch-to-blochlog-norm", "alpha-lower-bound-1.5"])
 def test_log_bloch_witness_is_one_lockstep_sweep(monkeypatch, check):
     # the witness grid goes through the derivative's array route, one
-    # lockstep call with a member per grid radius; golden refinement calls
-    # it on the two interior points of its bracket and then on the at most
-    # 2^3 - 1 points of every three golden steps; |Hf(0)| and derivative_at
-    # are one-member calls and are not counted, so a sweep of scalar calls
-    # makes no call with 200 members
+    # lockstep call with a member per grid radius; a grid maximum at r = 0
+    # takes one more call on at most 7 radii below the second grid radius,
+    # and Brent refinement calls it on one radius at a time; those, |Hf(0)|
+    # and derivative_at are one-member calls and are not counted, so a sweep
+    # of scalar calls makes no call with 200 members
     sweeps = []
     real = hilbertop.integrate_singular
 
@@ -387,8 +388,10 @@ def test_log_bloch_witness_is_one_lockstep_sweep(monkeypatch, check):
 
     monkeypatch.setattr(hilbertop, "integrate_singular", counted)
     assert check().passed
-    assert 1 <= sum(size >= 200 for size in sweeps) <= 2
-    assert all(size <= 7 for size in sweeps if size < 200)
+    grids = sum(size >= 200 for size in sweeps)
+    probes = [size for size in sweeps if size < 200]
+    assert 1 <= grids <= 2
+    assert len(probes) <= grids and all(size <= 7 for size in probes)
 
 
 def test_hinf_norm_report():
@@ -403,19 +406,18 @@ def test_h1_lower_bound_report(verify_run):
     assert rep.computed == pytest.approx(1.6944261753566803, abs=1e-9)
     assert "(AtZero at r = 0)" in rep.detail
     # the detail accounts for the work of the numerator search: the grid
-    # is one call, golden refinement at most 21 more (its two interior
-    # points, then the 2^3 - 1 points of every three golden steps), and the
-    # radii evaluated include every grid radius
+    # is one call, and its maximum at r = 0 one more on 7 radii below the
+    # second grid radius; the radii evaluated include every grid radius
     counts = re.search(r"(\d+) objective calls over (\d+) radii, (\d+) "
                        r"circle-mean integrand values", rep.detail)
     calls, radii, values = (int(v) for v in counts.groups())
     assert radii >= 64
-    assert calls <= 1 + 21
+    assert calls <= 2
     # on the incomplete-beta closed form, all grid radii in one lockstep
-    # integration, the search spends 8,850 values (7,695 with one radius per
-    # golden step); the quadrature route, a profile integral at every angle,
-    # spent 1,904,940 with the sinh substitution of the angular spike and
-    # 3,467,370 with the power substitution of an endpoint exponent -1/2
+    # integration, the search spends 6,930 values; the quadrature route, a
+    # profile integral at every angle, spent 1,904,940 with the sinh
+    # substitution of the angular spike and 3,467,370 with the power
+    # substitution of an endpoint exponent -1/2
     assert 0 < values <= 50_000
 
 
@@ -424,11 +426,10 @@ def test_h1_lower_bound_099_values_budget(verify_run):
     # alpha = 0.99 (ROADMAP item 1), and the detail shows it next to the
     # boundary mean Gamma(1-a)/Gamma(1-a/2)^2 it should reach.  The
     # numerator search runs on the incomplete-beta closed form and spends
-    # 10,050 values (8,895 with one radius per golden step).  The quadrature
-    # route, now the cross-check, spent 2,420,100 on the search with the
-    # angular spike declared as a near singularity at distance
-    # (1-r)/sqrt(r), and 7,496,010 with it declared as the endpoint exponent
-    # -alpha, with theta = pi s^100.
+    # 8,130 values.  The quadrature route, now the cross-check, spent
+    # 2,420,100 on the search with the angular spike declared as a near
+    # singularity at distance (1-r)/sqrt(r), and 7,496,010 with it declared
+    # as the endpoint exponent -alpha, with theta = pi s^100.
     rep = _report(verify_run, "h1-lower-bound-0.99")
     assert rep.passed
     assert "(AtZero at r = 0)" in rep.detail
