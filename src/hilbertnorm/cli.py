@@ -151,6 +151,18 @@ def _fmt_target(target):
     return _fmt(float(target))
 
 
+def _fmt_partial(partial):
+    """A non-convergent check's partial result: the value and error
+    estimate of a quadrature or search result, or the span and last point
+    of a divergence witness's (arg, value) pairs."""
+    if isinstance(partial, list):
+        arg, value = partial[-1]
+        return (f"divergence witness of {len(partial)} points, last "
+                f"({_fmt(arg)}, {_fmt(value)})")
+    return (f"value {_fmt(partial.value)}, error estimate "
+            f"{partial.error_estimate:.3e}")
+
+
 def _emit(name, columns, rows, config, out):
     """Write one data product in the configured format."""
     if config.output_format == "json":
@@ -279,7 +291,9 @@ def cmd_verify(config, out=None, err=None):
         status = "PASS" if report.passed else "FAIL"
         out.write(f"{report.name},{_fmt(report.computed)},"
                   f"{_fmt_target(report.target)},{status}\n")
-        err.write(f"# {report.name}: {report.detail}\n")
+        partial = ("" if report.partial is None
+                   else f"; partial result: {_fmt_partial(report.partial)}")
+        err.write(f"# {report.name}: {report.detail}{partial}\n")
         all_passed = all_passed and report.passed
         if math.isnan(report.computed):
             nonconvergent = True

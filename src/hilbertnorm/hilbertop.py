@@ -13,7 +13,9 @@ that substitution in the derivative kernel gives the path-shifted form.
 Numerical form: every denominator is grouped so no catastrophic cancellation
 occurs as t -> 1 or |z| -> 1, e.g. d_t(z) = (1 - z) + t z, and the composed
 values 1 -+ phi_t(z) are produced as exact-ratio expressions rather than by
-subtracting phi from 1.
+subtracting phi from 1. Real points, such as the radii of a norm search,
+are integrated in real arithmetic, which costs less than complex128; every
+integral form still returns complex128.
 """
 
 import numpy as np
@@ -87,7 +89,9 @@ def _endpoint_spec(fn):
 
 
 def _require_points(z):
-    points = np.asarray(z, dtype=complex)
+    """z as a float or complex ndarray of at most one dimension in the
+    open unit disk: real points stay real."""
+    points = np.asarray(z, dtype=float if np.isrealobj(z) else complex)
     if points.ndim > 1 or not np.all(np.abs(points) < 1.0):
         raise ValueError("evaluation points must satisfy |z| < 1")
     return points
@@ -112,7 +116,7 @@ def _operator_integral(fn, z, tol, kernel):
     value = integrate_singular(
         lambda k, t: kernel(t, omz[k] + zk[k] * (1.0 - t)),
         np.zeros(n), np.ones(n), _endpoint_spec(fn), tol).value
-    return value if points.ndim else complex(value[0])
+    return value.astype(complex) if points.ndim else complex(value[0])
 
 
 def apply_integral(fn, z, tol):
@@ -173,4 +177,4 @@ def derivative_at_pathshifted(fn, z, tol):
     spec = SingularitySpec(right_exponent=_endpoint_spec(fn).right_exponent,
                            left_distance=_pole_distance(points.reshape(-1)))
     value = integrate_singular(integrand, np.zeros(n), np.ones(n), spec, tol).value
-    return value if points.ndim else complex(value[0])
+    return value.astype(complex) if points.ndim else complex(value[0])

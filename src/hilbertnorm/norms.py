@@ -55,12 +55,15 @@ def _validate_p(p):
 
 
 def _inner_tol(tol):
-    """Tolerance of the circle means inside a radial search to tol."""
+    """Tolerance of the circle means inside a radial search to tol, which
+    must be positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol {tol} must be positive and finite")
     return max(0.1 * tol, 1e-13)
 
 
 def _weight_at(r, log_weighted):
-    return float(log_weight(r)) if log_weighted else 1.0
+    return log_weight(r) if log_weighted else 1.0
 
 
 def _circle_pair(r, theta):
@@ -156,7 +159,7 @@ def _mean_objective(f, p, log_weighted, inner_tol):
             means = pointwise(lambda r: abs(cat_eval(f, r)))
         else:
             means = _catalog_means(f, p, inner_tol)
-        weight = pointwise(lambda r: float(log_weight(r)))
+        weight = pointwise(log_weight)
     else:
         raise TypeError("expected a TestFunction or CoefficientSeries")
     if not log_weighted:
@@ -165,8 +168,12 @@ def _mean_objective(f, p, log_weighted, inner_tol):
 
 
 # Trapezoid rules of the swept series means run in blocks of at most this
-# many points, so the FFT work arrays stay near 1 MB.
+# many points, so the FFT work arrays stay near 1 MB; the complex trapezoid
+# rules (_trapezoid_means) in blocks of at most _TRAPEZOID_BLOCK_POINTS (one
+# row, if a row has more), so that each work array stays under 128 KB,
+# glibc's first mmap threshold, which a freed larger one would raise.
 _BLOCK_POINTS = 1 << 16
+_TRAPEZOID_BLOCK_POINTS = 1 << 12
 # Largest trapezoid rule of a swept series mean before the angular
 # fallback, and the angular grid of a series circle maximum.
 _TRAPEZOID_MAX_POINTS = 1 << 14
@@ -184,11 +191,13 @@ def _trapezoid_means(rows, n, p, means=None):
     turn = (1.0 if means is None
             else np.exp(1j * np.pi / n * np.arange(rows.shape[1])))
     out = np.empty(rows.shape[0])
-    step = max(1, _BLOCK_POINTS // n)
+    step = max(1, _TRAPEZOID_BLOCK_POINTS // n)
     for i in range(0, rows.shape[0], step):
+        modulus = np.abs(np.fft.fft(rows[i:i + step] * turn, n, axis=1))
+        if p != 1.0:
+            modulus **= p
         # sum / n is np.mean's arithmetic without its call overhead
-        out[i:i + step] = (np.abs(np.fft.fft(rows[i:i + step] * turn, n, axis=1))
-                           ** p).sum(axis=1) / n
+        out[i:i + step] = modulus.sum(axis=1) / n
     return out if means is None else 0.5 * (means + out)
 
 
@@ -374,47 +383,88 @@ _LAST_RADIUS = float(unit_grid()[1][-1])
 
 def _boundary_norm(coeffs, p, inner_tol):
     """M_p(1, f) for the polynomial with these coefficients, shaped like the
-    sweep's result. At p = 2 it is Parseval's sqrt(sum |a_k|^2), with the
-    rounding bound (size + 1) eps value as its error estimate. Every other p
-    takes the mean of |f/m|^p (m as in _normalized, and m = 1 at p = 1,
-    which takes no power) over the n-th roots of unity, one zero-padded
-    FFT; n doubles until two consecutive doublings each move the mean of
-    |f|^p by at most inner_tol * max(1, mean) (a single agreement can be a
-    chance crossing of two error terms). Each doubling is one more complex
-    n-point FFT, by the midpoint step of _trapezoid_means (sums of halves,
-    within a few ulps of the full 2n-point rule): a single circle is too
-    little work for the real route of the swept means to pay."""
-    if not np.any(coeffs[1:]):
-        # constant: a flat objective, which the sweep ties to r = 0
-        return SupResult(abs(complex(coeffs[0])) if coeffs.size else 0.0,
-                         0.0, AT_ZERO, 0.0)
-    if p == 2.0:
-        value = float(_series_means(coeffs, np.ones(1), p, inner_tol)[0])
-        return SupResult(value, _LAST_RADIUS, AT_BOUNDARY_LIMIT,
-                         (coeffs.size + 1) * _EPS * value)
-    coeffs, m, floor = _normalized(coeffs, p, p != 1.0)
-    n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
-    mean = float(_trapezoid_means(coeffs[None, :], n, p)[0])
-    change, agreed = math.inf, 0
-    while agreed < 2:
-        if 2 * n > _BOUNDARY_MAX_POINTS:
-            raise QuadratureError(
-                f"boundary mean not converged at {n} points (last change "
-                f"{change:.3e})", SupResult(m * mean ** (1.0 / p), _LAST_RADIUS,
-                                            AT_BOUNDARY_LIMIT, change))
-        new = float(_trapezoid_means(coeffs[None, :], n, p, mean)[0])
-        n *= 2
-        agreed = agreed + 1 if abs(new - mean) <= inner_tol * max(floor, new) else 0
-        change = m * abs(new ** (1.0 / p) - mean ** (1.0 / p))
-        mean = new
-    return SupResult(m * mean ** (1.0 / p), _LAST_RADIUS, AT_BOUNDARY_LIMIT, change)
+    sweep's result: the one-series case of _boundary_norms."""
+    return _boundary_norms({0: coeffs}, p, inner_tol)[0]
+
+
+def _boundary_norms(series, p, inner_tol):
+    """{member: M_p(1, f)} for the polynomials of the dict {member:
+    coefficients}, each shaped like the sweep's result. At p = 2 it is
+    Parseval's sqrt(sum |a_k|^2), with the rounding bound (size + 1) eps
+    value as its error estimate. Every other p takes the mean of |f/m|^p (m
+    as in _normalized, and m = 1 at p = 1, which takes no power) over the
+    n-th roots of unity, one zero-padded FFT; n doubles until two
+    consecutive doublings each move the mean of |f|^p by at most inner_tol
+    * max(1, mean) (a single agreement can be a chance crossing of two
+    error terms). Each doubling is one more complex n-point FFT, by the
+    midpoint step of _trapezoid_means (sums of halves, within a few ulps of
+    the full 2n-point rule): a single circle is too little work for the
+    real route of the swept means to pay. The series that start at the
+    same n climb the ladder together, the rows of one zero-padded table
+    that each doubling transforms in one _trapezoid_means call, and leave
+    it as they converge; every row keeps the bits of its own ladder. A
+    series not converged at 2^20 points raises QuadratureError with its
+    member and its last mean."""
+    out, ladders = {}, {}
+    for member, coeffs in series.items():
+        if not coeffs[1:].any():
+            # constant: a flat objective, which the sweep ties to r = 0
+            out[member] = SupResult(abs(complex(coeffs[0])) if coeffs.size else 0.0,
+                                    0.0, AT_ZERO, 0.0)
+        elif p == 2.0:
+            value = float(_series_means(coeffs, np.ones(1), p, inner_tol)[0])
+            out[member] = SupResult(value, _LAST_RADIUS, AT_BOUNDARY_LIMIT,
+                                    (coeffs.size + 1) * _EPS * value)
+        else:
+            n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
+            ladders.setdefault(n, []).append(
+                (member,) + _normalized(coeffs, p, p != 1.0))
+    for n, ladder in ladders.items():
+        # the rows of table and the entries of the sequences beside it are
+        # the series still on the ladder; the stop rule runs per row in
+        # scalar arithmetic, as a one-series ladder takes it
+        members, rows, ms, floors = zip(*ladder)
+        table = np.zeros((len(rows), max(row.size for row in rows)), dtype=complex)
+        for j, row in enumerate(rows):
+            table[j, :row.size] = row
+        agreed, last = [0] * len(rows), [math.inf] * len(rows)
+        means = _trapezoid_means(table, n, p)
+        while True:
+            if 2 * n > _BOUNDARY_MAX_POINTS:
+                result = _boundary_result(ms[0], float(means[0]), last[0], p)
+                raise QuadratureError(
+                    f"boundary mean not converged at {n} points (last change "
+                    f"{result.error_estimate:.3e})", result, members[0])
+            new = _trapezoid_means(table, n, p, means)
+            n *= 2
+            last = means.tolist()
+            for j, (before, after) in enumerate(zip(last, new.tolist())):
+                close = abs(after - before) <= inner_tol * max(floors[j], after)
+                agreed[j] = agreed[j] + 1 if close else 0
+                if agreed[j] == 2:
+                    out[members[j]] = _boundary_result(ms[j], after, before, p)
+            means = new
+            if 2 in agreed:
+                keep = [j for j, count in enumerate(agreed) if count < 2]
+                if not keep:
+                    break
+                table, means = table[keep], means[keep]
+                members, ms, floors, agreed, last = (
+                    [column[j] for j in keep]
+                    for column in (members, ms, floors, agreed, last))
+    return out
+
+
+def _boundary_result(m, mean, last, p):
+    """The boundary norm m mean^(1/p), the p-th roots in scalar arithmetic,
+    with the change from the last mean as its error estimate."""
+    return SupResult(m * mean ** (1.0 / p), _LAST_RADIUS, AT_BOUNDARY_LIMIT,
+                     m * abs(mean ** (1.0 / p) - last ** (1.0 / p)))
 
 
 def hardy_norm_details(f, p, log_weighted, tol):
     """Full search result for sup_r M_p(r, f)/weight(r)."""
     p = _validate_p(p)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol {tol} must be positive and finite")
     inner_tol = _inner_tol(tol)
     if (isinstance(f, CoefficientSeries) and f.tail_bound == 0.0
             and not log_weighted and p != math.inf):
@@ -544,10 +594,23 @@ def i_c(c, r, tol):
 def hardy_inequality_gap(s, tol):
     """The two sides of the coefficient inequality for an H^1 function:
     (sum_{n<N} |a_n|/(n+1), pi * ||s||_{H^1}). The first component can never
-    exceed the second."""
-    if not isinstance(s, CoefficientSeries):
+    exceed the second. The one-series case of _hardy_inequality_gaps."""
+    return _hardy_inequality_gaps([s], tol)[0]
+
+
+def _hardy_inequality_gaps(series, tol):
+    """hardy_inequality_gap of each series of the list. The H^1 norms of the
+    exact series (tail_bound == 0) are one boundary-mean ladder
+    (_boundary_norms), whose QuadratureError names the list index of a
+    series it did not converge; the others are swept one by one."""
+    if not all(isinstance(s, CoefficientSeries) for s in series):
         raise TypeError("expected a CoefficientSeries")
-    n = np.arange(s.coeffs.size, dtype=float)
-    lhs = float(np.sum(np.abs(s.coeffs) / (n + 1.0))) if s.coeffs.size else 0.0
-    rhs = math.pi * hardy_norm(s, 1.0, False, tol)
-    return lhs, rhs
+    exact = _boundary_norms({i: s.coeffs for i, s in enumerate(series)
+                             if s.tail_bound == 0.0}, 1.0, _inner_tol(tol))
+    gaps = []
+    for i, s in enumerate(series):
+        n = np.arange(s.coeffs.size, dtype=float)
+        lhs = float(np.sum(np.abs(s.coeffs) / (n + 1.0))) if s.coeffs.size else 0.0
+        norm = exact[i].value if i in exact else hardy_norm(s, 1.0, False, tol)
+        gaps.append((lhs, math.pi * norm))
+    return gaps

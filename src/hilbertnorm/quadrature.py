@@ -405,8 +405,9 @@ def _flat(f, a, b, value, error, tol, panel_cap, name):
             live = live[~done]
             if not live.size:
                 return out_value, out_error, 30 * panels - 15
-            keep = ~gone
-            floats, ints, pv = floats[:, keep], ints[:, keep], pv[keep]
+            keep = np.flatnonzero(~gone)
+            floats, ints = floats.take(keep, axis=1), ints.take(keep, axis=1)
+            pv = pv.take(keep)
             (left, right, pe, key), (member, seq) = floats, ints
         over = panels[live] >= panel_cap
         if over.any():

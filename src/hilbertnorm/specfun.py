@@ -19,8 +19,16 @@ __all__ = ["log_weight", "gamma", "beta", "dilog", "reflection_residual"]
 def log_weight(r):
     """Logarithmic weight 1 - 2*log(1-r) = log(e/(1-r)^2) for r in [0, 1).
 
-    Accepts a float or ndarray; strictly increasing, equal to 1 at r = 0.
+    Accepts a float or ndarray; strictly increasing, equal to 1 at r = 0. A
+    Python float (np.float64 included) is checked by Python comparisons and
+    gives a float without a 0-d array; np.log1p on it has the bits of the
+    array route (math.log1p does not: it is another implementation, and
+    differs in the last bit on some radii).
     """
+    if isinstance(r, float):
+        if not 0.0 <= r < 1.0:  # NaN fails it too
+            raise ValueError("log_weight requires 0 <= r < 1")
+        return float(1.0 - 2.0 * np.log1p(-r))
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):  # NaN fails it too
         raise ValueError("log_weight requires 0 <= r < 1")

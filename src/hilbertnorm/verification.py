@@ -34,8 +34,8 @@ from .hilbertop import (
     derivative_at,
     derivative_at_pathshifted,
 )
-from .norms import (_circle_pair, _spiked_means, bloch_norm,
-                    hardy_inequality_gap, hardy_norm, i_c)
+from .norms import (_circle_pair, _hardy_inequality_gaps, _spiked_means,
+                    bloch_norm, hardy_norm, i_c)
 from .quadrature import (
     QuadratureError,
     SingularitySpec,
@@ -73,7 +73,9 @@ class CheckReport:
 
     ``target`` is either a single value that ``computed`` must match to
     within ``tolerance``, or an inclusive ``(low, high)`` interval that must
-    contain it; ``detail`` records the sub-facts the check established."""
+    contain it; ``detail`` records the sub-facts the check established.
+    ``partial`` is what a non-convergent check got before it stopped: the
+    ``QuadratureError``'s result or the ``DivergenceError``'s witness."""
 
     name: str
     computed: float
@@ -81,6 +83,7 @@ class CheckReport:
     tolerance: float
     passed: bool
     detail: str
+    partial: object = None
 
 
 def _om2(r):
@@ -606,13 +609,15 @@ def h1_upper_bound_internals(tol, seed=DEFAULT_SEED):
     # no discriminating power.
     gap_tol = max(tol, 1e-4)
     rng = np.random.default_rng(seed)
-    min_margin = math.inf
-    hardy_ok = True
+    series = []
     for _ in range(100):
         degree = int(rng.integers(1, 65))
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        series = CoefficientSeries(coeffs, degree + 1, 0.0)
-        lhs, rhs = hardy_inequality_gap(series, gap_tol)
+        series.append(CoefficientSeries(coeffs, degree + 1, 0.0))
+    min_margin = math.inf
+    hardy_ok = True
+    # the 100 norms are one boundary-mean ladder, each with its own bits
+    for lhs, rhs in _hardy_inequality_gaps(series, gap_tol):
         margin = rhs - lhs
         min_margin = min(min_margin, margin)
         hardy_ok = hardy_ok and lhs <= rhs + gap_tol * max(1.0, rhs)
@@ -1038,16 +1043,18 @@ def run_all(tol=DEFAULT_TOLERANCE, truncation=DEFAULT_TRUNCATION,
     """Run the default verification suite in its canonical order.
 
     Numerical non-convergence inside a check is captured as a failed
-    CheckReport rather than an exception, so the suite always returns one
-    report per registered check."""
+    CheckReport rather than an exception, carrying the exception's partial
+    result, so the suite always returns one report per registered check."""
     run = types.SimpleNamespace(tol=tol, truncation=truncation, seed=seed,
                                 alpha_grid=alpha_grid, done={})
     for name, check in _CHECKS:
         try:
             report = check(run)
         except (QuadratureError, DivergenceError) as exc:
+            partial = (exc.result if isinstance(exc, QuadratureError)
+                       else exc.witness or None)
             report = CheckReport(
                 name, math.nan, math.nan, tol, False,
-                f"numerical non-convergence: {exc}")
+                f"numerical non-convergence: {exc}", partial)
         run.done[name] = report
     return list(run.done.values())

@@ -376,3 +376,27 @@ def test_cmd_verify_nonconvergence_exits_3(monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert cmd_verify(RunConfig(), out, err) == 3
     assert ",FAIL" in out.getvalue()
+
+
+def test_cmd_verify_shows_the_partial_result_on_stderr(monkeypatch):
+    # a non-convergent check's partial result goes on its stderr line;
+    # stdout and the exit code are those of a report without one
+    from hilbertnorm.quadrature import QuadResult
+
+    reports = [
+        CheckReport("a", math.nan, math.nan, 1e-8, False, "da",
+                    QuadResult(1.25, 3e-7, 465)),
+        CheckReport("b", math.nan, math.nan, 1e-8, False, "db",
+                    [(9.0, 12.5), (10.0, 140.0)]),
+        CheckReport("c", math.nan, math.nan, 1e-8, False, "dc"),
+    ]
+    monkeypatch.setattr(cli, "run_all", _fake_reports(reports))
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_verify(RunConfig(), out, err) == 3
+    assert out.getvalue().splitlines()[2:] == ["a,nan,nan,FAIL", "b,nan,nan,FAIL",
+                                                "c,nan,nan,FAIL"]
+    assert err.getvalue().splitlines() == [
+        "# a: da; partial result: value 1.25, error estimate 3.000e-07",
+        "# b: db; partial result: divergence witness of 2 points, last (10, 140)",
+        "# c: dc",
+    ]

@@ -9,12 +9,14 @@ from hilbertnorm.catalog import (
     TestFunction,
     taylor_coeffs,
 )
+from hilbertnorm import hilbertop
 from hilbertnorm.hilbertop import (
     apply_integral,
     apply_matrix,
     derivative_at,
     derivative_at_pathshifted,
 )
+from hilbertnorm.quadrature import integrate_singular
 from hilbertnorm.supsearch import unit_grid
 from hilbertnorm.verification import _half_log_average_closed, _half_log_image
 
@@ -266,6 +268,46 @@ def test_operator_array_equals_scalar_calls(fn, operator):
     got = operator(fn, z, 1e-9)
     assert got.shape == z.shape
     assert got.tolist() == [operator(fn, zi, 1e-9) for zi in z.tolist()]
+
+
+@pytest.mark.parametrize("fn", [
+    TestFunction(Kind.CONSTANT),
+    TestFunction(Kind.HALF_LOG),
+    TestFunction(Kind.HARDY_ALPHA_EXTREMAL, 0.5),
+    TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5),
+    TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 0.5),
+], ids=["constant", "halflog", "hardy-0.5", "bloch-1.5", "bloch-0.5"])
+@pytest.mark.parametrize("operator", [apply_integral, derivative_at,
+                                      derivative_at_pathshifted],
+                         ids=["integral", "derivative", "pathshifted"])
+def test_operator_real_points_in_real_arithmetic(monkeypatch, fn, operator):
+    # real points stay float64 and still come back complex128, within 1e-15
+    # relative of the complex128 route (complex division multiplies by a
+    # reciprocal, so the two differ in the last bits). The path-shifted
+    # integrand is then real; the other two divide the catalog's complex
+    # f(t) by a real denominator
+    r = np.array([0.0, 0.3, -0.45, 0.85, 0.99, 1.0 - 2.0 ** -20])
+    if operator is derivative_at and fn.kind is Kind.HALF_LOG:
+        r = r[:-1]  # the direct kernel does not converge that close to 1
+    kinds = set()
+
+    def recording(f, *args):
+        def integrand(k, t):
+            values = f(k, t)
+            kinds.add(values.dtype.kind)
+            return values
+        return integrate_singular(integrand, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(hilbertop, "integrate_singular", recording)
+        got = operator(fn, r, 1e-9)
+    assert kinds == {"f" if operator is derivative_at_pathshifted else "c"}
+    want = operator(fn, r.astype(complex), 1e-9)
+    assert got.dtype == np.complex128 and got.shape == r.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    scalar = operator(fn, float(r[1]), 1e-9)
+    assert type(scalar) is complex
+    assert abs(scalar - want[1]) <= 1e-15 * abs(want[1])
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5])

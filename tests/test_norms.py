@@ -174,6 +174,81 @@ def test_hardy_norm_exact_unconverged_raises():
     assert partial.value == pytest.approx(4.0 / math.pi, rel=1e-10)
 
 
+def _one_circle_ladder(coeffs, p, inner_tol):
+    """The boundary mean of one exact polynomial (p != 2, not constant) as
+    a scalar ladder: one row through _trapezoid_means per level and the
+    stop rule in Python floats, the reference the batched ladder must
+    match bit for bit."""
+    coeffs, m, floor = norms._normalized(coeffs, p, p != 1.0)
+    n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
+    mean = float(norms._trapezoid_means(coeffs[None, :], n, p)[0])
+    agreed = 0
+    while agreed < 2:
+        new = float(norms._trapezoid_means(coeffs[None, :], n, p, mean)[0])
+        n *= 2
+        agreed = agreed + 1 if abs(new - mean) <= inner_tol * max(floor, new) else 0
+        change = m * abs(new ** (1.0 / p) - mean ** (1.0 / p))
+        mean = new
+    return SupResult(m * mean ** (1.0 / p), norms._LAST_RADIUS, AT_BOUNDARY_LIMIT,
+                     change)
+
+
+def _bits(result):
+    return (result.value.hex(), result.arg.hex(), result.boundary,
+            result.error_estimate.hex())
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_boundary_ladder_keeps_every_series_bits(p):
+    # the 100 seeded polynomials of h1-upper-internals (seed 1729, degrees
+    # 1-64, inner tolerance 1e-5), with a constant and the zero series among
+    # them: one ladder gives every series the bits of its own hardy_norm
+    # call and, off p = 2, of a scalar one-circle ladder; p = 1.5 takes the
+    # scaled route (m = max |a_k|)
+    polys = _random_polynomials(1729, 100)
+    polys[10:10] = [np.array([2.5 - 1.0j, 0.0, 0.0]), np.zeros(3, dtype=complex)]
+    series = {3 * i + 1: a for i, a in enumerate(polys)}
+    got = norms._boundary_norms(series, p, 1e-5)
+    assert sorted(got) == sorted(series)
+    for member, a in series.items():
+        alone = hardy_norm_details(CoefficientSeries(a, a.size, 0.0), p, False, 1e-4)
+        assert _bits(got[member]) == _bits(alone), member
+        if p != 2.0 and a[1:].any():
+            assert _bits(got[member]) == _bits(_one_circle_ladder(a, p, 1e-5)), member
+    assert got[31] == SupResult(abs(2.5 - 1.0j), 0.0, AT_ZERO, 0.0)
+    assert got[34] == SupResult(0.0, 0.0, AT_ZERO, 0.0)
+
+
+def test_hardy_inequality_gaps_are_the_one_series_gaps():
+    # h1-upper-internals takes its 100 gaps from one ladder; each equals the
+    # gap of its series alone, and a series with no tail bound keeps the
+    # sweep
+    series = [CoefficientSeries(a, a.size, 0.0) for a in _random_polynomials(1729, 100)]
+    series.append(CoefficientSeries(np.array([1.0, 0.5j]), 2, None))
+    gaps = norms._hardy_inequality_gaps(series, 1e-4)
+    assert gaps == [hardy_inequality_gap(s, 1e-4) for s in series]
+    with pytest.raises(TypeError):
+        norms._hardy_inequality_gaps(series + [[1.0, 2.0]], 1e-4)
+    with pytest.raises(ValueError):
+        norms._hardy_inequality_gaps(series, 0.0)
+
+
+def test_boundary_ladder_names_the_unconverged_member():
+    # 1 + z vanishes on the circle, so its mean does not converge to 1e-13
+    # by 2^20 points, while the series beside it converge and leave the
+    # ladder: the error names member 7 and carries its last mean
+    rng = np.random.default_rng(5)
+    series = {3: rng.standard_normal(3) + 0j, 7: np.array([1.0, 1.0 + 0j]),
+              9: rng.standard_normal(2) + 0j}
+    with pytest.raises(QuadratureError) as info:
+        norms._boundary_norms(series, 1.0, 1e-13)
+    assert info.value.member == 7
+    partial = info.value.result
+    assert partial.boundary == AT_BOUNDARY_LIMIT
+    assert partial.value == pytest.approx(4.0 / math.pi, rel=1e-10)
+    assert 0.0 < partial.error_estimate < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # swept route for series: all radii of a trapezoid level in one FFT pass
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hilbertnorm.specfun import beta, dilog, gamma, log_weight, reflection_residual
+from hilbertnorm.supsearch import unit_grid
 
 # 30-digit reference values (independent high-precision evaluation, frozen)
 GAMMA_HALF = 1.77245385090551602729816748334
@@ -110,6 +111,26 @@ def test_log_weight_scalar_array_parity():
     assert isinstance(arr, np.ndarray)
     for r, v in zip(rs, arr):
         assert log_weight(float(r)) == v
+
+
+def test_log_weight_float_route_has_the_array_bits():
+    # a float (np.float64 included) skips the 0-d array but keeps the bits
+    # of np.log1p over an array; math.log1p would not (another
+    # implementation, which differs in the last bit on some radii)
+    rng = np.random.default_rng(37)
+    rs = np.concatenate([unit_grid()[1], rng.uniform(0.0, 1.0, 10_000)])
+    want = log_weight(rs)
+    floats = [log_weight(r) for r in rs.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert np.array(floats).tobytes() == want.tobytes()
+    assert np.array([log_weight(r) for r in rs]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [math.nan, 1.0, -1e-300, math.inf])
+def test_log_weight_float_route_rejects_out_of_domain(r):
+    for value in (r, np.float64(r)):
+        with pytest.raises(ValueError):
+            log_weight(value)
 
 
 def test_log_weight_strictly_increasing():

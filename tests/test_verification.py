@@ -549,3 +549,38 @@ def test_representation_agreement_truncation_too_small():
     assert math.isfinite(rep.computed)
     assert rep.computed > 1e-6
     assert "output order 16" in rep.detail
+
+
+# ---------------------------------------------------------------------------
+# suite driver: a non-convergent check keeps its partial result
+
+
+def test_run_all_keeps_the_partial_result(monkeypatch):
+    # one registered check raises each typed error; run_all reports it as
+    # failed with nan, and the report carries what the error carried
+    from hilbertnorm.quadrature import QuadResult, QuadratureError
+    from hilbertnorm.supsearch import DivergenceError
+
+    partial = QuadResult(1.25, 3e-7, 465)
+    witness = [(9.0, 12.5), (10.0, 140.0)]
+
+    def stalls(run):
+        raise QuadratureError("no convergence after 9 panels", partial, 0)
+
+    def diverges(run):
+        raise DivergenceError("objective grows", witness=witness)
+
+    def bare(run):
+        raise QuadratureError("integrand not finite", member=2)
+
+    name, check = verification._CHECKS[-1]
+    checks = verification._CHECKS[:-1]
+    for raising, want in ((stalls, partial), (diverges, witness), (bare, None)):
+        monkeypatch.setattr(verification, "_CHECKS", ((name, raising),))
+        (report,) = verification.run_all()
+        assert report.name == name and not report.passed
+        assert math.isnan(report.computed) and math.isnan(report.target)
+        assert report.detail.startswith("numerical non-convergence: ")
+        assert report.partial == want
+    monkeypatch.setattr(verification, "_CHECKS", checks[-1:] + ((name, check),))
+    assert [r.partial for r in verification.run_all()] == [None, None]
