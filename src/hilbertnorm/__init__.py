@@ -61,6 +61,7 @@ from .supsearch import (
 from .verification import (
     CHECK_NAMES,
     CheckReport,
+    Fact,
     alpha_bound_values,
     alpha_lower_bound,
     alpha_unboundedness_witness,

@@ -68,22 +68,52 @@ ALPHA_WINDOW = (1.001, 1.999)
 
 
 @dataclasses.dataclass(frozen=True)
+class Fact:
+    """One tested sub-condition of a check, with its text in the detail (empty
+    where a sibling's text states it): ``value`` against ``target`` as in
+    :class:`CheckReport`; a yes/no condition is its own value, target True."""
+
+    name: str
+    value: object
+    target: object
+    tolerance: float
+    passed: bool
+    text: str = ""
+
+
+@dataclasses.dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification check.
 
     ``target`` is either a single value that ``computed`` must match to
     within ``tolerance``, or an inclusive ``(low, high)`` interval that must
-    contain it; ``detail`` records the sub-facts the check established.
-    ``partial`` is what a non-convergent check got before it stopped: the
-    ``QuadratureError``'s result or the ``DivergenceError``'s witness."""
+    contain it.  It passes when all its ``facts`` do; ``detail`` joins their
+    texts, a failing one's marked ``FAILED <name>``.  ``partial`` is what a
+    non-convergent check got before it stopped: the ``QuadratureError``'s
+    result or the ``DivergenceError``'s witness."""
 
     name: str
     computed: float
     target: float | tuple
     tolerance: float
-    passed: bool
-    detail: str
+    facts: tuple
     partial: object = None
+
+    def __post_init__(self):
+        if not self.facts:  # all(()) is True: it would pass untested
+            raise ValueError(f"check {self.name} reports no facts")
+
+    @property
+    def passed(self):
+        return all(fact.passed for fact in self.facts)
+
+    @property
+    def detail(self):
+        return "; ".join(
+            fact.text if fact.passed else
+            f"FAILED {fact.name}: {fact.text}" if fact.text else
+            f"FAILED {fact.name}"
+            for fact in self.facts if fact.text or not fact.passed)
 
 
 def _om2(r):
@@ -279,18 +309,16 @@ def compute_A(tol):
     cross = max(abs(q - _kernel_average_closed(r))
                 for r, q in zip(radii, averages))
     mid = abs(averages[1] - (2.0 - 2.0 * _LOG2))
-    passed = (
-        abs(computed - BLOCH_LOG_NORM) <= tol
-        and sup.boundary == AT_ZERO
-        and cross <= 100.0 * it
-        and mid <= 1e-9
-    )
-    detail = (
-        f"supremum {sup.value:.12g} attained as r -> 0 ({sup.boundary}); "
-        f"closed-form average cross-check max diff {cross:.2e}; "
-        f"average at r=1/2 off 2-2log2 by {mid:.2e}"
-    )
-    return CheckReport("bloch-A-constant", computed, BLOCH_LOG_NORM, tol, passed, detail)
+    return CheckReport("bloch-A-constant", computed, BLOCH_LOG_NORM, tol, (
+        Fact("constant", computed, BLOCH_LOG_NORM, tol,
+             abs(computed - BLOCH_LOG_NORM) <= tol,
+             f"supremum {sup.value:.12g} attained as r -> 0 ({sup.boundary})"),
+        Fact("maximizer", sup.boundary, AT_ZERO, 0.0, sup.boundary == AT_ZERO),
+        Fact("cross-check", cross, 0.0, 100.0 * it, cross <= 100.0 * it,
+             f"closed-form average cross-check max diff {cross:.2e}"),
+        Fact("average at 1/2", mid, 0.0, 1e-9, mid <= 1e-9,
+             f"average at r=1/2 off 2-2log2 by {mid:.2e}"),
+    ))
 
 
 def compute_B(tol, a_report=None):
@@ -314,16 +342,14 @@ def compute_B(tol, a_report=None):
     sup = supremum_unit(pointwise(
         lambda r: (1.0 + r) * _half_log_average_closed(r) / log_weight(r)), tol)
     computed = _LOG2 + 0.5 * sup.value
-    x_star = -math.log1p(-sup.arg)
 
     radii = (sup.arg, 0.25, 0.5, 0.75, 0.9)
     averages = _half_log_average(np.array(radii), it).tolist()
     cross = max(abs(q - _half_log_average_closed(r))
                 for r, q in zip(radii, averages))
 
-    deep = bloch_b_objective(it)(
+    deep = _LOG2 + 0.5 * bloch_b_objective(it)(
         np.array([1.0 - 10.0 ** (-k) for k in (12, 13, 14, 15)]))
-    tail_ok = bool(np.all(_LOG2 + 0.5 * deep < 2.0 * _LOG2 + tol))
 
     r_half = 0.5
 
@@ -334,30 +360,28 @@ def compute_B(tol, a_report=None):
     half_val = float(integrate_halfline(halfline_integrand, 1.0, it).value)
     half_bound = (2.0 / (1.0 + r_half)) * math.log(2.0 / (1.0 - r_half))
     h_mid = averages[2]
-    half_ok = (abs(half_val - half_bound) <= 1e-6
-               and h_mid <= half_val + tol)
 
     if a_report is None:
         a_report = compute_A(tol)
-    passed = (
-        _LOG2 - tol <= computed <= 2.0 * _LOG2 + tol
-        and cross <= 100.0 * it
-        and tail_ok
-        and half_ok
-        and computed < a_report.computed
-    )
-    detail = (
-        f"supremum {sup.value:.12g} at r = {sup.arg:.9g}, x* = {x_star:.9g} "
-        f"({sup.boundary}); quadrature average off the closed form by at "
-        f"most {cross:.2e} at x* and r = 0.25, 0.5, 0.75, 0.9; "
-        f"deep-radius values stay below 2 log 2: {tail_ok}; half-line "
-        f"dominating integral {half_val:.12g} matches (4/3) log 4 to "
-        f"{abs(half_val - half_bound):.2e} and dominates the r=1/2 inner "
-        f"integral {h_mid:.9g}; below constant-witness value "
-        f"{a_report.computed:.9g}"
-    )
-    return CheckReport(
-        "bloch-B-constant", computed, (_LOG2, 2.0 * _LOG2), tol, passed, detail)
+    return CheckReport("bloch-B-constant", computed, (_LOG2, 2.0 * _LOG2), tol, (
+        Fact("interval", computed, (_LOG2, 2.0 * _LOG2), tol,
+             _LOG2 - tol <= computed <= 2.0 * _LOG2 + tol,
+             f"supremum {sup.value:.12g} at r = {sup.arg:.9g}, x* = "
+             f"{-math.log1p(-sup.arg):.9g} ({sup.boundary})"),
+        Fact("cross-check", cross, 0.0, 100.0 * it, cross <= 100.0 * it,
+             f"quadrature average off the closed form by at most {cross:.2e} "
+             f"at x* and r = 0.25, 0.5, 0.75, 0.9"),
+        Fact("deep radii", float(np.max(deep)), 2.0 * _LOG2, tol,
+             below := bool(np.all(deep < 2.0 * _LOG2 + tol)),
+             f"deep-radius values stay below 2 log 2: {below}"),
+        Fact("half-line integral", half_val, half_bound, 1e-6,
+             abs(half_val - half_bound) <= 1e-6 and h_mid <= half_val + tol,
+             f"half-line dominating integral {half_val:.12g} matches (4/3) "
+             f"log 4 to {abs(half_val - half_bound):.2e} and dominates the "
+             f"r=1/2 inner integral {h_mid:.9g}"),
+        Fact("below A", computed, a_report.computed, 0.0, computed < a_report.computed,
+             f"below constant-witness value {a_report.computed:.9g}"),
+    ))
 
 
 def norm_bloch_to_blochlog(tol, a_report=None, b_report=None):
@@ -380,20 +404,20 @@ def norm_bloch_to_blochlog(tol, a_report=None, b_report=None):
     w2, _ = _image_log_bloch(TestFunction(Kind.HALF_LOG), 1.0, tol, it)
     computed = max(a_report.computed, b_report.computed)
     slack = 1e-4
-    passed = (
-        a_report.passed
-        and b_report.passed
-        and abs(computed - BLOCH_LOG_NORM) <= tol
-        and BLOCH_LOG_NORM - slack <= w1 <= BLOCH_LOG_NORM + slack
-        and b_report.computed - slack <= w2 <= BLOCH_LOG_NORM + slack
-    )
-    detail = (
-        f"constant witness {w1:.12g} reaches the norm 3/2; half-log witness "
-        f"{w2:.12g} reproduces the second constant {b_report.computed:.12g}; "
-        f"norm = max of the two constants"
-    )
-    return CheckReport(
-        "bloch-to-blochlog-norm", computed, BLOCH_LOG_NORM, tol, passed, detail)
+    return CheckReport("bloch-to-blochlog-norm", computed, BLOCH_LOG_NORM, tol, (
+        *(Fact(report.name, report.computed, report.target, report.tolerance,
+               report.passed) for report in (a_report, b_report)),
+        Fact("constant witness", w1, BLOCH_LOG_NORM, slack,
+             BLOCH_LOG_NORM - slack <= w1 <= BLOCH_LOG_NORM + slack,
+             f"constant witness {w1:.12g} reaches the norm 3/2"),
+        Fact("half-log witness", w2,
+             (b_report.computed - slack, BLOCH_LOG_NORM + slack), 0.0,
+             b_report.computed - slack <= w2 <= BLOCH_LOG_NORM + slack,
+             f"half-log witness {w2:.12g} reproduces the second constant "
+             f"{b_report.computed:.12g}"),
+        Fact("norm", computed, BLOCH_LOG_NORM, tol,
+             abs(computed - BLOCH_LOG_NORM) <= tol, "norm = max of the two constants"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -422,33 +446,33 @@ def alpha_lower_bound(alpha, tol):
     fn = TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, alpha)
     image_norm, _ = _image_log_bloch(fn, alpha, tol, it)
     ratio = image_norm / bloch_norm(fn, alpha, False, tol)
-    bracket_ok = (l_closed - tol <= ratio <= u_value + 1e-4)
 
     d_closed = 1.0 / (4.0 * (2.0 - alpha))
     lim0 = abs(derivative_at(fn, 0.0, it))
     lim_eps = abs(derivative_at(fn, 1e-6, it))
-    limit_ok = (abs(lim0 - d_closed) <= 1e-6 * max(1.0, d_closed)
-                and abs(lim_eps - d_closed) <= 1e-5 * max(1.0, d_closed))
 
     # These coefficients of f are nonnegative, and so is every later one (the
     # recurrence ratio (m+alpha-1)/(m+1) > 0 keeps its sign).  H has positive
     # entries 1/(n+k+1), so (Hf)' has nonnegative coefficients as well and
     # |(Hf)'(z)| <= (Hf)'(|z|): for any alpha the radial supremum is the disk's.
     a = taylor_coeffs(fn, DEFAULT_TRUNCATION).coeffs
-    radial_ok = bool(np.all(a.imag == 0.0) and np.all(a.real >= 0.0))
-
-    passed = (abs(l_quad - l_closed) <= tol and bracket_ok and limit_ok
-              and radial_ok)
-    detail = (
-        f"quadrature route {l_quad:.12g} vs closed form {l_closed:.12g}; "
-        f"direct ratio {ratio:.9g} lies in [L - tol, U + 1e-4] with "
-        f"U = {u_value:.9g}: {bracket_ok}; derivative at 0 matches "
-        f"1/(4(2-alpha)) = {d_closed:.9g} to {abs(lim0 - d_closed):.2e}; "
-        f"radial reduction certified (the {a.size} Taylor coefficients of f "
-        f"are real and nonnegative): {radial_ok}"
-    )
-    return CheckReport(
-        f"alpha-lower-bound-{alpha:g}", l_quad, l_closed, tol, passed, detail)
+    return CheckReport(f"alpha-lower-bound-{alpha:g}", l_quad, l_closed, tol, (
+        Fact("quadrature route", l_quad, l_closed, tol, abs(l_quad - l_closed) <= tol,
+             f"quadrature route {l_quad:.12g} vs closed form {l_closed:.12g}"),
+        Fact("direct ratio", ratio, (l_closed - tol, u_value + 1e-4), 0.0,
+             inside := l_closed - tol <= ratio <= u_value + 1e-4,
+             f"direct ratio {ratio:.9g} lies in [L - tol, U + 1e-4] with "
+             f"U = {u_value:.9g}: {inside}"),
+        Fact("derivative at 0", lim0, d_closed, 1e-6 * max(1.0, d_closed),
+             abs(lim0 - d_closed) <= 1e-6 * max(1.0, d_closed)
+             and abs(lim_eps - d_closed) <= 1e-5 * max(1.0, d_closed),
+             f"derivative at 0 matches 1/(4(2-alpha)) = {d_closed:.9g} to "
+             f"{abs(lim0 - d_closed):.2e}"),
+        Fact("radial reduction",
+             radial := bool(np.all(a.imag == 0.0) and np.all(a.real >= 0.0)),
+             True, 0.0, radial, f"radial reduction certified (the {a.size} "
+             f"Taylor coefficients of f are real and nonnegative): {radial}"),
+    ))
 
 
 def alpha_upper_bound(alpha):
@@ -466,19 +490,18 @@ def alpha_upper_bound(alpha):
     sup = supremum_unit(
         pointwise(lambda r: (1.0 + r) ** alpha / log_weight(r)), 1e-8)
 
-    passed = (
-        abs(u_sin - u_beta) <= tol * max(1.0, abs(u_beta))
-        and l_closed <= u_sin + tol
-        and abs(sup.value - 1.0) <= 1e-8
-        and sup.boundary == AT_ZERO
-    )
-    detail = (
-        f"reflection route {u_sin:.15g} vs Beta route {u_beta:.15g} "
-        f"(diff {abs(u_sin - u_beta):.2e}); weight-ratio supremum "
-        f"{sup.value:.12g} at r -> 0; lower bound {l_closed:.9g} <= U"
-    )
-    return CheckReport(
-        f"alpha-upper-bound-{alpha:g}", u_sin, u_beta, tol, passed, detail)
+    return CheckReport(f"alpha-upper-bound-{alpha:g}", u_sin, u_beta, tol, (
+        Fact("Beta route", u_sin, u_beta, tol * max(1.0, abs(u_beta)),
+             abs(u_sin - u_beta) <= tol * max(1.0, abs(u_beta)),
+             f"reflection route {u_sin:.15g} vs Beta route {u_beta:.15g} "
+             f"(diff {abs(u_sin - u_beta):.2e})"),
+        Fact("weight ratio", sup.value, 1.0, 1e-8, abs(sup.value - 1.0) <= 1e-8,
+             f"weight-ratio supremum {sup.value:.12g} at r -> 0"),
+        Fact("weight-ratio maximizer", sup.boundary, AT_ZERO, 0.0,
+             sup.boundary == AT_ZERO),
+        Fact("L <= U", l_closed, (-math.inf, u_sin), tol, l_closed <= u_sin + tol,
+             f"lower bound {l_closed:.9g} <= U"),
+    ))
 
 
 def alpha_bounds_order(alpha_grid=DEFAULT_ALPHA_GRID):
@@ -494,11 +517,11 @@ def alpha_bounds_order(alpha_grid=DEFAULT_ALPHA_GRID):
             worst = gap
             worst_alpha = a
         pieces.append(f"{a:g}: L={lower:.6g} U={upper:.6g}")
-    passed = worst <= tol
-    detail = ("largest L - U gap "
-              f"{worst:.6g} at alpha = {worst_alpha:g}; " + "; ".join(pieces))
-    return CheckReport(
-        "alpha-bounds-order", worst, (-math.inf, 0.0), tol, passed, detail)
+    return CheckReport("alpha-bounds-order", worst, (-math.inf, 0.0), tol, (
+        Fact("largest gap", worst, (-math.inf, 0.0), tol, worst <= tol,
+             f"largest L - U gap {worst:.6g} at alpha = {worst_alpha:g}; "
+             + "; ".join(pieces)),
+    ))
 
 
 def unboundedness_profile(alpha):
@@ -538,30 +561,23 @@ def alpha_unboundedness_witness(alpha):
     logarithmic, so the requirement relaxes to strict monotone growth with
     non-vanishing increments and any factor above 1."""
     js, rs, vals = unboundedness_profile(alpha)
-    if alpha < 1.0:
-        mode = "log-weighted derivative objective of the transformed extremal"
-    else:
-        mode = "partial integrals of the extremal profile"
+    mode = ("log-weighted derivative objective of the transformed extremal"
+            if alpha < 1.0 else "partial integrals of the extremal profile")
 
     diffs = np.diff(vals)
-    monotone = bool(np.all(diffs > 0.0))
     factor = float(vals[-1] / vals[9])
-    if alpha == 2.0:
-        sustained = bool(diffs[-1] >= 0.9 * diffs[-2])
-        passed = monotone and sustained and factor > 1.0
-        target = (1.0, math.inf)
-        extra = (f"; increments keep their size "
-                 f"(last/prev = {float(diffs[-1] / diffs[-2]):.4f})")
-    else:
-        passed = monotone and factor > 10.0
-        target = (10.0, math.inf)
-        extra = ""
-    detail = (
-        f"{mode}: value {vals[9]:.6g} at j=10 grows to {vals[-1]:.6g} at "
-        f"j=20 (factor {factor:.4g}); strictly increasing: {monotone}{extra}"
-    )
-    return CheckReport(
-        f"alpha-unbounded-{alpha:g}", factor, target, 0.0, passed, detail)
+    target = (1.0, math.inf) if alpha == 2.0 else (10.0, math.inf)
+    return CheckReport(f"alpha-unbounded-{alpha:g}", factor, target, 0.0, (
+        Fact("growth factor", factor, target, 0.0, factor > target[0],
+             f"{mode}: value {vals[9]:.6g} at j=10 grows to {vals[-1]:.6g} "
+             f"at j=20 (factor {factor:.4g})"),
+        Fact("strictly increasing", monotone := bool(np.all(diffs > 0.0)),
+             True, 0.0, monotone, f"strictly increasing: {monotone}"),
+        *((Fact("sustained increments", ratio := float(diffs[-1] / diffs[-2]),
+                (0.9, math.inf), 0.0, bool(diffs[-1] >= 0.9 * diffs[-2]),
+                f"increments keep their size (last/prev = {ratio:.4f})"),)
+          if alpha == 2.0 else ()),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +616,6 @@ def h1_upper_bound_internals(tol, seed=DEFAULT_SEED):
             partial = partial - leaving[k - 1] + entering[k]
         total = partial + 1.0 / (n_terms + k + 1.0)
         worst_tel = max(worst_tel, abs(total - 1.0 / (k + 1.0)))
-    telescope_ok = worst_tel <= 1e-9
 
     # The coefficient inequality has O(1) slack on random polynomials, so the
     # norm on the right-hand side only needs a few correct digits.  Each norm
@@ -614,27 +629,24 @@ def h1_upper_bound_internals(tol, seed=DEFAULT_SEED):
         degree = int(rng.integers(1, 65))
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         series.append(CoefficientSeries(coeffs, degree + 1, 0.0))
-    min_margin = math.inf
-    hardy_ok = True
     # the 100 norms are one boundary-mean ladder, each with its own bits
-    for lhs, rhs in _hardy_inequality_gaps(series, gap_tol):
-        margin = rhs - lhs
-        min_margin = min(min_margin, margin)
-        hardy_ok = hardy_ok and lhs <= rhs + gap_tol * max(1.0, rhs)
+    gaps = _hardy_inequality_gaps(series, gap_tol)
+    min_margin = min(rhs - lhs for lhs, rhs in gaps)
 
     sup = supremum_halfline(h1_sup_objective, tol, limit_at_infinity=1.0)
-    sup_ok = abs(sup.value - 1.0) <= tol and sup.boundary == AT_ZERO
-
     computed = H1_LOG_UPPER * sup.value
-    passed = telescope_ok and hardy_ok and sup_ok
-    detail = (
-        f"telescoping identity residual {worst_tel:.2e} over k = 0..50; "
-        f"coefficient inequality holds on 100 seeded polynomials "
-        f"(smallest slack {min_margin:.4g}); profile supremum "
-        f"{sup.value:.12g} attained as x -> 0; assembled bound 2 pi"
-    )
-    return CheckReport(
-        "h1-upper-internals", computed, H1_LOG_UPPER, tol, passed, detail)
+    return CheckReport("h1-upper-internals", computed, H1_LOG_UPPER, tol, (
+        Fact("telescoping identity", worst_tel, 0.0, 1e-9, worst_tel <= 1e-9,
+             f"telescoping identity residual {worst_tel:.2e} over k = 0..50"),
+        Fact("coefficient inequality", min_margin, (0.0, math.inf), gap_tol,
+             all(lhs <= rhs + gap_tol * max(1.0, rhs) for lhs, rhs in gaps),
+             f"coefficient inequality holds on 100 seeded polynomials "
+             f"(smallest slack {min_margin:.4g})"),
+        Fact("profile supremum", sup.value, 1.0, tol,
+             abs(sup.value - 1.0) <= tol and sup.boundary == AT_ZERO,
+             f"profile supremum {sup.value:.12g} attained as x -> 0; "
+             f"assembled bound 2 pi"),
+    ))
 
 
 _H1_T_TOL = 1e-9
@@ -802,26 +814,23 @@ def h1_lower_bound(alpha, tol):
     ratio = numerator / denominator
     ratio_tol = max(tol, 1e-6)
 
-    passed = ratio >= floor - ratio_tol and cross <= 1e-7
-    pi_note = ""
-    if alpha >= 0.99:
-        near_pi = abs(floor - H1_LOG_LOWER) < 0.05
-        passed = passed and near_pi
-        pi_note = (f"; floor sits within {abs(floor - H1_LOG_LOWER):.4f} of pi, "
-                   f"the limiting value as the weight exponent approaches 1")
-    detail = (
-        f"numerator supremum {numerator:.9g} ({sup.boundary} at "
-        f"r = {sup.arg:.6g}), denominator {denominator:.9g} (boundary mean "
-        f"Gamma(1-a)/Gamma(1-a/2)^2 = {boundary_mean:.9g}), ratio "
-        f"{ratio:.9g} >= floor - tol with floor {floor:.9g}{pi_note}; "
-        f"numerator search: {spent['calls']} objective calls over "
-        f"{spent['radii']} radii, {spent['values']} circle-mean integrand "
-        f"values; closed-form means match the quadrature route to "
-        f"{cross:.2e} relative (<= 1e-7) at r = 0.3, 0.99, 1 - 1e-6"
-    )
-    return CheckReport(
-        f"h1-lower-bound-{alpha:g}", ratio, (floor, math.inf),
-        ratio_tol, passed, detail)
+    near_pi = abs(floor - H1_LOG_LOWER)
+    target = (floor, math.inf)
+    return CheckReport(f"h1-lower-bound-{alpha:g}", ratio, target, ratio_tol, (
+        Fact("ratio", ratio, target, ratio_tol, ratio >= floor - ratio_tol,
+             f"numerator supremum {numerator:.9g} ({sup.boundary} at "
+             f"r = {sup.arg:.6g}), denominator {denominator:.9g} (boundary "
+             f"mean Gamma(1-a)/Gamma(1-a/2)^2 = {boundary_mean:.9g}), ratio "
+             f"{ratio:.9g} >= floor - tol with floor {floor:.9g}"),
+        *((Fact("floor near pi", near_pi, 0.0, 0.05, near_pi < 0.05,
+                f"floor sits within {near_pi:.4f} of pi, the limiting value "
+                f"as the weight exponent approaches 1"),) if alpha >= 0.99 else ()),
+        Fact("cross-check", cross, 0.0, 1e-7, cross <= 1e-7,
+             f"numerator search: {spent['calls']} objective calls over "
+             f"{spent['radii']} radii, {spent['values']} circle-mean integrand "
+             f"values; closed-form means match the quadrature route to "
+             f"{cross:.2e} relative (<= 1e-7) at r = 0.3, 0.99, 1 - 1e-6"),
+    ))
 
 
 def hinf_norm(tol):
@@ -836,31 +845,27 @@ def hinf_norm(tol):
 
     sup6 = supremum_halfline(hinf_sup_objective, tol, limit_at_infinity=0.5)
     far = hinf_sup_objective(1e9)
-    far_ok = abs(far - 0.5) <= 1e-8
 
     series = apply_matrix(taylor_coeffs(TestFunction(Kind.CONSTANT), 1), 64)
     harmonic = 1.0 / (np.arange(64) + 1.0)
-    exact_ok = bool(
-        np.array_equal(series.coeffs.real, harmonic)
-        and not series.coeffs.imag.any()
-    )
 
-    computed = sup.value
-    passed = (
-        abs(computed - HINF_LOG_NORM) <= tol
-        and sup.boundary == AT_ZERO
-        and abs(sup6.value - HINF_LOG_NORM) <= tol
-        and sup6.boundary == AT_ZERO
-        and far_ok
-        and exact_ok
-    )
-    detail = (
-        f"radial objective supremum {computed:.12g} attained as r -> 0; "
-        f"half-line profile supremum {sup6.value:.12g} with far value "
-        f"{far:.12g} matching 1/2; matrix action on the constant input "
-        f"gives 1/(n+1) exactly: {exact_ok}"
-    )
-    return CheckReport("hinf-norm", computed, HINF_LOG_NORM, tol, passed, detail)
+    return CheckReport("hinf-norm", sup.value, HINF_LOG_NORM, tol, (
+        Fact("radial supremum", sup.value, HINF_LOG_NORM, tol,
+             abs(sup.value - HINF_LOG_NORM) <= tol,
+             f"radial objective supremum {sup.value:.12g} attained as r -> 0"),
+        Fact("radial maximizer", sup.boundary, AT_ZERO, 0.0, sup.boundary == AT_ZERO),
+        Fact("profile supremum", sup6.value, HINF_LOG_NORM, tol,
+             abs(sup6.value - HINF_LOG_NORM) <= tol,
+             f"half-line profile supremum {sup6.value:.12g} with far value "
+             f"{far:.12g} matching 1/2"),
+        Fact("profile maximizer", sup6.boundary, AT_ZERO, 0.0,
+             sup6.boundary == AT_ZERO),
+        Fact("far value", far, 0.5, 1e-8, abs(far - 0.5) <= 1e-8),
+        Fact("exact action", exact := bool(np.array_equal(series.coeffs.real, harmonic)
+                                           and not series.coeffs.imag.any()),
+             True, 0.0, exact,
+             f"matrix action on the constant input gives 1/(n+1) exactly: {exact}"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -906,19 +911,19 @@ def representation_agreement(tol, truncation=DEFAULT_TRUNCATION,
     res_half = worst_residual(fn_half, CoefficientSeries(_half_log_image(truncation)))
     n = DEFAULT_TRUNCATION
     gap = _half_log_image(n) - apply_matrix(taylor_coeffs(fn_half, n), n).coeffs.real
-    gap_ok = bool(np.all(gap >= -1e-14) and np.all(gap <= 0.5 / n + 1e-14))
 
     computed = max(res_const, res_half)
-    passed = computed <= agree_tol and gap_ok
-    detail = (
-        f"constant-input residual {res_const:.3e}; half-log residual "
-        f"{res_half:.3e} of the closed-form image; matrix action on the "
-        f"first {n} half-log coefficients below the image by "
-        f"[{gap.min():.4e}, {gap.max():.4e}] within 1/(2N) = "
-        f"{0.5 / n:.4e}: {gap_ok}; output order {truncation}"
-    )
-    return CheckReport(
-        "series-integral-agreement", computed, 0.0, agree_tol, passed, detail)
+    return CheckReport("series-integral-agreement", computed, 0.0, agree_tol, (
+        Fact("residuals", computed, 0.0, agree_tol, computed <= agree_tol,
+             f"constant-input residual {res_const:.3e}; half-log residual "
+             f"{res_half:.3e} of the closed-form image"),
+        Fact("truncation gap", (float(gap.min()), float(gap.max())),
+             (0.0, 0.5 / n), 1e-14,
+             within := bool(np.all(gap >= -1e-14) and np.all(gap <= 0.5 / n + 1e-14)),
+             f"matrix action on the first {n} half-log coefficients below "
+             f"the image by [{gap.min():.4e}, {gap.max():.4e}] within "
+             f"1/(2N) = {0.5 / n:.4e}: {within}; output order {truncation}"),
+    ))
 
 
 # (c, r) grid of the modulus-mean bands: both signs of c and the log borderline
@@ -960,17 +965,14 @@ def modulus_mean_bands(tol):
         if violation > worst:
             worst = violation
             worst_cell = (c, r, banded, low, high)
-    passed = worst <= tol
     if worst_cell is None:
-        detail = "all 28 grid cells sit inside their bands"
+        text = f"all {len(_BAND_CS) * len(_BAND_RS)} grid cells sit inside their bands"
     else:
         c, r, banded, low, high = worst_cell
-        detail = (
-            f"worst band violation {worst:.3e} at (c, r) = ({c:g}, {r:g}): "
-            f"value {banded:.9g} against [{low:.9g}, {high:.9g}]"
-        )
-    return CheckReport(
-        "modulus-mean-bands", worst, 0.0, tol, passed, detail)
+        text = (f"worst band violation {worst:.3e} at (c, r) = ({c:g}, {r:g}): "
+                f"value {banded:.9g} against [{low:.9g}, {high:.9g}]")
+    return CheckReport("modulus-mean-bands", worst, 0.0, tol, (
+        Fact("band violation", worst, 0.0, tol, worst <= tol, text),))
 
 
 def gamma_identities(tol):
@@ -982,7 +984,6 @@ def gamma_identities(tol):
     a in {0.3, 0.5, 0.7}."""
     points = (0.1, 0.25, 1.0 / 3.0, 0.4, 0.45, 0.6, 2.0 / 3.0, 0.75, 1.3, 2.6)
     worst_reflection = max(abs(reflection_residual(z)) for z in points)
-    reflection_ok = worst_reflection < 1e-12
 
     worst_beta = 0.0
     for a in (0.3, 0.5, 0.7):
@@ -992,16 +993,14 @@ def gamma_identities(tol):
         value = float(integrate_singular(
             integrand, 0.0, 1.0, SingularitySpec(a - 1.0, -a), 1e-10).value)
         worst_beta = max(worst_beta, abs(value - math.pi / math.sin(math.pi * a)))
-    beta_ok = worst_beta <= 1e-8
-
-    passed = reflection_ok and beta_ok
-    detail = (
-        f"reflection identity residual {worst_reflection:.2e} over ten "
-        f"points; two-endpoint singular integral matches pi/sin(pi a) to "
-        f"{worst_beta:.2e}"
-    )
-    return CheckReport(
-        "gamma-identities", worst_beta, 0.0, 1e-8, passed, detail)
+    return CheckReport("gamma-identities", worst_beta, 0.0, 1e-8, (
+        Fact("reflection identity", worst_reflection, 0.0, 1e-12,
+             worst_reflection < 1e-12,
+             f"reflection identity residual {worst_reflection:.2e} over ten points"),
+        Fact("singular integral", worst_beta, 0.0, 1e-8, worst_beta <= 1e-8,
+             f"two-endpoint singular integral matches pi/sin(pi a) to "
+             f"{worst_beta:.2e}"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1052,8 @@ def run_all(tol=DEFAULT_TOLERANCE, truncation=DEFAULT_TRUNCATION,
         except (QuadratureError, DivergenceError) as exc:
             partial = (exc.result if isinstance(exc, QuadratureError)
                        else exc.witness or None)
-            report = CheckReport(
-                name, math.nan, math.nan, tol, False,
-                f"numerical non-convergence: {exc}", partial)
+            report = CheckReport(name, math.nan, math.nan, tol, (Fact(
+                "numerical non-convergence", math.nan, math.nan, tol, False,
+                str(exc)),), partial)
         run.done[name] = report
     return list(run.done.values())

@@ -14,3 +14,8 @@ def verify_run():
     t0 = time.perf_counter()
     reports = run_all(tol=1e-8)
     return reports, time.perf_counter() - t0
+
+
+def _fact(report, name):
+    """The fact of report named name."""
+    return next(fact for fact in report.facts if fact.name == name)

@@ -11,12 +11,12 @@ time or parameterize their checks and therefore run them separately.
 """
 
 import math
-import re
 import time
 
 import numpy as np
 import pytest
 
+from conftest import _fact
 from hilbertnorm.catalog import CoefficientSeries
 from hilbertnorm.norms import hardy_norm
 from hilbertnorm.specfun import gamma, log_weight
@@ -125,9 +125,7 @@ def test_criterion_05_alpha_bound_closed_forms(suite):
 def test_criterion_06_direct_ratio_in_bracket(suite):
     reports, _ = suite
     rep = reports["alpha-lower-bound-1.5"]
-    match = re.search(r"direct ratio ([0-9.eE+-]+) lies", rep.detail)
-    assert match is not None
-    ratio = float(match.group(1))
+    ratio = _fact(rep, "direct ratio").value
     lower, upper = alpha_bound_values(1.5)
     ok = rep.passed and lower - 1e-4 <= ratio <= upper + 1e-4
     assert _line(6, ok, f"measured ratio {ratio:.9g} inside "

@@ -20,7 +20,7 @@ from hilbertnorm.cli import (
     cmd_verify,
     main,
 )
-from hilbertnorm.verification import CHECK_NAMES, CheckReport, DEFAULT_ALPHA_GRID
+from hilbertnorm.verification import CHECK_NAMES, CheckReport, DEFAULT_ALPHA_GRID, Fact
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +341,18 @@ def _fake_reports(reports):
     return fake_run_all
 
 
+def _fake_report(name, computed, target, passed, text, partial=None,
+                 fact="value"):
+    """A fabricated report of one fact, named fact, with the given verdict
+    and text."""
+    return CheckReport(name, computed, target, 1e-8, (
+        Fact(fact, computed, target, 1e-8, passed, text),), partial)
+
+
 def test_cmd_verify_all_pass(monkeypatch):
     reports = [
-        CheckReport("a", 1.0, 1.0, 1e-8, True, "da"),
-        CheckReport("b", 2.0, (1.0, 3.0), 0.0, True, "db"),
+        _fake_report("a", 1.0, 1.0, True, "da"),
+        _fake_report("b", 2.0, (1.0, 3.0), True, "db"),
     ]
     monkeypatch.setattr(cli, "run_all", _fake_reports(reports))
     out, err = io.StringIO(), io.StringIO()
@@ -359,18 +367,20 @@ def test_cmd_verify_all_pass(monkeypatch):
 
 def test_cmd_verify_failure_exits_1(monkeypatch):
     reports = [
-        CheckReport("a", 1.0, 1.0, 1e-8, True, "da"),
-        CheckReport("b", 9.0, 2.0, 1e-8, False, "db"),
+        _fake_report("a", 1.0, 1.0, True, "da"),
+        _fake_report("b", 9.0, 2.0, False, "db"),
     ]
     monkeypatch.setattr(cli, "run_all", _fake_reports(reports))
     out, err = io.StringIO(), io.StringIO()
     assert cmd_verify(RunConfig(), out, err) == 1
     assert "b,9,2,FAIL" in out.getvalue()
+    assert err.getvalue() == "# a: da\n# b: FAILED value: db\n"
 
 
 def test_cmd_verify_nonconvergence_exits_3(monkeypatch):
     reports = [
-        CheckReport("a", math.nan, 1.0, 1e-8, False, "quadrature stalled"),
+        _fake_report("a", math.nan, 1.0, False, "quadrature stalled",
+                     fact="numerical non-convergence"),
     ]
     monkeypatch.setattr(cli, "run_all", _fake_reports(reports))
     out, err = io.StringIO(), io.StringIO()
@@ -384,11 +394,12 @@ def test_cmd_verify_shows_the_partial_result_on_stderr(monkeypatch):
     from hilbertnorm.quadrature import QuadResult
 
     reports = [
-        CheckReport("a", math.nan, math.nan, 1e-8, False, "da",
-                    QuadResult(1.25, 3e-7, 465)),
-        CheckReport("b", math.nan, math.nan, 1e-8, False, "db",
-                    [(9.0, 12.5), (10.0, 140.0)]),
-        CheckReport("c", math.nan, math.nan, 1e-8, False, "dc"),
+        _fake_report(name, math.nan, math.nan, False, text, partial,
+                     fact="numerical non-convergence")
+        for name, text, partial in (
+            ("a", "da", QuadResult(1.25, 3e-7, 465)),
+            ("b", "db", [(9.0, 12.5), (10.0, 140.0)]),
+            ("c", "dc", None))
     ]
     monkeypatch.setattr(cli, "run_all", _fake_reports(reports))
     out, err = io.StringIO(), io.StringIO()
@@ -396,7 +407,9 @@ def test_cmd_verify_shows_the_partial_result_on_stderr(monkeypatch):
     assert out.getvalue().splitlines()[2:] == ["a,nan,nan,FAIL", "b,nan,nan,FAIL",
                                                 "c,nan,nan,FAIL"]
     assert err.getvalue().splitlines() == [
-        "# a: da; partial result: value 1.25, error estimate 3.000e-07",
-        "# b: db; partial result: divergence witness of 2 points, last (10, 140)",
-        "# c: dc",
+        "# a: FAILED numerical non-convergence: da; partial result: value 1.25, "
+        "error estimate 3.000e-07",
+        "# b: FAILED numerical non-convergence: db; partial result: divergence "
+        "witness of 2 points, last (10, 140)",
+        "# c: FAILED numerical non-convergence: dc",
     ]

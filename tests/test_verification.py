@@ -8,10 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import _fact
 from hilbertnorm.verification import (
     CHECK_NAMES,
     DEFAULT_TRUNCATION,
     CheckReport,
+    Fact,
     alpha_bound_values,
     alpha_bounds_order,
     alpha_lower_bound,
@@ -31,7 +33,7 @@ from hilbertnorm.verification import (
     unboundedness_profile,
 )
 from hilbertnorm import hilbertop, verification
-from hilbertnorm.supsearch import unit_grid
+from hilbertnorm.supsearch import AT_ZERO, unit_grid
 from hilbertnorm.verification import (
     _half_log_average,
     _half_log_average_closed,
@@ -51,6 +53,52 @@ B_X_STAR = 6.24644955993
 def _report(verify_run, name):
     reports, _ = verify_run
     return next(r for r in reports if r.name == name)
+
+
+# The full detail of three checks whose stderr lines print closed forms or
+# values to 6 digits, so that they read the same on every host.
+PINNED_DETAIL = {
+    "alpha-bounds-order": (
+        "largest L - U gap -4.0692 at alpha = 1.4; "
+        "1.1: L=0.614677 U=11.2775; 1.2: L=0.68661 U=6.5948; "
+        "1.3: L=0.778639 U=5.31179; 1.4: L=0.90073 U=4.96993; "
+        "1.5: L=1.0708 U=5.14159; 1.6: L=1.32462 U=5.80327; "
+        "1.7: L=1.74563 U=7.21656; 1.8: L=2.58395 U=10.3448; "
+        "1.9: L=5.08975 U=20.1664"),
+    "alpha-unbounded-2.5": (
+        "partial integrals of the extremal profile: value 22.6108 at j=10 "
+        "grows to 724.077 at j=20 (factor 32.02); strictly increasing: True"),
+    "modulus-mean-bands": "all 28 grid cells sit inside their bands",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DETAIL))
+def test_detail_pinned_byte_for_byte(verify_run, name):
+    assert _report(verify_run, name).detail == PINNED_DETAIL[name]
+
+
+def test_report_verdict_and_detail_come_from_its_facts(verify_run):
+    # passed is the conjunction of the facts and detail the "; "-join of
+    # their non-empty texts, a failing fact's marked with its name
+    holds = Fact("holds", 1.0, 1.0, 0.0, True, "one is one")
+    quiet = Fact("quiet", 2.0, 2.0, 0.0, True)
+    fails = Fact("fails", 3.0, 1.0, 0.0, False, "three is not one")
+    mute = Fact("mute", 4.0, 1.0, 0.0, False)
+    rep = CheckReport("c", 1.0, 1.0, 0.0, (holds, quiet))
+    assert rep.passed and rep.detail == "one is one"
+    rep = CheckReport("c", 1.0, 1.0, 0.0, (holds, fails, quiet, mute))
+    assert not rep.passed
+    assert rep.detail == "one is one; FAILED fails: three is not one; FAILED mute"
+    for rep in verify_run[0]:
+        assert rep.passed == all(fact.passed for fact in rep.facts), rep.name
+        assert rep.detail == "; ".join(
+            fact.text for fact in rep.facts if fact.text), rep.name
+
+
+def test_report_without_facts_is_rejected():
+    # all(()) is True, so a report of no facts would pass untested
+    with pytest.raises(ValueError, match="no facts"):
+        CheckReport("c", 1.0, 1.0, 0.0, ())
 
 
 def test_check_names_registry():
@@ -195,10 +243,11 @@ def test_compute_b_fails_when_closed_form_drifts(monkeypatch):
     monkeypatch.setattr(verification, "_half_log_average_closed",
                         lambda r: closed(r) + 1e-6)
     rep = compute_B(1e-8)
-    assert not rep.passed
-    diff = float(re.search(r"off the closed form by at most (\S+)",
-                           rep.detail).group(1))
-    assert diff == pytest.approx(1e-6, rel=1e-3)
+    assert [fact.name for fact in rep.facts if not fact.passed] == ["cross-check"]
+    assert _fact(rep, "cross-check").value == pytest.approx(1e-6, rel=1e-3)
+    # the failing fact is named on the detail line
+    assert ("; FAILED cross-check: quadrature average off the closed form by "
+            "at most 1.00e-06 at x* and") in rep.detail
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +321,9 @@ def test_alpha_lower_bound_certifies_radial_reduction_off_grid():
     rep = alpha_lower_bound(1.2, 1e-8)
     assert rep.passed
     assert rep.name == "alpha-lower-bound-1.2"
-    assert ("radial reduction certified (the 2048 Taylor coefficients of f "
-            "are real and nonnegative): True") in rep.detail
+    radial = _fact(rep, "radial reduction")
+    assert radial.passed and radial.value is True
+    assert "(the 2048 Taylor coefficients of f" in radial.text
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +371,14 @@ def test_compute_a_report(verify_run):
     rep = _report(verify_run, "bloch-A-constant")
     assert rep.passed
     assert rep.computed == pytest.approx(1.5, abs=1e-9)
-    assert "r -> 0" in rep.detail
+    assert _fact(rep, "maximizer").value == AT_ZERO
 
 
 def test_compute_b_report(verify_run):
     rep = _report(verify_run, "bloch-B-constant")
     assert rep.passed
     assert abs(rep.computed - B_30_DIGITS) <= 1e-8
-    diff = float(re.search(r"off the closed form by at most (\S+)",
-                           rep.detail).group(1))
-    assert diff <= 1e-8
+    assert _fact(rep, "cross-check").value <= 1e-8
     assert math.log(2.0) < rep.computed < 2.0 * math.log(2.0)
     assert rep.computed < 1.5
 
@@ -345,7 +393,7 @@ def test_compute_b_meets_30_digit_value():
 def test_compute_b_finds_x_star():
     # the same stop reported x* = 6.24914, 2.7e-3 off the peak
     rep = compute_B(1e-8)
-    x_star = float(re.search(r"x\* = (\S+)", rep.detail).group(1))
+    x_star = float(re.search(r"x\* = (\S+)", _fact(rep, "interval").text).group(1))
     assert abs(x_star - B_X_STAR) <= 1e-5
 
 
@@ -404,12 +452,13 @@ def test_h1_lower_bound_report(verify_run):
     rep = _report(verify_run, "h1-lower-bound-0.5")
     assert rep.passed
     assert rep.computed == pytest.approx(1.6944261753566803, abs=1e-9)
-    assert "(AtZero at r = 0)" in rep.detail
+    assert "(AtZero at r = 0)" in _fact(rep, "ratio").text
     # the detail accounts for the work of the numerator search: the grid
     # is one call, and its maximum at r = 0 one more on 7 radii below the
     # second grid radius; the radii evaluated include every grid radius
     counts = re.search(r"(\d+) objective calls over (\d+) radii, (\d+) "
-                       r"circle-mean integrand values", rep.detail)
+                       r"circle-mean integrand values",
+                       _fact(rep, "cross-check").text)
     calls, radii, values = (int(v) for v in counts.groups())
     assert radii >= 64
     assert calls <= 2
@@ -432,14 +481,16 @@ def test_h1_lower_bound_099_values_budget(verify_run):
     # as the endpoint exponent -alpha, with theta = pi s^100.
     rep = _report(verify_run, "h1-lower-bound-0.99")
     assert rep.passed
-    assert "(AtZero at r = 0)" in rep.detail
+    ratio = _fact(rep, "ratio").text
+    assert "(AtZero at r = 0)" in ratio
     shown = re.search(r"denominator ([\d.]+) \(boundary mean "
-                      r"Gamma\(1-a\)/Gamma\(1-a/2\)\^2 = ([\d.]+)\)", rep.detail)
+                      r"Gamma\(1-a\)/Gamma\(1-a/2\)\^2 = ([\d.]+)\)", ratio)
     reference = math.gamma(0.01) / math.gamma(1.0 - 0.99 / 2.0) ** 2
     assert float(shown.group(2)) == pytest.approx(reference, rel=1e-8)
     # the means M_1(r) rise to the boundary mean, so no sweep exceeds it
     assert 0.0 < float(shown.group(1)) <= reference
-    values = re.search(r"(\d+) circle-mean integrand values", rep.detail)
+    values = re.search(r"(\d+) circle-mean integrand values",
+                       _fact(rep, "cross-check").text)
     assert 0 < int(values.group(1)) <= 50_000
 
 
@@ -456,10 +507,9 @@ def test_h1_lower_bound_fails_when_the_cross_check_disagrees(monkeypatch, alpha)
 
     monkeypatch.setattr(verification, "_h1_numerator_mean", off)
     rep = verification.h1_lower_bound(alpha, 1e-8)
-    assert not rep.passed
+    assert [fact.name for fact in rep.facts if not fact.passed] == ["cross-check"]
     assert rep.computed >= rep.target[0]
-    shown = re.search(r"quadrature route to ([\d.e+-]+) relative", rep.detail)
-    assert float(shown.group(1)) == pytest.approx(1e-5, rel=1e-3)
+    assert _fact(rep, "cross-check").value == pytest.approx(1e-5, rel=1e-3)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.99])
@@ -478,7 +528,7 @@ def test_h1_lower_bound_integrates_hf0_once(monkeypatch, alpha):
     assert rep.passed
     assert len(calls) == 1 and calls[0][1] == 0.0
     assert int(re.search(r"numerator search: (\d+) objective calls",
-                         rep.detail).group(1)) > 1
+                         _fact(rep, "cross-check").text).group(1)) > 1
 
 
 def test_gamma_identities_report():
@@ -507,8 +557,11 @@ def test_representation_agreement_report(verify_run):
     rep = _report(verify_run, "series-integral-agreement")
     assert rep.passed
     assert rep.computed <= 1e-11
-    assert f"first {DEFAULT_TRUNCATION} half-log coefficients" in rep.detail
-    assert "1/(2N) = 2.4414e-04: True" in rep.detail
+    gap = _fact(rep, "truncation gap")
+    assert gap.passed and gap.target == (0.0, 0.5 / DEFAULT_TRUNCATION)
+    low, high = gap.value
+    assert -1e-14 <= low <= high <= 0.5 / DEFAULT_TRUNCATION + 1e-14
+    assert f"first {DEFAULT_TRUNCATION} half-log coefficients" in gap.text
 
 
 @pytest.mark.parametrize("truncation", [DEFAULT_TRUNCATION, 1 << 16])
@@ -545,10 +598,10 @@ def test_representation_agreement_truncation_too_small():
     # the integral form; the check must fail gracefully with a finite
     # residual, not raise
     rep = representation_agreement(1e-8, truncation=16)
-    assert not rep.passed
+    assert [fact.name for fact in rep.facts if not fact.passed] == ["residuals"]
     assert math.isfinite(rep.computed)
     assert rep.computed > 1e-6
-    assert "output order 16" in rep.detail
+    assert "output order 16" in _fact(rep, "truncation gap").text
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +628,18 @@ def test_run_all_keeps_the_partial_result(monkeypatch):
 
     name, check = verification._CHECKS[-1]
     checks = verification._CHECKS[:-1]
-    for raising, want in ((stalls, partial), (diverges, witness), (bare, None)):
+    for raising, want, message in (
+            (stalls, partial, "no convergence after 9 panels"),
+            (diverges, witness, "objective grows"),
+            (bare, None, "integrand not finite")):
         monkeypatch.setattr(verification, "_CHECKS", ((name, raising),))
         (report,) = verification.run_all()
         assert report.name == name and not report.passed
         assert math.isnan(report.computed) and math.isnan(report.target)
-        assert report.detail.startswith("numerical non-convergence: ")
+        (fact,) = report.facts
+        assert (fact.name, fact.passed, fact.text) == (
+            "numerical non-convergence", False, message)
+        assert report.detail == f"FAILED numerical non-convergence: {message}"
         assert report.partial == want
     monkeypatch.setattr(verification, "_CHECKS", checks[-1:] + ((name, check),))
     assert [r.partial for r in verification.run_all()] == [None, None]
