@@ -52,14 +52,20 @@ def apply_matrix(s, out_order):
     b = np.zeros(out_order, dtype=work.dtype)
     # tiles of _MATRIX_CHUNK rows by _MATRIX_CHUNK columns stay in cache;
     # b_n sums a chunk's columns along one row of a tile, in their order, so
-    # how the rows are tiled changes no bit
+    # how the rows are tiled changes no bit. Every tile and its quotients
+    # are contiguous views of two buffers that all tiles reuse
+    denominators = np.empty(_MATRIX_CHUNK * _MATRIX_CHUNK)
+    quotients = np.empty(_MATRIX_CHUNK * _MATRIX_CHUNK, dtype=work.dtype)
     for j0 in range(0, vals.size, _MATRIX_CHUNK):
         cols = slice(j0, j0 + _MATRIX_CHUNK)
         for i0 in range(0, out_order, _MATRIX_CHUNK):
             rows = slice(i0, i0 + _MATRIX_CHUNK)
-            tile = n[rows] + kf[cols]
+            shape = (n[rows].size, kf[cols].size)
+            size = shape[0] * shape[1]
+            tile = np.add(n[rows], kf[cols], out=denominators[:size].reshape(shape))
             tile += 1.0
-            b[rows] += np.sum(vals[cols] / tile, axis=1)
+            b[rows] += np.sum(np.divide(vals[cols], tile, out=quotients[:size].reshape(shape)),
+                              axis=1)
     if s.tail_bound == 0.0:
         k = np.arange(coeffs.size, dtype=float)
         tail = float(np.sum(np.abs(coeffs) / (out_order + k + 1.0)))

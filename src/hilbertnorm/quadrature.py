@@ -24,6 +24,7 @@ without a call, with every mesh and bit unchanged.
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
     "integrate_halfline",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # 15-point Kronrod nodes (positive half) with their weights, and the weights
 # of the embedded 7-point Gauss rule on the odd-indexed nodes.
@@ -148,38 +149,42 @@ class QuadratureError(Exception):
 
 def _rule(f, members, lo, hi):
     """GK15 on every panel [lo[j], hi[j]] of member members[j] in one call
-    of f: arrays of the K15 values and of the error estimates, sharpened as
-    QUADPACK does (err = resasc * min(1, (200*|K-G|/resasc)^1.5), floored at
+    of f: the K15 values and the error estimates, sharpened as QUADPACK
+    does (err = resasc * min(1, (200*|K-G|/resasc)^1.5), floored at
     50*eps*resabs), and the index of the first panel where f is not finite
     (None if none). Rows are summed along the row and the power is a scalar
     Python power, so each panel gets the bits of a call on it alone; a BLAS
     product sums in another order, and an array power rounds differently.
-    Fewer than _WIDE rows are sharpened in a scalar loop, more in array
-    arithmetic around the scalar power."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+    Fewer than _WIDE rows are sharpened in a scalar loop and come back as
+    lists, more in array arithmetic around the scalar power and come back
+    as arrays."""
+    width = hi - lo
+    half = 0.5 * width
+    x = half[:, None] * _XGK
+    x += (0.5 * (lo + hi))[:, None]
     y = np.asarray(f(members, x))
     if y.shape != x.shape:
         raise QuadratureError(
             f"integrand returned shape {y.shape} for input shape {x.shape}")
     # the Kronrod weights are positive, so resabs is finite iff its row is
     resabs = half * np.add.reduce(_WGK * np.abs(y), axis=1)
-    finite = np.isfinite(resabs)
-    if not finite.all():
-        return None, None, int(np.argmin(finite))
+    if not np.maximum.reduce(resabs) < math.inf:
+        return None, None, int(np.argmin(np.isfinite(resabs)))
     k15, g7 = half * np.add.reduce(_WKG_ROWS * y, axis=-1)
-    resasc = half * np.add.reduce(_WGK * np.abs(y - (k15 / (hi - lo))[:, None]), axis=1)
+    resasc = half * np.add.reduce(_WGK * np.abs(y - (k15 / width)[:, None]), axis=1)
     diff = k15 - g7
     if lo.size < _WIDE:
         errors = []
         for d, asc, sabs in zip(diff.tolist(), resasc.tolist(), resabs.tolist()):
             err = abs(d)
             if asc != 0.0 and err != 0.0:
-                err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-            if sabs > _RESABS_FLOOR:
-                err = max(50.0 * _EPS * sabs, err)
+                r = 200.0 * err / asc
+                err = asc * r ** 1.5 if r < 1.0 else asc
+            # max(floor, err) as Python takes it: the floor on a tie or a NaN
+            if sabs > _RESABS_FLOOR and not err > (floor := 50.0 * _EPS * sabs):
+                err = floor
             errors.append(err)
-        return k15, np.array(errors), None
+        return k15.tolist(), errors, None
     # |K-G| as Python's abs takes it: np.abs of a complex rounds otherwise
     err = np.hypot(diff.real, diff.imag) if diff.dtype.kind == "c" else np.abs(diff)
     sharp = (resasc != 0.0) & (err != 0.0)
@@ -216,7 +221,7 @@ def _sums(value, error, count):
 
 def _heap_sums(heaps):
     """_sums of the members with these heaps of panels."""
-    panels = [p for heap in heaps for p in sorted(heap, key=lambda p: p[2])]
+    panels = [p for heap in heaps for p in sorted(heap, key=itemgetter(2))]
     return _sums(np.array([p[4] for p in panels]), np.array([p[5] for p in panels]),
                  [len(heap) for heap in heaps])
 
@@ -260,6 +265,24 @@ def _not_finite(name, k, lo, hi, partial):
         f"{name(k)}integrand not finite on panel [{lo:g}, {hi:g}]", partial, k)
 
 
+def _halves(f, nodes):
+    """_rule on both halves [lo, pm] and [pm, hi] of each (k, lo, pm, hi)
+    of nodes in one call of f: the halves' (v1, e1, v2, e2) of each node,
+    and the index of the first non-finite row (None if none)."""
+    members, lo, hi = [], [], []
+    for k, a, pm, b in nodes:
+        members += k, k
+        lo += a, pm
+        hi += pm, b
+    vals, errs, bad = _rule(f, np.array(members), np.array(lo), np.array(hi))
+    if bad is not None:
+        return None, bad
+    if len(lo) >= _WIDE:
+        # the arrays of a wide call
+        vals, errs = vals.tolist(), errs.tolist()
+    return list(zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2])), None
+
+
 def _speculate(f, nodes, depth, known, events):
     """Store in known the halves' (v1, e1, v2, e2) of each (k, lo, pm, hi)
     of nodes and of the panels below it, depth levels of halves in all,
@@ -275,17 +298,14 @@ def _speculate(f, nodes, depth, known, events):
         level = [(k, lo, m, hi) for k, a, pm, b in level for lo, hi in ((a, pm), (pm, b))
                  if lo < (m := 0.5 * (lo + hi)) < hi]
         nodes = nodes + level
-    ends = np.array([node[1:] for node in nodes])
     try:
         with np.errstate(**events):
-            vals, errs, bad = _rule(f, np.array([node[0] for node in nodes]).repeat(2),
-                                    ends[:, :2].ravel(), ends[:, 1:].ravel())
+            halves, bad = _halves(f, nodes)
     except Exception:
-        bad = True
+        return False
     if bad is not None:
         return False
-    vals, errs = vals.tolist(), errs.tolist()
-    known.update(zip(nodes, zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2])))
+    known.update(zip(nodes, halves))
     return True
 
 
@@ -305,7 +325,6 @@ def _heaps(f, a, b, values, errors, tol, panel_cap, name):
     events = {kind: "ignore" if how == "ignore" else "raise"
               for kind, how in np.geterr().items()}
     known = {}
-    values, errors = values.tolist(), errors.tolist()
     # per member, a heap of (-error, seq, a, b, value, error); seq breaks
     # ties reproducibly
     heaps = [[(-e, 0, lo, hi, v, e)]
@@ -314,47 +333,46 @@ def _heaps(f, a, b, values, errors, tol, panel_cap, name):
     live = range(n)
     while live:
         live = [k for k in live if not errors[k] <= tol * max(1.0, abs(values[k]))]
-        split = []
+        # the worst panels to split, and their (k, lo, pm, hi)
+        split, nodes = [], []
         for k in live:
             heap = heaps[k]
             if len(heap) >= panel_cap:
                 raise _no_convergence(name, k, len(heap), errors[k], values[k], tol,
                                       _heap_partial(heap))
-            panel = heapq.heappop(heap)
-            pm = 0.5 * (panel[2] + panel[3])
-            if panel[2] < pm < panel[3]:
-                split.append((k, panel, pm))
+            # the worst panel stays on the heap until a half replaces it
+            panel = heap[0]
+            lo, hi = panel[2], panel[3]
+            pm = 0.5 * (lo + hi)
+            if lo < pm < hi:
+                split.append(panel)
+                nodes.append((k, lo, pm, hi))
             else:
                 # panel at float resolution; keep it and stop refining this spot
                 seqs[k] += 1
-                heapq.heappush(heap, (0.0, seqs[k]) + panel[2:])
+                heapq.heapreplace(heap, (0.0, seqs[k]) + panel[2:])
                 errors[k] -= panel[5]
         if not split:
             continue
         halves = None
         if depth > 1:
-            keys = [(k, p[2], pm, p[3]) for k, p, pm in split]
-            need = [key for key in keys if key not in known]
+            need = [node for node in nodes if node not in known]
             if not need or _speculate(f, need, depth, known, events):
-                halves = [known.pop(key) for key in keys]
+                halves = [known.pop(node) for node in nodes]
             else:
                 # a fault in one speculative call is likely to recur
                 depth = 1
         if halves is None:
-            ends = np.array([(p[2], pm, p[3]) for _, p, pm in split])
-            lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
-            vals, errs, bad = _rule(f, np.repeat([k for k, _, _ in split], 2), lo, hi)
+            halves, bad = _halves(f, nodes)
             if bad is not None:
-                k, panel, _ = split[bad // 2]
-                raise _not_finite(name, k, lo[bad], hi[bad],
-                                  _heap_partial(heaps[k] + [panel]))
-            vals, errs = vals.tolist(), errs.tolist()
-            halves = list(zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2]))
-        for (k, panel, pm), (v1, e1, v2, e2) in zip(split, halves):
-            heap = heaps[k]
-            heapq.heappush(heap, (-e1, seqs[k] + 1, panel[2], pm, v1, e1))
-            heapq.heappush(heap, (-e2, seqs[k] + 2, pm, panel[3], v2, e2))
-            seqs[k] += 2
+                k, lo, pm, hi = nodes[bad // 2]
+                raise _not_finite(name, k, *((lo, pm) if bad % 2 == 0 else (pm, hi)),
+                                  _heap_partial(heaps[k]))
+        for panel, (k, lo, pm, hi), (v1, e1, v2, e2) in zip(split, nodes, halves):
+            heap, seq = heaps[k], seqs[k]
+            heapq.heapreplace(heap, (-e1, seq + 1, lo, pm, v1, e1))
+            heapq.heappush(heap, (-e2, seq + 2, pm, hi, v2, e2))
+            seqs[k] = seq + 2
             values[k] += (v1 + v2) - panel[4]
             errors[k] += (e1 + e2) - panel[5]
     return (*_heap_sums(heaps), np.array([30 * len(heap) - 15 for heap in heaps]))
@@ -443,6 +461,8 @@ def _flat(f, a, b, value, error, tol, panel_cap, name):
         if bad is not None:
             j = int(k[bad // 2])
             raise _not_finite(name, j, rows_lo[bad], rows_hi[bad], partial(j))
+        # the lists of a round of fewer than _WIDE rows
+        vals, errs = np.asarray(vals), np.asarray(errs)
         if vals.dtype.kind == "c" and pv.dtype.kind != "c":
             value, pv = value.astype(complex), pv.astype(complex)
         v1, v2, e1, e2 = vals[0::2], vals[1::2], errs[0::2], errs[1::2]
@@ -502,21 +522,22 @@ def _transformed(f, a, b, exponent, side):
     evaluate the members k, an index array of rows."""
     e = 0.0 if exponent is None else float(exponent)
     q = 1.0 / (1.0 + e)
-    # per member in scalar arithmetic, as the one-member call rounds it; a
-    # scalar nextafter raises no underflow at an edge of 0 under np.errstate
-    coef = np.array([[q * s ** (1.0 + e)] for s in (b - a).tolist()])
-    span = (b - a)[:, None]
-    edge, inner, sign = (b, a, -1.0) if side == "right" else (a, b, 1.0)
-    off = np.array([[math.nextafter(x, y)]
-                    for x, y in zip(edge.tolist(), inner.tolist())])
-    edge = edge[:, None]
+    right = side == "right"
+    edges, inners = (b.tolist(), a.tolist()) if right else (a.tolist(), b.tolist())
+    spans = (b - a).tolist()
+    # per member: the edge, the span, the point one ulp inside the edge and
+    # the constant factor, taken for all rows of a call at once; the last
+    # two in scalar arithmetic, as the one-member call rounds them (a
+    # scalar nextafter raises no underflow at an edge of 0 under np.errstate)
+    cols = np.array([edges, spans, [math.nextafter(x, y) for x, y in zip(edges, inners)],
+                     [q * s ** (1.0 + e) for s in spans]])[:, :, None]
 
     def g(k, s):
-        end = edge[k]
-        x = end + sign * (span[k] * s ** q)
-        x = np.where(x == end, off[k], x)
-        dist = np.abs(end - x)
-        return coef[k] * np.asarray(f(k, x)) * dist ** (-e)
+        end, span, off, coef = cols.take(k, 1)
+        step = span * s ** q
+        # a point at the edge, where the step underflows, moves to off
+        x = np.minimum(end - step, off) if right else np.maximum(end + step, off)
+        return coef * np.asarray(f(k, x)) * (end - x if right else x - end) ** -e
 
     return g
 
@@ -538,14 +559,14 @@ def _sinh_mapped(f, a, b, distance):
         if not math.isfinite(u):
             raise ValueError(
                 f"near-singularity distance {d:g} is too small for the interval")
-    rate = np.array([[u] for u in rates])
-    jac = np.array([[d * u] for d, u in zip(dists, rates)])
-    scale = np.array([[d] for d in dists])
-    start = a[:, None]
+    # per member: the rate, the Jacobian factor, the distance and the start
+    cols = np.array([rates, [d * u for d, u in zip(dists, rates)], dists,
+                     a.tolist()])[:, :, None]
 
     def g(k, s):
-        t = rate[k] * s
-        return jac[k] * np.cosh(t) * np.asarray(f(k, start[k] + scale[k] * np.sinh(t)))
+        rate, jac, scale, start = cols.take(k, 1)
+        t = rate * s
+        return jac * np.cosh(t) * np.asarray(f(k, start + scale * np.sinh(t)))
 
     return g
 
@@ -562,7 +583,9 @@ def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
     with the same declared exponents and a near-singularity distance of its
     own or a shared one. A member failing on the second piece raises
     QuadratureError with its share of the first piece added."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     if a.ndim > 1:
         raise ValueError("integration bounds must be scalars or 1-d arrays")
     one = a.ndim == 0
@@ -570,7 +593,7 @@ def integrate_singular(f, a, b, spec, tol, panel_cap=_DEFAULT_PANEL_CAP):
     a, b = a.reshape(-1), b.reshape(-1)
     if not a.size:
         raise ValueError("integration bounds are empty arrays: no member to integrate")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.isfinite(a) & np.isfinite(b)).all():
         raise ValueError("integration bounds must be finite; "
                          "integrate_halfline integrates over [a, infinity)")
     if not (a < b).all():

@@ -505,7 +505,11 @@ def alpha_upper_bound(alpha):
 
 
 def alpha_bounds_order(alpha_grid=DEFAULT_ALPHA_GRID):
-    """L(alpha) <= U(alpha) across the working grid of weights."""
+    """L(alpha) <= U(alpha) across the working grid of weights; ValueError
+    on an empty grid, which has no gap to report."""
+    alpha_grid = tuple(alpha_grid)
+    if not alpha_grid:
+        raise ValueError("alpha_bounds_order needs a non-empty alpha grid")
     tol = 1e-10
     worst = -math.inf
     worst_alpha = None

@@ -152,6 +152,37 @@ def test_matrix_action_large_input_matches_direct_complex(size):
                               _column_chunked_matrix(a, out))
 
 
+def _fresh_tiles_matrix(a, out_order):
+    # apply_matrix's sums with a fresh array for every tile and quotient:
+    # the reused tile buffers must give the same bits
+    work = a if a.imag.any() else a.real
+    ks = np.flatnonzero(work)
+    vals, kf = work[ks], ks.astype(float)
+    n = np.arange(out_order, dtype=float)[:, None]
+    b = np.zeros(out_order, dtype=work.dtype)
+    for j0 in range(0, vals.size, 256):
+        for i0 in range(0, out_order, 256):
+            tile = n[i0:i0 + 256] + kf[j0:j0 + 256]
+            tile += 1.0
+            b[i0:i0 + 256] += np.sum(vals[j0:j0 + 256] / tile, axis=1)
+    return b
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "sprinkled real", "sprinkled complex"])
+@pytest.mark.parametrize("out", [300, 700])
+def test_matrix_action_reused_tiles_keep_every_bit(kind, out):
+    # 600 coefficients, and with zeros sprinkled about 330 nonzeros: two
+    # column chunks, the second partial; 300 and 700 rows end in a partial
+    # row tile
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal(600) + (1j * rng.standard_normal(600) if "complex" in kind else 0.0)
+    if "sprinkled" in kind:
+        a[rng.random(600) < 0.45] = 0.0
+    got = apply_matrix(CoefficientSeries(a, a.size, 0.0), out).coeffs
+    want = _fresh_tiles_matrix(a, out)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("size", [256, 2048])
 def test_matrix_action_half_log_telescoping_gap(size):
     # Truncating the half-log input after `size` terms drops

@@ -245,6 +245,78 @@ def test_integration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# the GK15 rule's bits, pinned
+#
+# Integrands of + - * / and sqrt only, which every SIMD loop rounds alike;
+# each row's (K15, error) as float.hex, recorded before the engine's
+# narrow path was trimmed. The rows cover every branch of the sharpening:
+# err == 0 ("linear", "level", "zero", "tiny" is not), resasc == 0
+# ("level", "zero", "c-level"), a ratio 200*err/resasc of 1 or more
+# ("constant", "spike", "runge", "c-constant"), a steep ratio below 1, and
+# resabs below _RESABS_FLOOR ("zero", "tiny").
+
+_PINNED_ROWS = {
+    "cubic": (lambda x: x * x * x, 0.0, 1.0),
+    "level": (lambda x: 0.0 * x + 2.0, 0.0, 1.0),
+    "zero": (lambda x: 0.0 * x, -1.0, 2.0),
+    "linear": (lambda x: 2.0 * x + 1.0, 0.0, 1.0),
+    "constant": (lambda x: 0.0 * x + 2.5, 0.0, 3.0),
+    "spike": (lambda x: 1.0 / (1e-4 + (x - 0.3) * (x - 0.3)), 0.0, 1.0),
+    "tiny": (lambda x: 1e-300 / (0.1 + x * x), 0.0, 1.0),
+    "sqrt": (lambda x: np.sqrt(x), 0.0, 1.0),
+    "sliver": (lambda x: np.sqrt(x), 0.5, 0.5 + 1e-12),
+    "runge": (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 0.25),
+    "runge-tail": (lambda x: 1.0 / (1.0 + 25.0 * x * x), 0.25, 0.5),
+    "c-rational": (lambda x: (1.0 + 2.0j) * x / (1.0 + x * x), 0.0, 2.0),
+    "c-peak": (lambda x: np.sqrt(x) * (0.5 - 1.0j) + 1.0j / (1e-3 + x * x), 0.01, 0.4),
+    "c-level": (lambda x: 0.0 * x + (1.0 + 1.0j), 0.0, 1.0),
+    "c-constant": (lambda x: (0.0 * x + 1.0) * (2.0 - 3.0j), 0.0, 1.0),
+}
+# (K15, error); a complex K15 as (real, imaginary)
+_PINNED_BITS = {
+    "cubic": ("0x1.0000000000000p-2", "0x1.9000000000000p-49"),
+    "level": ("0x1.0000000000000p+1", "0x1.9000000000000p-46"),
+    "zero": ("0x0.0p+0", "0x0.0p+0"),
+    "linear": ("0x1.0000000000000p+1", "0x1.9000000000000p-46"),
+    "constant": ("0x1.e000000000002p+2", "0x1.7700000000002p-44"),
+    "spike": ("0x1.c53b8c5acf9ecp+9", "0x1.8b4ab180eeb5fp+10"),
+    "tiny": ("0x1.56c6c66961155p-995", "0x1.8942f025c65bdp-1007"),
+    "sqrt": ("0x1.555718f03f4c2p-1", "0x1.72200aedc2c7bp-6"),
+    "sliver": ("0x1.8e0e928c1c1f5p-41", "0x1.36fb627d75f87p-87"),
+    "runge": ("0x1.d0cb136b09dc3p-2", "0x1.69485e79e7ca2p-2"),
+    "runge-tail": ("0x1.e212ebdcd58a2p-5", "0x1.002e088882003p-47"),
+    "c-rational": (("0x1.9c041f7ed85fap-1", "0x1.9c041f7ed85fap+0"),
+                   "0x1.0181010ff9e2ep-18"),
+    "c-peak": (("0x1.580a299b1e3eep-4", "0x1.2a995f9c7d14ap+5"), "0x1.8d6c9af3c1194p+4"),
+    "c-level": (("0x1.0000000000000p+0", "0x1.0000000000000p+0"), "0x1.1ad7bc01366b7p-46"),
+    "c-constant": (("0x1.0000000000000p+1", "-0x1.7ffffffffffffp+1"),
+                   "0x1.688e1cd6c0e47p-45"),
+}
+_REAL = [name for name in _PINNED_ROWS if not name.startswith("c-")]
+_COMPLEX = [name for name in _PINNED_ROWS if name.startswith("c-")]
+assert len(_REAL) < _WIDE <= 3 * len(_REAL) and 8 * len(_COMPLEX) >= _WIDE
+
+
+@pytest.mark.parametrize("names", [
+    ["cubic"], ["level", "zero"], ["linear", "constant", "spike"], ["tiny"],
+    ["sqrt", "sliver", "runge", "runge-tail"], ["c-rational", "c-peak"],
+    ["c-level", "c-constant"],
+    # wide calls (_WIDE rows or more), sharpened in array arithmetic
+    _REAL * 3, _COMPLEX * 8,
+])
+def test_rule_bits_pinned(names):
+    rows = [_PINNED_ROWS[name] for name in names]
+    complex_rows = names[0].startswith("c-")
+    k15, err, bad = quadrature._rule(_lockstep(rows, complex if complex_rows else float),
+                                     np.arange(len(rows)), np.array([r[1] for r in rows]),
+                                     np.array([r[2] for r in rows]))
+    assert bad is None
+    for name, k, e in zip(names, np.asarray(k15).tolist(), np.asarray(err).tolist()):
+        got = (k.real.hex(), k.imag.hex()) if complex_rows else k.hex()
+        assert (got, e.hex()) == _PINNED_BITS[name], name
+
+
+# ---------------------------------------------------------------------------
 # a family of integrals, one lockstep member each
 # ---------------------------------------------------------------------------
 

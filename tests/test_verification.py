@@ -309,6 +309,13 @@ def test_alpha_bounds_order_custom_grid():
     assert rep.computed < 0.0
 
 
+@pytest.mark.parametrize("grid", [(), [], iter(())])
+def test_alpha_bounds_order_rejects_an_empty_grid(grid):
+    # an empty grid has no largest gap; it once failed on formatting None
+    with pytest.raises(ValueError, match="non-empty alpha grid"):
+        alpha_bounds_order(grid)
+
+
 def test_alpha_lower_bound_report(verify_run):
     rep = _report(verify_run, "alpha-lower-bound-1.5")
     assert rep.passed
