@@ -21,7 +21,6 @@ from .catalog import (
     derivative_series,
     eval,
     eval_series,
-    tail_error,
     taylor_coeffs,
 )
 from .hilbertop import (

@@ -29,7 +29,6 @@ __all__ = [
     "eval",
     "taylor_coeffs",
     "eval_series",
-    "tail_error",
     "derivative_series",
     "DEFAULT_TRUNCATION",
 ]
@@ -182,17 +181,6 @@ def eval_series(s, z):
         out = np.polynomial.polynomial.polyval(z, s.coeffs)
     out = np.asarray(out)
     return complex(out) if out.ndim == 0 else out
-
-
-def tail_error(s, r):
-    """Evaluation error bound C r^N/(1-r) at |z| = r, or None without a
-    tail certificate."""
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise ValueError("tail_error requires 0 <= r < 1")
-    if s.tail_bound is None:
-        return None
-    return s.tail_bound * r ** s.truncation_order / (1.0 - r)
 
 
 def derivative_series(s):

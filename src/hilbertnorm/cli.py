@@ -44,6 +44,7 @@ from .verification import (
     H1_LOG_LOWER,
     H1_LOG_UPPER,
     HINF_LOG_NORM,
+    WITNESS_ALPHAS,
     alpha_bound_values,
     bloch_a_objective,
     bloch_b_objective,
@@ -58,8 +59,6 @@ from .verification import (
 )
 
 _FORMATS = ("csv", "json")
-
-_WITNESS_ALPHAS = (0.5, 2.0, 2.5)
 
 
 def _number(name, value):
@@ -254,7 +253,7 @@ def _table_ic_bound_grid(config):
 
 def _table_witnesses(config):
     rows = []
-    for alpha in _WITNESS_ALPHAS:
+    for alpha in WITNESS_ALPHAS:
         js, rs, vals = unboundedness_profile(alpha)
         for j, r, v in zip(js, rs, vals):
             rows.append((alpha, int(j), float(r), float(v)))

@@ -12,16 +12,16 @@ that substitution in the derivative kernel gives the path-shifted form.
 
 Numerical form: every denominator is grouped so no catastrophic cancellation
 occurs as t -> 1 or |z| -> 1, e.g. d_t(z) = (1 - z) + t z, and the composed
-values 1 -+ phi_t(z) are produced as exact-ratio expressions rather than by
-subtracting phi from 1. Real points, such as the radii of a norm search,
-are integrated in real arithmetic, which costs less than complex128; every
-integral form still returns complex128.
+value 1 - phi_t(z) is produced as an exact ratio rather than by subtracting
+phi from 1. Real points, such as the radii of a norm search, are integrated
+in real arithmetic, which costs less than complex128; every integral form
+still returns complex128.
 """
 
 import numpy as np
 
 from .catalog import Kind, TestFunction, CoefficientSeries, eval as cat_eval, \
-    _count, _expm1_complex
+    _count, _eval_log
 from .quadrature import SingularitySpec, integrate_singular
 
 __all__ = [
@@ -116,12 +116,16 @@ def _operator_integral(fn, z, tol, kernel):
     every point is one member of a lockstep integration, with the value of
     its own scalar call, and a scalar z is the one-point case."""
     points = _require_points(z)
-    zk = points.reshape(-1, 1)
-    omz = 1.0 - zk
+    # z and 1 - z per point, taken for all rows of a call with one take
+    cols = np.array([points, 1.0 - points]).reshape(2, -1, 1)
+
+    def integrand(k, t):
+        zk, omz = cols.take(k, 1)
+        return kernel(t, omz + zk * (1.0 - t))
+
     n = points.size
-    value = integrate_singular(
-        lambda k, t: kernel(t, omz[k] + zk[k] * (1.0 - t)),
-        np.zeros(n), np.ones(n), _endpoint_spec(fn), tol).value
+    value = integrate_singular(integrand, np.zeros(n), np.ones(n),
+                               _endpoint_spec(fn), tol).value
     return value.astype(complex) if points.ndim else complex(value[0])
 
 
@@ -142,16 +146,16 @@ def derivative_at_pathshifted(fn, z, tol):
     """(Hf)'(z) through the shifted path: int_0^1 t f(phi_t(z)) /
     (d_t(z) (1-z)) dt.
 
-    The composed argument phi_t(z) approaches 1 as t -> 1, so f(phi_t(z)) is
-    expanded per kind through the exact ratios
+    The composed argument phi_t(z) = t / d_t(z) approaches 1 as t -> 1, so
+    f(phi_t(z)) is the catalog's closed form (catalog._eval_log) given
+    log(1 - phi_t(z)) through the exact ratio
 
         1 - phi_t(z) = (1-t)(1-z) / d_t(z)
-        1 + phi_t(z) = ((1-z) + t(1+z)) / d_t(z)
 
-    both of which lie in the right half-plane for |z| < 1; their logarithms
-    therefore combine without branch jumps, and the t -> 1 singularity enters
-    only through the explicit (1-t) factor that the singular quadrature
-    transform neutralizes exactly.
+    which lies in the right half-plane for |z| < 1, as does 1 + phi_t(z);
+    their logarithms therefore combine without branch jumps, and the t -> 1
+    singularity enters only through the explicit (1-t) factor that the
+    singular quadrature transform neutralizes exactly.
 
     z may also be a 1-d array, every point one member of a lockstep
     integration with the value of its own scalar call, as in
@@ -159,25 +163,15 @@ def derivative_at_pathshifted(fn, z, tol):
     as a near singularity outside t = 0 (_pole_distance): d_t(z) is small
     there when z is near 1."""
     points = _require_points(z)
-    zk = points.reshape(-1, 1)
-    omzk = 1.0 - zk
-    kind = fn.kind
-    al = fn.param
+    cols = np.array([points, 1.0 - points]).reshape(2, -1, 1)
 
     def integrand(k, t):
-        z, omz = zk[k], omzk[k]
+        z, omz = cols.take(k, 1)
         d = omz + t * z
         base = t / (d * omz)
-        if kind is Kind.CONSTANT:
+        if fn.kind is Kind.CONSTANT:
             return base
-        w1 = (1.0 - t) * omz / d
-        if kind is Kind.HARDY_ALPHA_EXTREMAL:
-            return base * np.exp(-al * np.log(w1))
-        w2 = (omz + t * (1.0 + z)) / d
-        if kind is Kind.HALF_LOG:
-            return base * 0.5 * (np.log(w2) - np.log(w1))
-        w = (1.0 - al) * (np.log(w1) + np.log(w2))
-        return base * _expm1_complex(w) / (2.0 * (al - 1.0))
+        return base * _eval_log(fn, t / d, np.log((1.0 - t) * omz / d))
 
     n = points.size
     spec = SingularitySpec(right_exponent=_endpoint_spec(fn).right_exponent,

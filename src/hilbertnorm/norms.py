@@ -62,10 +62,6 @@ def _inner_tol(tol):
     return max(0.1 * tol, 1e-13)
 
 
-def _weight_at(r, log_weighted):
-    return log_weight(r) if log_weighted else 1.0
-
-
 def _circle_pair(r, theta):
     """The points z = r e^{i theta} and 1 - z, the latter as (1-r) +
     2 r sin^2(theta/2) - i r sin(theta), free of cancellation near z = 1."""
@@ -87,10 +83,10 @@ def _spiked_means(r, power, top, tol):
     every r."""
     r = np.asarray(r, dtype=float)
     rk = r[:, None]
-    dist = np.array([(1.0 - x) / math.sqrt(x) for x in r.tolist()])
     res = integrate_singular(lambda k, theta: power(rk[k], theta),
                              np.zeros(r.size), np.full(r.size, top),
-                             SingularitySpec(left_distance=dist), tol)
+                             SingularitySpec(left_distance=(1.0 - r) / np.sqrt(r)),
+                             tol)
     return res.value / top, res.evaluations
 
 
@@ -144,27 +140,25 @@ def _mean_objective(f, p, log_weighted, inner_tol):
     0 declared (_catalog_means); a catalog maximum (p = inf) and a
     constant's every mean are |f(r)|, as the catalog's nonnegative
     coefficients put the maximum on the positive axis. A catalog function's
-    |f(r)| and weight are taken per radius in scalar arithmetic, as the
-    one-radius objective rounds them (np.log over an array rounds
-    differently)."""
+    |f(r)| is taken per radius in scalar arithmetic, as the one-radius
+    objective rounds it (np.log over an array rounds differently); the
+    weight is log_weight of the radii, whose float route has the bits of
+    its array route."""
     if isinstance(f, CoefficientSeries):
         def means(rs):
             if p == math.inf:
                 return _series_maxima(f.coeffs, rs)
             return _series_means(f.coeffs, rs, p, inner_tol)
-
-        weight = log_weight
     elif isinstance(f, TestFunction):
         if p == math.inf or f.kind is Kind.CONSTANT:
             means = pointwise(lambda r: abs(cat_eval(f, r)))
         else:
             means = _catalog_means(f, p, inner_tol)
-        weight = pointwise(log_weight)
     else:
         raise TypeError("expected a TestFunction or CoefficientSeries")
     if not log_weighted:
         return means
-    return lambda rs: means(rs) / weight(rs)
+    return lambda rs: means(rs) / log_weight(rs)
 
 
 # Trapezoid rules of the swept series means run in blocks of at most this
@@ -201,13 +195,12 @@ def _trapezoid_means(rows, n, p, means=None):
     return out if means is None else 0.5 * (means + out)
 
 
-def _normalized(coeffs, p, scale=True):
-    """(coeffs / m, m, m^-p) for m = max |a_k|, as hypot scales, so that
-    |f/m|^p (and |f/m|^2) neither underflows nor overflows; m^-p (at most
-    e^707) is the stop rules' max(1, mean) in units of |f/m|^p. scale=False
-    keeps m = 1, as the zero series does: the boundary mean at p = 1 takes
-    no power of |f| and keeps its unscaled bits that way."""
-    m = (float(np.max(np.abs(coeffs), initial=0.0)) if scale else 0.0) or 1.0
+def _normalized(coeffs, p):
+    """(coeffs / m, m, m^-p) for m = max |a_k| (1 for the zero series), as
+    hypot scales, so that |f/m|^p (and |f/m|^2) neither underflows nor
+    overflows; m^-p (at most e^707) is the stop rules' max(1, mean) in
+    units of |f/m|^p."""
+    m = float(np.abs(coeffs).max(initial=0.0)) or 1.0
     return coeffs / m, m, math.exp(min(-p * math.log(m), 707.0))
 
 
@@ -279,7 +272,7 @@ def _series_means(coeffs, rs, p, inner_tol):
     radius whose |f|^2 falls below _NEAR_ZERO times its mean at a new point
     takes that level's complex FFT of its turned row instead, as |f| taken
     from a tiny |f|^2 has lost relative digits. n starts where
-    _boundary_norm starts and doubles for the radii still live; a radius
+    _boundary_norms starts and doubles for the radii still live; a radius
     stops after two consecutive doublings that each move its mean of |f|^p
     by at most inner_tol * max(1, mean). Radii still live after the level
     at max(2^14, 4 n0) points, which leaves the rule room for three levels,
@@ -381,22 +374,15 @@ _BOUNDARY_MAX_POINTS = 1 << 20
 _LAST_RADIUS = float(unit_grid()[1][-1])
 
 
-def _boundary_norm(coeffs, p, inner_tol):
-    """M_p(1, f) for the polynomial with these coefficients, shaped like the
-    sweep's result: the one-series case of _boundary_norms."""
-    return _boundary_norms({0: coeffs}, p, inner_tol)[0]
-
-
 def _boundary_norms(series, p, inner_tol):
     """{member: M_p(1, f)} for the polynomials of the dict {member:
     coefficients}, each shaped like the sweep's result. At p = 2 it is
     Parseval's sqrt(sum |a_k|^2), with the rounding bound (size + 1) eps
     value as its error estimate. Every other p takes the mean of |f/m|^p (m
-    as in _normalized, and m = 1 at p = 1, which takes no power) over the
-    n-th roots of unity, one zero-padded FFT; n doubles until two
-    consecutive doublings each move the mean of |f|^p by at most inner_tol
-    * max(1, mean) (a single agreement can be a chance crossing of two
-    error terms). Each doubling is one more complex n-point FFT, by the
+    as in _normalized) over the n-th roots of unity, one zero-padded FFT;
+    n doubles until two consecutive doublings each move the mean of |f|^p
+    by at most inner_tol * max(1, mean) (a single agreement can be a
+    chance crossing of two error terms). Each doubling is one more complex n-point FFT, by the
     midpoint step of _trapezoid_means (sums of halves, within a few ulps of
     the full 2n-point rule): a single circle is too little work for the
     real route of the swept means to pay. The series that start at the
@@ -418,7 +404,7 @@ def _boundary_norms(series, p, inner_tol):
         else:
             n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
             ladders.setdefault(n, []).append(
-                (member,) + _normalized(coeffs, p, p != 1.0))
+                (member,) + _normalized(coeffs, p))
     for n, ladder in ladders.items():
         # the rows of table and the entries of the sequences beside it are
         # the series still on the ladder; the stop rule runs per row in
@@ -468,7 +454,7 @@ def hardy_norm_details(f, p, log_weighted, tol):
     inner_tol = _inner_tol(tol)
     if (isinstance(f, CoefficientSeries) and f.tail_bound == 0.0
             and not log_weighted and p != math.inf):
-        return _boundary_norm(f.coeffs, p, inner_tol)
+        return _boundary_norms({0: f.coeffs}, p, inner_tol)[0]
     objective = _mean_objective(f, p, log_weighted, inner_tol)
     return supremum_unit(objective, tol)
 
@@ -495,7 +481,7 @@ def _bloch_objective(deriv, alpha, log_weighted):
     @pointwise
     def objective(r):
         om2 = (1.0 - r) * (1.0 + r)
-        return om2 ** alpha * deriv(r, om2) / _weight_at(r, log_weighted)
+        return om2 ** alpha * deriv(r, om2) / (log_weight(r) if log_weighted else 1.0)
     return objective
 
 

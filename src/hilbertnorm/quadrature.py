@@ -520,7 +520,7 @@ def _transformed(f, a, b, exponent, side):
 
     a and b are arrays of member intervals; f(k, x) and the returned g(k, s)
     evaluate the members k, an index array of rows."""
-    e = 0.0 if exponent is None else float(exponent)
+    e = float(exponent)
     q = 1.0 / (1.0 + e)
     right = side == "right"
     edges, inners = (b.tolist(), a.tolist()) if right else (a.tolist(), b.tolist())

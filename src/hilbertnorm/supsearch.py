@@ -180,9 +180,10 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
     the first point takes one more call, on the 7 points x1 10^-k,
     k = 7..1, below the second grid point x1: it is AtZero unless one of
     them beats it by more than the tie band, and then the best of them is
-    refined in its place. _brent_max refines the maximum between its two
-    neighbours in x, one point per call. An interior supremum's error
-    estimate is the tie band of its value.
+    refined in its place. _brent_max refines the grid maximum, which may
+    lie past that first point, between its two neighbours in x, one point
+    per call. An interior supremum's error estimate is the tie band of its
+    value.
     limit_at_infinity, when it beats the grid maximum by more than the tie
     band, is the supremum at arg = infinity; tail_span is the x-distance the
     divergence test looks back over."""
@@ -232,8 +233,9 @@ def _search(g, tol, xs, args, to_arg, limit_at_infinity, tail_span):
         vmax, arg_best, lo, hi = (float(near_vals[j]), float(near_args[j]),
                                   edges[j], edges[j + 2])
     else:
-        arg_best, lo, hi = (float(args[ibest]), float(xs[ibest - 1]),
-                            float(xs[min(ibest + 1, last)]))
+        top = int(np.argmax(vals))
+        arg_best, lo, hi = (float(args[top]), float(xs[top - 1]),
+                            float(xs[min(top + 1, last)]))
     x_star, v_star = _brent_max(
         lambda x: float(evaluate(np.array([to_arg(x)]))[0]), lo, hi)
     value = max(vmax, v_star)

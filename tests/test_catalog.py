@@ -12,7 +12,6 @@ from hilbertnorm.catalog import (
     derivative_series,
     eval as cat_eval,
     eval_series,
-    tail_error,
     taylor_coeffs,
 )
 
@@ -146,7 +145,7 @@ def test_taylor_bloch_even_series():
     fn = TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, 1.5)
     z = 0.3
     gap = abs(eval_series(s, z) - cat_eval(fn, z))
-    assert gap <= tail_error(s, abs(z)) + 1e-12
+    assert gap <= s.tail_bound * abs(z) ** s.truncation_order / (1.0 - abs(z)) + 1e-12
 
 
 def test_taylor_bloch_steep_has_no_tail_certificate():
@@ -176,7 +175,7 @@ def test_series_matches_closed_form_within_tail():
             r = float(rng.uniform(0.0, 0.9))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             z = complex(r * math.cos(theta), r * math.sin(theta))
-            bound = tail_error(s, abs(z))
+            bound = s.tail_bound * abs(z) ** s.truncation_order / (1.0 - abs(z))
             assert abs(eval_series(s, z) - cat_eval(fn, z)) <= bound + 1e-14
 
 
@@ -227,15 +226,6 @@ def test_eval_series_rejects_outside_disk():
     s = CoefficientSeries(np.array([1.0, 1.0]), 2, 0.0)
     with pytest.raises(ValueError):
         eval_series(s, 1.0)
-
-
-def test_tail_error_formula():
-    s = CoefficientSeries(np.array([1.0, 1.0]), 2, 3.0)
-    r = 0.5
-    assert tail_error(s, r) == pytest.approx(3.0 * r ** 2 / (1.0 - r), rel=1e-15)
-    assert tail_error(CoefficientSeries(np.array([1.0]), 1, None), 0.5) is None
-    with pytest.raises(ValueError):
-        tail_error(s, 1.0)
 
 
 def test_derivative_series_shift():

@@ -1,5 +1,6 @@
 """Tests for the four equivalent forms of the operator."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -230,6 +231,36 @@ def test_pathshifted_derivative_agrees_with_direct(fn, z):
     shifted = derivative_at_pathshifted(fn, z, 1e-9)
     assert isinstance(shifted, complex)
     assert abs(direct - shifted) <= 1e-7 * max(1.0, abs(direct))
+
+
+def _mpmath_derivative(alpha, z):
+    """(Hf)'(z) of the Bloch extremal as mpmath.quad of the derivative kernel
+    t f(t) / (1 - tz)^2, in u = 1 - t (so 1 - t^2 = u (2 - u) and 1 - tz =
+    (1 - z) + uz keep their digits next to t = 1), split at u = 10^k (1 -
+    |z|), where 1 - tz and the endpoint singularity of f meet."""
+    with mpmath.workdps(30):
+        a, w = mpmath.mpf(alpha), mpmath.mpc(z)
+        gap = 1 - mpmath.mpf(abs(z))
+        cuts = [10 ** k * gap for k in range(9) if 10 ** k * gap < 1]
+
+        def kernel(u):
+            f = ((u * (2 - u)) ** (1 - a) - 1) / (2 * (a - 1))
+            return (1 - u) * f / ((1 - w) + u * w) ** 2
+
+        return complex(mpmath.quad(kernel, [0] + cuts + [1]))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.5])
+@pytest.mark.parametrize("z", [0.99, 1.0 - 1e-6, 0.999 * np.exp(1j * (np.pi - 0.01))],
+                         ids=["0.99", "1-1e-6", "near-minus-1"])
+def test_pathshifted_bloch_extremal_near_the_boundary_matches_mpmath(alpha, z):
+    # the path-shifted form composes the catalog's closed form of the Bloch
+    # extremal with log(1 - phi_t(z)); past |z| = 0.85 its (1-t) factor and
+    # the pole of 1/d_t(z) near t = 0 both matter
+    got = derivative_at_pathshifted(TestFunction(Kind.BLOCH_ALPHA_EXTREMAL, alpha), z,
+                                    1e-11)
+    want = _mpmath_derivative(alpha, z)
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def _one_circle_ladder(coeffs, p, inner_tol):
     a scalar ladder: one row through _trapezoid_means per level and the
     stop rule in Python floats, the reference the batched ladder must
     match bit for bit."""
-    coeffs, m, floor = norms._normalized(coeffs, p, p != 1.0)
+    coeffs, m, floor = norms._normalized(coeffs, p)
     n = 1 << max(6, (2 * coeffs.size - 1).bit_length())
     mean = float(norms._trapezoid_means(coeffs[None, :], n, p)[0])
     agreed = 0
@@ -203,8 +203,8 @@ def test_boundary_ladder_keeps_every_series_bits(p):
     # the 100 seeded polynomials of h1-upper-internals (seed 1729, degrees
     # 1-64, inner tolerance 1e-5), with a constant and the zero series among
     # them: one ladder gives every series the bits of its own hardy_norm
-    # call and, off p = 2, of a scalar one-circle ladder; p = 1.5 takes the
-    # scaled route (m = max |a_k|)
+    # call and, off p = 2, of a scalar one-circle ladder, on |f/m|^p with
+    # m = max |a_k| at every p (norms._normalized)
     polys = _random_polynomials(1729, 100)
     polys[10:10] = [np.array([2.5 - 1.0j, 0.0, 0.0]), np.zeros(3, dtype=complex)]
     series = {3 * i + 1: a for i, a in enumerate(polys)}
@@ -343,7 +343,7 @@ def test_series_doublings_transform_only_the_new_points(monkeypatch):
         monkeypatch.setattr(norms.np.fft, name, recording(name))
     a = np.array([1.0, 0.9, 0.5j, -0.3])
     n0 = _first_rule(a)
-    norms._boundary_norm(a, 1.0, 1e-12)
+    norms._boundary_norms({0: a}, 1.0, 1e-12)[0]
     assert len(calls) >= 3
     assert calls == [("fft", n0)] + [("fft", n0 << k) for k in range(len(calls) - 1)]
     calls.clear()
@@ -398,7 +398,7 @@ def test_series_means_p2_match_parseval():
         got = norms._series_means(a, rs, 2.0, 1e-13)
         want = [_reference_mean(a, r, 2.0, n=128) for r in rs]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        boundary = norms._boundary_norm(a, 2.0, 1e-13)
+        boundary = norms._boundary_norms({0: a}, 2.0, 1e-13)[0]
         assert boundary.value == pytest.approx(
             _reference_mean(a, 1.0, 2.0, n=128), rel=1e-13, abs=0.0)
         assert boundary.error_estimate == (

@@ -269,6 +269,25 @@ def test_narrow_bump_below_the_first_grid_step_is_interior(entry):
     assert to_x(res.arg) == pytest.approx(center, rel=1e-2)
 
 
+@both_searches
+def test_interior_supremum_is_refined_where_it_is_attained(entry):
+    # tanh(x) enters the 1e-8 tie band at x ~ 9.6 and stays in it, a long
+    # plateau before the maximum at x = 20: the search refines the grid
+    # maximum, not the first point of the band, and reports its argument
+    search = SEARCHES[entry][0]
+    to_x = (lambda r: -math.log1p(-r)) if entry == "unit" else (lambda x: x)
+    xs = unit_grid()[0] if entry == "unit" else halfline_grid()
+
+    def h(x):
+        return math.tanh(x) - 1e-9 * ((x - 20.0) / 15.0) ** 2
+
+    res = search(_array_twin(lambda a: h(to_x(a))), 1e-8)
+    step = float(np.max(np.diff(xs[(xs > 19.0) & (xs < 21.0)])))
+    assert res.boundary == INTERIOR
+    assert abs(to_x(res.arg) - 20.0) <= step
+    assert h(to_x(res.arg)) >= res.value - 1e-8 * res.value
+
+
 # Problems of one-dimensional maximization, (fun(x), lo, hi, maximizers):
 # the maximizers are the interval of x where fun attains its maximum. The
 # 1e30-wide bracket ran golden section into its 160-step cap.
